@@ -1,12 +1,15 @@
 """Streaming ingestion benchmark: sustained events/sec windower → engine.
 
-The ISSUE's acceptance criterion for the streaming tier is a sustained
-ingestion floor: events flow through incremental session assembly and
-every closed window's sessions are scored through the micro-batched
-engine.  The floor is deliberately far below what CI-class hosts
-measure (typically tens of thousands of events/sec) — it is a
-regression tripwire for someone accidentally making window handling
-quadratic or forcing batch-1 scoring, not a headline number.
+A sustained ingestion floor for the streaming tier: events flow
+through incremental session assembly and every closed window's
+sessions are scored through the micro-batched engine.  The floor is
+deliberately far below what CI-class hosts measure (typically tens of
+thousands of events/sec) — it is a regression tripwire for the
+windower and for batch-1 scoring, not a headline number.  It drives
+``SessionWindower`` and ``InferenceEngine`` directly, so it does *not*
+cover ``StreamProcessor``: drift monitoring, journaling, checkpoint
+commits and re-correction are outside it.  The ``stream`` workload of
+``python -m bench`` measures the full processor path.
 ``benchmarks/results/latest.txt`` records what was measured.
 
 Marked ``smoke``: trains a deliberately tiny CLFD so the whole bench is

@@ -16,17 +16,37 @@ layer maps that to ``429 Too Many Requests``.
 
 from __future__ import annotations
 
+import collections
 import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["QueueFullError", "MicroBatcher"]
+__all__ = ["QueueFullError", "MicroBatcher", "submit_windowed"]
 
 
 class QueueFullError(RuntimeError):
     """Raised by :meth:`MicroBatcher.submit` when the queue is at capacity."""
+
+
+def submit_windowed(submit: Callable[[Any], Future], items: Iterable[Any],
+                    limit: int, timeout: float | None) -> list:
+    """Submit ``items`` in order with at most ``limit`` futures in flight.
+
+    The ``score_many`` loop of every engine: enqueueing ahead lets
+    items share micro-batches, while waiting on the oldest future once
+    ``limit`` are pending keeps one call from overrunning a queue of
+    that capacity by itself.  Returns the results in submission order.
+    """
+    results: list = []
+    pending: collections.deque[Future] = collections.deque()
+    for item in items:
+        if len(pending) >= limit:
+            results.append(pending.popleft().result(timeout=timeout))
+        pending.append(submit(item))
+    results.extend(future.result(timeout=timeout) for future in pending)
+    return results
 
 
 class MicroBatcher:

@@ -33,6 +33,7 @@ HTTP threads, and spawn keeps each worker a clean interpreter.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import itertools
 import multiprocessing
@@ -42,6 +43,7 @@ import traceback
 from concurrent.futures import Future
 from typing import Any, Iterable
 
+from .batcher import submit_windowed
 from .config import ServeConfig, resolve_config
 from .metrics import (ServingMetrics, merge_snapshots,
                       render_cluster_prometheus)
@@ -449,8 +451,11 @@ class ClusterEngine:
     def score_many(self, payloads: Iterable[Any],
                    timeout: float | None = 30.0, *,
                    tenant: str | None = None) -> list[ScoreResult]:
-        futures = [self.submit(p, tenant=tenant) for p in payloads]
-        return [future.result(timeout=timeout) for future in futures]
+        """Score several sessions, preserving order (at most
+        ``config.max_queue`` of them in flight, as in the engine)."""
+        return submit_windowed(
+            functools.partial(self.submit, tenant=tenant), payloads,
+            self.config.max_queue, timeout)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -45,7 +45,7 @@ from ..core.clfd import CLFD
 from ..data.sessions import Session, SessionDataset
 from ..data.vocab import Vocabulary
 from ..nn.profiler import Profiler
-from .batcher import MicroBatcher, QueueFullError
+from .batcher import MicroBatcher, QueueFullError, submit_windowed
 from .config import ServeConfig, resolve_config
 from .metrics import ServingMetrics
 from .ratelimit import TenantRateLimiter
@@ -251,11 +251,13 @@ class InferenceEngine:
                    tenant: str | None = None) -> list[ScoreResult]:
         """Score several sessions, preserving order.
 
-        All payloads are validated and enqueued before the first wait,
-        so they can share micro-batches.
+        Up to ``config.max_queue`` payloads are enqueued ahead of the
+        first wait, so they share micro-batches without the call
+        overrunning the queue by itself, however many it scores.
         """
-        futures = [self.submit(p, tenant=tenant) for p in payloads]
-        return [future.result(timeout=timeout) for future in futures]
+        return submit_windowed(
+            functools.partial(self.submit, tenant=tenant), payloads,
+            self.config.max_queue, timeout)
 
     # ------------------------------------------------------------------
     # Lifecycle

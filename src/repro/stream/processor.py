@@ -18,13 +18,24 @@
   archive is hot-swapped into the engine via the rolling ``reload``
   (no dropped scores) and the monitor re-arms against the new model.
 
-Crash posture: after every handled window the processor writes an
-atomic JSON checkpoint (windower + monitor + rng state, next event
-offset, current archive, scored records).  A processor constructed
-with ``resume=True`` picks up from the checkpoint and produces
-bit-identical windows, scores, journal entries and alarms to an
-uninterrupted run — the streaming analogue of the trainer's
-kill-and-resume guarantee (asserted in ``tests/stream/``).
+Crash posture: the durable state has two parts, so nothing rewritten
+per window grows with the stream.  ``records.jsonl`` is an append-only
+log: each window batch appends one line with its scored records and
+the windower session counters that changed.  ``checkpoint.json`` is a
+small head, replaced atomically (temp file, then ``os.replace``): the
+bounded state (windower open/pending sessions, monitor, rng, counters,
+current archive, recent windows) plus the committed byte lengths of
+``records.jsonl`` and ``journal.jsonl``.  A commit appends to the log
+first and replaces the head second, so the head never points past
+data on disk.  Appends are flushed, not fsynced — the same posture as
+the :class:`~repro.train.MetricJournal`: a killed *process* loses
+nothing, a power cut may.  A processor constructed with
+``resume=True`` cuts both files back to the head's lengths (dropping
+torn or uncommitted tails, e.g. the journal line of a window whose
+batch never committed), replays the log, and produces bit-identical
+windows, scores, journal entries and alarms to an uninterrupted run —
+the streaming analogue of the trainer's kill-and-resume guarantee
+(asserted in ``tests/stream/``).
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from ..core.persistence import load_clfd
 from ..serve.config import ServeConfig
 from ..serve.engine import InferenceEngine
 from ..train import MetricJournal, TrainRun
+from ..train.journal import truncate_to
 from ..train.seeding import generator_state, set_generator_state
 from .drift import DriftMonitor, DriftReading
 from .events import Event
@@ -48,6 +60,8 @@ from .recorrect import recorrect_model
 from .window import SessionWindower, StreamSession, Window
 
 __all__ = ["StreamConfig", "StreamProcessor", "compare_with_frozen"]
+
+CHECKPOINT_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,9 +100,10 @@ class StreamProcessor:
     ----------
     archive: the CLFD archive to serve initially; also the frozen
         baseline :func:`compare_with_frozen` evaluates against.
-    workdir: state directory — ``checkpoint.json``, ``journal.jsonl``,
-        ``archives/`` (re-corrected generations), ``train/``
-        (fine-tune checkpoints).
+    workdir: state directory — ``checkpoint.json`` (the small head),
+        ``records.jsonl`` (the append-only records log),
+        ``journal.jsonl``, ``archives/`` (re-corrected generations),
+        ``train/`` (fine-tune checkpoints).
     config / serve_config: streaming and serving knobs.  The serving
         config is forced to ``include_embeddings=True`` — the centroid
         drift statistic needs the embeddings the engine already
@@ -98,7 +113,8 @@ class StreamProcessor:
         builds its own from the archive.
     seed: seed for the processor's generator (re-correction batching);
         checkpointed, so resumed runs consume the same draws.
-    resume: load ``workdir/checkpoint.json`` and continue from it.
+    resume: load ``workdir/checkpoint.json``, replay the records log
+        up to its commit point and continue from there.
     """
 
     def __init__(self, archive: str | os.PathLike,
@@ -113,6 +129,7 @@ class StreamProcessor:
         (self.workdir / "archives").mkdir(exist_ok=True)
         self.initial_archive = pathlib.Path(archive)
         self._checkpoint_path = self.workdir / "checkpoint.json"
+        self._records_path = self.workdir / "records.jsonl"
 
         c = self.config
         self._windower = SessionWindower(
@@ -134,12 +151,17 @@ class StreamProcessor:
         self._archive = self.initial_archive
         self._recent: list[list[dict]] = []
         self._records: list[dict] = []
+        # Records-log commit point: bytes on disk, records they hold.
+        self._records_bytes = 0
+        self._committed_records = 0
 
+        journal_path = self.workdir / "journal.jsonl"
         resumed = resume and self._checkpoint_path.exists()
         if resumed:
-            self._load_checkpoint()
-        self.journal = MetricJournal(self.workdir / "journal.jsonl",
-                                     resume=resumed)
+            truncate_to(journal_path, self._load_checkpoint())
+        else:
+            self._records_path.write_bytes(b"")
+        self.journal = MetricJournal(journal_path, resume=resumed)
 
         self.serve_config = (serve_config or ServeConfig()).replace(
             include_embeddings=True)
@@ -379,7 +401,21 @@ class StreamProcessor:
     # Checkpointing
     # ------------------------------------------------------------------
     def _save_checkpoint(self) -> None:
+        """Commit the window batch: append to the log, then the head."""
+        records = self._records[self._committed_records:]
+        counts = self._windower.take_count_updates()
+        if records or counts:
+            line = json.dumps({"records": records,
+                               "session_counts": counts}) + "\n"
+            with open(self._records_path, "ab") as fh:
+                fh.write(line.encode())
+                fh.flush()
+                self._records_bytes = fh.tell()
+            self._committed_records = len(self._records)
         state = {
+            "version": CHECKPOINT_VERSION,
+            "records_bytes": self._records_bytes,
+            "journal_bytes": self.journal.path.stat().st_size,
             "next_offset": self._next_offset,
             "windower": self._windower.state_dict(),
             "monitor": self._monitor.state_dict(),
@@ -389,14 +425,21 @@ class StreamProcessor:
             "recorrections": self._recorrections,
             "archive": str(self._archive),
             "recent": self._recent,
-            "records": self._records,
         }
         tmp = self._checkpoint_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(state))
         os.replace(tmp, self._checkpoint_path)
 
-    def _load_checkpoint(self) -> None:
+    def _load_checkpoint(self) -> int:
+        """Restore the head and replay the log; returns the committed
+        journal length for the caller to cut the journal back to."""
         state = json.loads(self._checkpoint_path.read_text())
+        if state.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"{self._checkpoint_path} is not a version-"
+                f"{CHECKPOINT_VERSION} stream checkpoint; stream "
+                "workdirs are not migrated — restart the stream "
+                "without resume (or in a fresh workdir)")
         self._next_offset = int(state["next_offset"])
         self._windower.load_state_dict(state["windower"])
         self._monitor.load_state_dict(state["monitor"])
@@ -406,7 +449,16 @@ class StreamProcessor:
         self._recorrections = int(state["recorrections"])
         self._archive = pathlib.Path(state["archive"])
         self._recent = [list(window) for window in state["recent"]]
-        self._records = [dict(r) for r in state["records"]]
+
+        self._records_bytes = int(state["records_bytes"])
+        truncate_to(self._records_path, self._records_bytes)
+        with open(self._records_path, "rb") as fh:
+            for line in fh:
+                batch = json.loads(line)
+                self._records.extend(batch["records"])
+                self._windower.restore_counts(batch["session_counts"])
+        self._committed_records = len(self._records)
+        return int(state["journal_bytes"])
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,17 @@
 Determinism contract: the emitted windows are a pure function of the
 event sequence.  Sessions inside a window are ordered by
 ``(close_time, entity)`` — no dict-iteration or arrival-jitter order —
-and :meth:`state_dict` / :meth:`load_state_dict` capture the complete
-windower state as a JSON-serialisable dict, so replaying a log from a
-mid-stream checkpoint produces bit-identical windows to a replay from
-offset 0 (asserted by ``tests/stream/test_window.py``).
+and the windower state round-trips through JSON, so replaying a log
+from a mid-stream checkpoint produces bit-identical windows to a replay
+from offset 0 (asserted by ``tests/stream/test_window.py``).
+
+The state has two parts.  :meth:`state_dict` / :meth:`load_state_dict`
+carry the bounded part (open sessions, pending windows, watermark).
+The per-entity session counters grow with the stream (one entry per
+entity ever seen), so they travel as increments instead: the caller
+logs :meth:`SessionWindower.take_count_updates` on every commit and
+replays those entries with :meth:`SessionWindower.restore_counts`
+after loading.
 """
 
 from __future__ import annotations
@@ -111,6 +118,8 @@ class SessionWindower:
         self._open: dict[str, dict] = {}
         self._pending: dict[int, list[dict]] = {}
         self._session_counts: dict[str, int] = {}
+        # Counters changed since the last take_count_updates().
+        self._count_updates: dict[str, int] = {}
         self._watermark = -math.inf
         self._next_emit = 0
         self._events_seen = 0
@@ -145,6 +154,7 @@ class SessionWindower:
         if state is None:
             count = self._session_counts.get(event.entity, 0)
             self._session_counts[event.entity] = count + 1
+            self._count_updates[event.entity] = count + 1
             state = {
                 "session_id": f"{event.entity}/{count}",
                 "entity": event.entity,
@@ -237,29 +247,51 @@ class SessionWindower:
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Complete JSON-serialisable snapshot of the stream state."""
+        """JSON-serialisable snapshot of the bounded stream state.
+
+        Holds everything but the per-entity session counters, which
+        the caller persists through :meth:`take_count_updates`.
+        """
         return {
             "open": [dict(state, activities=list(state["activities"]))
                      for state in self._open.values()],
             "pending": {str(index): [dict(s) for s in sessions]
                         for index, sessions in self._pending.items()},
-            "session_counts": dict(self._session_counts),
             "watermark": (None if math.isinf(self._watermark)
                           else self._watermark),
             "next_emit": self._next_emit,
             "events_seen": self._events_seen,
         }
 
+    def take_count_updates(self) -> dict[str, int]:
+        """Session counters changed since the previous call.
+
+        Returns ``{entity: count}`` for every entity that opened a
+        session since then and starts a fresh change set — the
+        increment an append-only log needs on each commit.
+        """
+        updates, self._count_updates = self._count_updates, {}
+        return updates
+
+    def restore_counts(self, counts: dict[str, int]) -> None:
+        """Apply counter entries from :meth:`take_count_updates`."""
+        self._session_counts.update(
+            (str(k), int(v)) for k, v in counts.items())
+
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot in place."""
+        """Restore a :meth:`state_dict` snapshot in place.
+
+        The session counters start empty; replay the logged entries
+        with :meth:`restore_counts`.
+        """
         self._open = {entry["entity"]: dict(entry,
                                             activities=list(
                                                 entry["activities"]))
                       for entry in state["open"]}
         self._pending = {int(index): [dict(s) for s in sessions]
                          for index, sessions in state["pending"].items()}
-        self._session_counts = {str(k): int(v) for k, v in
-                                state["session_counts"].items()}
+        self._session_counts = {}
+        self._count_updates = {}
         watermark = state["watermark"]
         self._watermark = -math.inf if watermark is None else float(watermark)
         self._next_emit = int(state["next_emit"])

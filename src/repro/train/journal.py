@@ -18,7 +18,10 @@ Crash safety: lines are flushed after every write, a torn trailing
 line (the process died mid-write) is ignored by readers, and opening a
 journal with ``resume=True`` compacts the file down to its valid
 prefix.  :meth:`MetricJournal.drop` removes entries a resumed run is
-about to recompute, so re-run epochs never appear twice.
+about to recompute, so re-run epochs never appear twice.  A caller
+that records the journal's byte length in its own checkpoint cuts
+everything logged after that commit with :func:`truncate_to` before
+reopening the journal.
 """
 
 from __future__ import annotations
@@ -109,6 +112,21 @@ class MetricJournal:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+
+
+def truncate_to(path: str | os.PathLike, size: int) -> None:
+    """Cut ``path`` back to its first ``size`` bytes.
+
+    Raises ``ValueError`` when the file holds fewer bytes than that: a
+    committed prefix went missing, which no truncation can repair.
+    """
+    with open(path, "r+b") as fh:
+        actual = fh.seek(0, os.SEEK_END)
+        if actual < size:
+            raise ValueError(
+                f"{path} holds {actual} bytes but {size} were committed; "
+                "the file lost committed data")
+        fh.truncate(size)
 
 
 def read_journal(path: str | os.PathLike) -> list[dict]:

@@ -86,6 +86,17 @@ def test_cluster_scores_bit_identical_to_single_process(cluster, single):
     assert all(r.generation == 0 for r in got)
 
 
+def test_cluster_score_many_beyond_max_queue(served_archive, single):
+    payloads = _payloads(200, prefix="bulk-")
+    config = CLUSTER_CONFIG.replace(max_queue=8)
+    with ClusterEngine(served_archive, config) as eng:
+        got = eng.score_many(payloads)
+    expected = [single.score(p) for p in payloads]
+    assert [r.session_id for r in got] == [p["session_id"]
+                                           for p in payloads]
+    assert [r.score for r in got] == [r.score for r in expected]
+
+
 def test_sessions_shard_by_consistent_hash(cluster):
     payloads = _payloads(32, prefix="affinity-")
     results = cluster.score_many(payloads)

@@ -95,6 +95,23 @@ def test_queue_full_maps_to_429(served_model):
     assert codes and codes[0] == ("queue_full", 429)
 
 
+def test_score_many_beyond_max_queue(served_model, serve_split):
+    """One call may score far more payloads than the queue holds; the
+    results equal scoring each payload on its own."""
+    _, test = serve_split
+    payloads = [dict(_payload(test, row % len(test)), session_id=f"p{row}")
+                for row in range(200)]
+    with InferenceEngine(served_model,
+                         ServeConfig(max_batch=4, max_wait_ms=1.0,
+                                     max_queue=8)) as eng:
+        many = eng.score_many(payloads)
+        one_by_one = [eng.score(p) for p in payloads]
+    assert [r.session_id for r in many] == [p["session_id"]
+                                            for p in payloads]
+    assert [r.score for r in many] == [r.score for r in one_by_one]
+    assert [r.probs for r in many] == [r.probs for r in one_by_one]
+
+
 def test_include_embeddings(served_model):
     with InferenceEngine(
             served_model, ServeConfig(include_embeddings=True,

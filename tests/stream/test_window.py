@@ -96,26 +96,36 @@ def test_constructor_validation():
 
 @pytest.mark.parametrize("split_at", [1, 7, 20])
 def test_checkpoint_resume_is_bit_identical(split_at):
+    """The snapshot plus the logged counter updates restore the windower
+    exactly (entities recur, so the counters decide the session ids)."""
     events = []
     for i in range(30):
         events.append(_event(float(i), entity=f"u{i % 4}",
                              activity=f"act{i % 3}", offset=i))
-    baseline = _stream(
-        SessionWindower(window_size=6.0, session_gap=2.0,
-                        max_session_len=4), events)
 
-    first = SessionWindower(window_size=6.0, session_gap=2.0,
-                            max_session_len=4)
-    windows = []
-    for event in events[:split_at]:
+    def make():
+        return SessionWindower(window_size=6.0, session_gap=2.0,
+                               max_session_len=4)
+
+    baseline = _stream(make(), events)
+
+    first, windows, log = make(), [], []
+    for i, event in enumerate(events[:split_at]):
         windows.extend(first.process(event))
-    # Round-trip through serialized JSON — exactly what the processor
-    # checkpoint stores on disk.
-    state = json.loads(json.dumps(first.state_dict()))
+        if i % 3 == 0:  # commit every few events, as the processor does
+            log.append(first.take_count_updates())
+    log.append(first.take_count_updates())
+    assert first.take_count_updates() == {}
+    # Round-trip through serialized JSON — exactly what the processor's
+    # head and records log store on disk.
+    state, log = json.loads(json.dumps([first.state_dict(), log]))
+    assert "session_counts" not in state
 
-    resumed = SessionWindower(window_size=6.0, session_gap=2.0,
-                              max_session_len=4)
+    resumed = make()
     resumed.load_state_dict(state)
+    for updates in log:
+        resumed.restore_counts(updates)
+    assert resumed.take_count_updates() == {}
     for event in events[split_at:]:
         windows.extend(resumed.process(event))
     windows.extend(resumed.flush())
