@@ -31,9 +31,18 @@ equivalents — method-preserving, so a non-following client sees exactly
 where to go and a following one keeps POSTing.
 
 Every error — validation, backpressure, rate limiting, timeouts,
-internal failures, unknown routes — serialises through
-:meth:`RequestError.to_envelope`, in exactly one place
-(:meth:`_Handler._fail`).
+internal failures, unknown routes, and the protocol errors
+:mod:`http.server` raises itself (bad request line, 414, 431, 501) —
+serialises through :meth:`RequestError.to_envelope`, in exactly one
+place (:meth:`_Handler._fail`).
+
+Every response — status line, headers and body — leaves in one
+``send`` (:meth:`_Handler._send_bytes`), and accepted sockets set
+``TCP_NODELAY``.  Written as two sends, Nagle holds the small body
+back until the client ACKs the headers, and a delayed ACK turns that
+into a ~40 ms stall on every keep-alive request.  A response to a
+request whose body was left unread closes the connection, so the body
+is never parsed as the next request.
 """
 
 from __future__ import annotations
@@ -57,10 +66,12 @@ _LEGACY_ROUTES = {"/score", "/healthz", "/metrics", "/reload"}
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One instance per request; engine/metrics live on the server."""
+    """One instance per connection, which keep-alive reuses for many
+    requests; engine/metrics live on the server."""
 
     server: "ServingServer"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY on every accepted socket
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -167,24 +178,33 @@ class _Handler(BaseHTTPRequestHandler):
         location = API_PREFIX + parsed.path
         if parsed.query:
             location += f"?{parsed.query}"
-        body = json.dumps({"location": location}).encode("utf-8")
-        self.send_response(307)
-        self.send_header("Location", location)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_bytes(307, json.dumps({"location": location}).encode(),
+                         "application/json", (("Location", location),))
         return True
 
+    def parse_request(self) -> bool:
+        self._body_read = False  # per request, not per connection
+        return super().parse_request()
+
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise RequestError(
+                "invalid_request",
+                f"Content-Length header must be a non-negative integer, "
+                f"got {raw!r}")
+        if length == 0:
             raise RequestError("empty_body", "request body required")
         if length > _MAX_BODY_BYTES:
             raise RequestError("body_too_large",
                                f"body exceeds {_MAX_BODY_BYTES} bytes",
                                status=413)
         body = self.rfile.read(length)
+        self._body_read = True
         try:
             return json.loads(body)
         except json.JSONDecodeError as exc:
@@ -195,17 +215,41 @@ class _Handler(BaseHTTPRequestHandler):
         """The single point where serving errors become HTTP responses."""
         self._respond(exc.status, exc.to_envelope())
 
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """``http.server``'s own errors, in the envelope; always closes."""
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        phrase = self.responses.get(code, ("Error",))[0]
+        self._fail(RequestError(
+            "_".join(phrase.lower().replace("-", " ").split()),
+            message or phrase, status=code))
+
     def _respond(self, status: int, payload: dict) -> None:
         self._send_bytes(status, json.dumps(payload).encode("utf-8"),
                          "application/json")
 
-    def _send_bytes(self, status: int, body: bytes,
-                    content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_bytes(self, status: int, body: bytes, content_type: str,
+                    headers: tuple[tuple[str, str], ...] = ()) -> None:
+        """The one response writer: status line, headers, body, one send."""
+        if not self.close_connection and not self._body_read and (
+                self.headers.get("Content-Length", "0").strip() != "0"
+                or "Transfer-Encoding" in self.headers):
+            # A declared body nobody read would be parsed as the next
+            # request on this connection.
+            self.close_connection = True
+        self.log_request(status)
+        lines = [f"{self.protocol_version} {status} "
+                 f"{self.responses.get(status, ('',))[0]}",
+                 f"Server: {self.version_string()}",
+                 f"Date: {self.date_time_string()}",
+                 f"Content-Type: {content_type}",
+                 f"Content-Length: {len(body)}"]
+        lines += [f"{name}: {value}" for name, value in headers]
+        if self.close_connection:
+            lines.append("Connection: close")
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self.wfile.write(head.encode("latin-1") + body)
 
     def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
         if self.server.config.verbose:

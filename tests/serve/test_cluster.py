@@ -1,9 +1,11 @@
-"""ClusterEngine: bit-identity, shard affinity, reloads, worker death.
+"""ClusterEngine: bit-identity, shard affinity, reloads, worker
+environment, worker death.
 
 One module-scoped two-worker cluster serves the cheap assertions (the
 rolling-reload test runs last — it advances the cluster's generation);
-the worker-kill test spins up its own cluster because it leaves a
-corpse behind.
+the worker-environment test starts its own one-worker cluster under a
+patched environment, and the worker-kill test spins up its own cluster
+because it leaves a corpse behind.
 """
 
 import os
@@ -16,6 +18,7 @@ import pytest
 from repro.core import load_clfd
 from repro.serve import (ClusterEngine, HashRing, InferenceEngine,
                          RequestError, ServeConfig, TenantRateLimiter)
+from repro.serve.cluster import _BLAS_THREAD_VARS, _worker_blas_env
 
 CLUSTER_CONFIG = ServeConfig(workers=2, max_wait_ms=1.0, max_batch=8)
 
@@ -174,6 +177,35 @@ def test_rolling_reload_is_atomic_and_bit_consistent(
         assert res.score == ref.score
     assert cluster.generation == 1
     assert cluster.metrics_snapshot()["cluster"]["generation"] == 1
+
+
+# ----------------------------------------------------------------------
+# Worker BLAS threads
+# ----------------------------------------------------------------------
+def test_worker_blas_env_pins_one_thread_unless_set():
+    assert _worker_blas_env({}) == {name: "1" for name in _BLAS_THREAD_VARS}
+    assert _worker_blas_env({"OPENBLAS_NUM_THREADS": "4", "PATH": "/x"}) == {
+        "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1"}
+
+
+def test_worker_start_leaves_parent_environ_unchanged(served_archive,
+                                                      monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")  # the operator's choice
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    with ClusterEngine(served_archive,
+                       CLUSTER_CONFIG.replace(workers=1)) as eng:
+        assert dict(os.environ) == before
+        pid = eng._clients[0].process.pid
+        with open(f"/proc/{pid}/environ", "rb") as fh:
+            worker_env = dict(entry.decode().split("=", 1)
+                              for entry in fh.read().split(b"\0") if entry)
+    assert dict(os.environ) == before
+    assert {name: worker_env.get(name) for name in _BLAS_THREAD_VARS} == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+        "MKL_NUM_THREADS": "1"}
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""HTTP front end: the v1 surface, error envelope, redirects, shutdown."""
+"""HTTP front end: the v1 surface, error envelope, redirects, framing,
+shutdown."""
 
+import http.client
 import json
+import socket
+import socketserver
 import threading
 import time
 import urllib.error
@@ -9,6 +13,7 @@ import urllib.request
 import pytest
 
 from repro.serve import InferenceEngine, ServeConfig, ServingServer
+from repro.serve import server as server_module
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +194,142 @@ def test_concurrent_requests_all_succeed(server):
     assert len(statuses) == 24
     assert all(status == 200 for status, _ in statuses)
     assert {sid for _, sid in statuses} == {f"c{i}" for i in range(24)}
+
+
+# ----------------------------------------------------------------------
+# Response framing and connection handling
+# ----------------------------------------------------------------------
+def _read_to_eof(sock) -> bytes:
+    """Everything the server sends until it closes the connection."""
+    data = b""
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:  # a close with unread input resets
+            return data
+        if not chunk:
+            return data
+        data += chunk
+
+
+def _raw_exchange(server, request: bytes) -> tuple[list[bytes], dict]:
+    """Send raw bytes; return the response header lines and JSON body.
+
+    Reads to EOF, so it also asserts the server closed the connection:
+    a connection left open blocks here until the socket timeout fails
+    the test.
+    """
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        data = _read_to_eof(sock)
+    assert data.count(b"HTTP/1.1 ") == 1, data  # exactly one response
+    head, body = data.split(b"\r\n\r\n", 1)
+    return head.split(b"\r\n"), json.loads(body)
+
+
+def test_keep_alive_responses_leave_in_one_send(server, monkeypatch):
+    """Every response is one write on a TCP_NODELAY socket, so a
+    keep-alive client never waits on Nagle plus a delayed ACK."""
+    writes = []
+    real_write = socketserver._SocketWriter.write
+
+    def spy_write(self, data):
+        writes.append(bytes(data))
+        return real_write(self, data)
+
+    nodelay = []
+    real_setup = server_module._Handler.setup
+
+    def spy_setup(self):
+        real_setup(self)
+        nodelay.append(self.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", spy_write)
+    monkeypatch.setattr(server_module._Handler, "setup", spy_setup)
+
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    exchanges = [
+        ("POST", "/v1/score", {"activities": [1, 2], "session_id": "ka"},
+         200),
+        ("GET", "/v1/healthz", None, 200),
+        ("GET", "/v1/metrics", None, 200),
+        ("GET", "/v1/nope", None, 404),
+        ("GET", "/healthz", None, 307),
+        ("POST", "/v1/score", {"activities": []}, 400),
+    ]
+    sock = None
+    try:
+        for method, path, payload, status in exchanges:
+            body = json.dumps(payload).encode() if payload else None
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            content = resp.read()
+            assert resp.status == status, (path, content)
+            assert resp.getheader("Connection") is None  # stays open
+            sock = sock or conn.sock
+            assert conn.sock is sock  # one connection for all six
+            # The write just observed is this whole response.
+            assert writes[-1].startswith(f"HTTP/1.1 {status} ".encode())
+            assert writes[-1].endswith(content)
+    finally:
+        conn.close()
+    assert len(writes) == len(exchanges)
+    assert nodelay == [1]
+
+
+_SMUGGLED = b"BOGUS /body HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+@pytest.mark.parametrize("path, length, status, code", [
+    ("/v1/score", server_module._MAX_BODY_BYTES + 1, b"413",
+     "body_too_large"),
+    ("/v1/nope", len(_SMUGGLED), b"404", "not_found"),
+], ids=["413-oversized", "404-unread"])
+def test_unread_body_closes_connection(server, path, length, status, code):
+    """Regression: the unread body of a rejected request used to be
+    parsed as the next request on the same connection."""
+    head, body = _raw_exchange(
+        server, f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode() + _SMUGGLED)
+    assert head[0].split()[1] == status
+    assert b"Connection: close" in head
+    assert body["error"]["code"] == code
+
+
+@pytest.mark.parametrize("path", ["/v1/score", "/v1/reload"])
+def test_malformed_content_length_is_400(server, path):
+    """Regression: ``Content-Length: abc`` used to answer 500 internal."""
+    head, body = _raw_exchange(
+        server, f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: abc\r\n\r\n".encode())
+    assert head[0].startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert body["error"]["code"] == "invalid_request"
+    assert "Content-Length" in body["error"]["message"]
+
+
+def test_http_server_errors_are_enveloped(server):
+    """Errors raised inside http.server itself use the JSON envelope
+    and keep closing the connection."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request("PUT", "/v1/score", body=b"{}")
+        resp = conn.getresponse()
+        body = json.loads(resp.read())
+        assert resp.status == 501
+        assert resp.getheader("Connection") == "close"
+        assert resp.getheader("Content-Type") == "application/json"
+        assert body["error"]["code"] == "not_implemented"
+        assert body["error"]["status"] == 501
+        assert "PUT" in body["error"]["message"]
+    finally:
+        conn.close()
+    head, body = _raw_exchange(server, b"garbage\r\n\r\n")
+    assert head[0].startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert body["error"]["code"] == "bad_request"
 
 
 def test_reload_endpoint(served_model, served_archive, served_archive_v2):
