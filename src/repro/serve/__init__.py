@@ -11,21 +11,24 @@ to an inference service") made concrete:
 * :class:`ClusterEngine` — shards sessions across N scoring worker
   processes (consistent hash on ``session_id``) that map one shared
   copy of the weights (:class:`SharedArchive`);
+* both engines share one front — admission, ``submit`` / ``score`` /
+  ``score_many``, ``health`` and the metrics views — and differ only in
+  the backend a parsed session is handed to;
 * :class:`MicroBatcher` — coalesces concurrent single-session requests
   into padded batches (bounded queue = backpressure);
 * :class:`TenantRateLimiter` — per-tenant token buckets in front of the
   queue, so one noisy tenant cannot starve the rest;
 * :class:`ServingServer` / :func:`run_server` — stdlib HTTP front end
   (versioned: ``/v1/score``, ``/v1/healthz``, ``/v1/metrics``,
-  ``/v1/reload``; unversioned paths 307-redirect), started from the
-  CLI with ``python -m repro serve --model model.npz [--workers N]``;
+  ``/v1/reload``), started from the CLI with
+  ``python -m repro serve --model model.npz [--workers N]``;
 * :mod:`~repro.serve.schemas` — request validation with structured,
   client-visible errors, all serialised through one error envelope.
 """
 
 from .batcher import MicroBatcher, QueueFullError
 from .cluster import ClusterEngine, HashRing
-from .config import ServeConfig, resolve_config
+from .config import ServeConfig
 from .engine import InferenceEngine
 from .metrics import ServingMetrics, merge_snapshots
 from .ratelimit import TenantRateLimiter, TokenBucket
@@ -40,7 +43,7 @@ from .server import API_PREFIX, ServingServer, run_server
 from .shm import SharedArchive
 
 __all__ = [
-    "ServeConfig", "resolve_config",
+    "ServeConfig",
     "InferenceEngine", "ClusterEngine", "HashRing", "SharedArchive",
     "MicroBatcher", "QueueFullError",
     "ServingMetrics", "merge_snapshots",

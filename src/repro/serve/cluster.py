@@ -1,9 +1,10 @@
 """Sharded multi-process scoring cluster.
 
-:class:`ClusterEngine` presents the same surface as
+:class:`ClusterEngine` shares its front with
 :class:`~repro.serve.engine.InferenceEngine` (``submit`` / ``score`` /
-``score_many`` / ``reload`` / ``metrics_snapshot`` / ``close``) but
-fans the work out over N scoring **worker processes**:
+``score_many`` / ``health`` / ``metrics_snapshot`` / ``close``) and adds
+``reload``, but its backend fans the work out over N scoring **worker
+processes**:
 
 * the archive is read from disk exactly once and its arrays published
   into a :class:`~repro.serve.shm.SharedArchive` segment; every worker
@@ -36,7 +37,6 @@ BLAS pool as wide as the host only fight over the same cores.
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import itertools
 import multiprocessing
@@ -46,12 +46,11 @@ import traceback
 from concurrent.futures import Future
 from typing import Any, Iterable
 
-from .batcher import submit_windowed
-from .config import ServeConfig, resolve_config
-from .metrics import (ServingMetrics, merge_snapshots,
-                      render_cluster_prometheus)
+from .config import ServeConfig
+from .engine import InferenceEngine, _EngineFront
+from .metrics import ServingMetrics, merge_snapshots
 from .ratelimit import TenantRateLimiter
-from .schemas import RawSession, RequestError, ScoreResult, parse_session
+from .schemas import RawSession, RequestError, ScoreResult
 from .shm import SharedArchive
 
 __all__ = ["ClusterEngine", "HashRing", "WorkerGone"]
@@ -146,7 +145,6 @@ def _worker_main(worker_id: int, req_conn, resp_conn, manifest: dict,
     until told to stop (or the pipe breaks — parent death).
     """
     from ..core.persistence import build_clfd
-    from .engine import InferenceEngine
 
     send_lock = threading.Lock()
 
@@ -248,7 +246,9 @@ class _WorkerClient:
         self._pending: dict[int, Future] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count()
-        self._closing = False
+        # Set once the front-end asks the worker to exit: the EOF that
+        # follows is then expected, not a death.
+        self.closing = False
         # Two unidirectional pipes; the parent closes the child-side
         # ends after spawn so a worker death reads as EOF here.
         req_recv, self._req_send = ctx.Pipe(duplex=False)
@@ -279,7 +279,7 @@ class _WorkerClient:
     # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
-        return not self._closing and self.process.is_alive()
+        return not self.closing and self.process.is_alive()
 
     @property
     def pending(self) -> int:
@@ -291,8 +291,6 @@ class _WorkerClient:
         """Send one message; returns the future of the worker's reply."""
         future: Future = Future()
         with self._lock:
-            if self._closing:
-                raise WorkerGone(f"worker {self.worker_id} is shut down")
             if limit is not None and len(self._pending) >= limit:
                 raise RequestError(
                     "queue_full",
@@ -324,7 +322,7 @@ class _WorkerClient:
                 code, message, http_status, details = payload
                 future.set_exception(RequestError(
                     code, message, status=http_status, details=details))
-        if not self._closing:
+        if not self.closing:
             self.fail_pending(RequestError(
                 "worker_lost",
                 f"worker {self.worker_id} died with the request in flight",
@@ -340,7 +338,7 @@ class _WorkerClient:
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Close pipes and reap the process (terminate if it lingers)."""
-        self._closing = True
+        self.closing = True
         for conn in (self._req_send, self._resp_recv):
             try:
                 conn.close()
@@ -357,7 +355,7 @@ class _WorkerClient:
 # ----------------------------------------------------------------------
 # Front-end
 # ----------------------------------------------------------------------
-class ClusterEngine:
+class ClusterEngine(_EngineFront):
     """Shard sessions across worker processes sharing one weight copy.
 
     Drop-in for :class:`InferenceEngine` behind
@@ -368,17 +366,9 @@ class ClusterEngine:
     def __init__(self, archive: str | os.PathLike,
                  config: ServeConfig | None = None, *,
                  metrics: ServingMetrics | None = None,
-                 rate_limiter: TenantRateLimiter | None = None,
-                 **legacy):
-        self.config = resolve_config(config, legacy, "ClusterEngine")
-        if self.config.workers < 1:
-            raise ValueError("a cluster needs at least one worker")
-        self.metrics = metrics or ServingMetrics()
-        self._limiter = (rate_limiter if rate_limiter is not None
-                         else TenantRateLimiter.from_config(self.config))
+                 rate_limiter: TenantRateLimiter | None = None):
+        super().__init__(config, metrics, rate_limiter)
         self._ctx = multiprocessing.get_context("spawn")
-        self._lock = threading.Lock()
-        self._closed = False
         self._rr = itertools.count()
         self.workers_lost = 0
 
@@ -419,10 +409,6 @@ class ClusterEngine:
         return sum(client.pending for client in self._clients.values())
 
     @property
-    def include_embeddings(self) -> bool:
-        return self.config.include_embeddings
-
-    @property
     def precision(self) -> str:
         """The published segment's numeric path (mirrors the workers)."""
         meta = self._segment.manifest["meta"]
@@ -448,18 +434,13 @@ class ClusterEngine:
                 wid = alive[next(self._rr) % len(alive)]
             return self._clients[wid]
 
-    def submit(self, payload: Any, *,
-               tenant: str | None = None) -> "Future[ScoreResult]":
+    def _enqueue(self, raw: RawSession) -> "Future[ScoreResult]":
         """Shard one session to its worker; returns a result future.
 
         Same error contract as the single-process engine, plus
         ``worker_lost``/``no_workers`` 503s when processes die.  A
         send-time failure re-shards once onto the updated ring.
         """
-        raw = payload if isinstance(payload, RawSession) \
-            else parse_session(payload)
-        if self._limiter is not None:
-            self._limiter.check(tenant)
         for _ in range(2):
             client = self._pick_worker(raw.session_id)
             try:
@@ -470,19 +451,6 @@ class ClusterEngine:
         raise RequestError(
             "worker_lost", "workers kept dying while routing the request",
             status=503)
-
-    def score(self, payload: Any, timeout: float | None = 30.0, *,
-              tenant: str | None = None) -> ScoreResult:
-        return self.submit(payload, tenant=tenant).result(timeout=timeout)
-
-    def score_many(self, payloads: Iterable[Any],
-                   timeout: float | None = 30.0, *,
-                   tenant: str | None = None) -> list[ScoreResult]:
-        """Score several sessions, preserving order (at most
-        ``config.max_queue`` of them in flight, as in the engine)."""
-        return submit_windowed(
-            functools.partial(self.submit, tenant=tenant), payloads,
-            self.config.max_queue, timeout)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -537,48 +505,40 @@ class ClusterEngine:
         old_segment.close()
         return gen
 
-    def close(self) -> None:
+    def _stop(self) -> None:
         """Drain workers, reap processes, unlink the shared segment."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        clients = list(self._clients.values())
+        for client in clients:
+            client.closing = True  # each stop ack ends in the worker's EOF
         stops = []
-        for client in self._clients.values():
-            if not client.alive:
+        for client in clients:
+            if not client.process.is_alive():
                 continue
             try:
                 stops.append(client.request("stop"))
-            except (WorkerGone, RequestError):
+            except WorkerGone:
                 pass
         for stop in stops:
             try:
                 stop.result(timeout=self.config.drain_timeout_s)
-            except BaseException:  # noqa: BLE001 - reap it anyway
+            except Exception:  # noqa: BLE001 - reap it anyway
                 pass
-        for client in self._clients.values():
+        for client in clients:
             client.shutdown()
         self._segment.unlink()
         self._segment.close()
-
-    def __enter__(self) -> "ClusterEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def health(self) -> dict:
-        alive = self.workers_alive
-        return {
-            "status": "ok" if alive else "degraded",
-            "generation": self.generation,
-            "queue_depth": self.queue_depth,
-            "workers_alive": len(alive),
-            "workers_total": len(self._clients),
-        }
+        health = super().health()
+        alive = len(self._ring)
+        if not alive and health["status"] == "ok":
+            health["status"] = "degraded"
+        health["workers_alive"] = alive
+        health["workers_total"] = len(self._clients)
+        return health
 
     def _worker_snapshots(self) -> dict[int, dict]:
         futures = {}
@@ -600,12 +560,7 @@ class ClusterEngine:
     def metrics_snapshot(self) -> dict:
         """Cluster-wide ``/v1/metrics``: front-end + per-worker + merged."""
         workers = self._worker_snapshots()
-        snap = self.metrics.snapshot()
-        snap["generation"] = self.generation
-        snap["queue_depth"] = self.queue_depth
-        snap["precision"] = self.precision
-        if self._limiter is not None:
-            snap["rate_limiter"] = self._limiter.snapshot()
+        snap = super().metrics_snapshot()
         snap["cluster"] = {
             "workers_alive": len(self.workers_alive),
             "workers_total": len(self._clients),
@@ -618,6 +573,3 @@ class ClusterEngine:
         snap["workers"] = {str(wid): workers[wid] for wid in sorted(workers)}
         snap["workers_combined"] = merge_snapshots(list(workers.values()))
         return snap
-
-    def metrics_prometheus(self) -> str:
-        return render_cluster_prometheus(self.metrics_snapshot())

@@ -8,20 +8,14 @@ path: the library engines (:class:`~repro.serve.engine.InferenceEngine`,
 :class:`~repro.serve.cluster.ClusterEngine`), the HTTP server
 (:class:`~repro.serve.server.ServingServer` / ``run_server``) and the
 CLI all consume one frozen, validated dataclass.
-
-Legacy keyword arguments keep working through :func:`resolve_config`,
-which emits exactly **one** :class:`DeprecationWarning` per call (no
-matter how many legacy kwargs were passed) and forwards them into an
-equivalent ``ServeConfig`` — identical behavior, one warning, no third
-construction path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import math
 
-__all__ = ["ServeConfig", "resolve_config"]
+__all__ = ["ServeConfig"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,6 +67,13 @@ class ServeConfig:
     _PRECISIONS = (None, "float32", "float16", "int8")
 
     def __post_init__(self) -> None:
+        # NaN slips past every ordered comparison below, and an infinite
+        # wait or timeout stalls the batcher for good.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, "
+                                 f"got {value!r}")
         if self.precision not in self._PRECISIONS:
             raise ValueError(
                 f"precision must be one of {self._PRECISIONS}, "
@@ -112,46 +113,3 @@ class ServeConfig:
         return self.replace(workers=1, rate_limit_rps=None,
                             rate_limit_burst=None, verbose=False)
 
-
-# Legacy keyword -> ServeConfig field, covering every kwarg the serve
-# entry points accepted before ServeConfig existed.
-_LEGACY_FIELDS = {
-    "max_batch": "max_batch",
-    "max_wait_ms": "max_wait_ms",
-    "max_queue": "max_queue",
-    "workers": "workers",
-    "host": "host",
-    "port": "port",
-    "include_embeddings": "include_embeddings",
-    "warmup": "warmup",
-    "verbose": "verbose",
-    "score_timeout": "score_timeout_s",
-}
-
-
-def resolve_config(config: ServeConfig | None, legacy: dict,
-                   owner: str) -> ServeConfig:
-    """Turn ``(config, **legacy_kwargs)`` into one :class:`ServeConfig`.
-
-    * no legacy kwargs: returns ``config`` (or the defaults);
-    * legacy kwargs only: emits **one** :class:`DeprecationWarning`
-      naming them all, then builds the equivalent config;
-    * both: :class:`TypeError` — mixing the old and new spellings is
-      ambiguous and always a bug at the call site.
-    """
-    if not legacy:
-        return config if config is not None else ServeConfig()
-    unknown = sorted(set(legacy) - set(_LEGACY_FIELDS))
-    if unknown:
-        raise TypeError(f"{owner}: unexpected keyword argument(s) {unknown}")
-    if config is not None:
-        raise TypeError(
-            f"{owner}: pass either a ServeConfig or legacy keyword "
-            f"arguments ({sorted(legacy)}), not both")
-    warnings.warn(
-        f"{owner}: keyword argument(s) {sorted(legacy)} are deprecated; "
-        f"construct a repro.serve.ServeConfig instead "
-        f"(e.g. ServeConfig({', '.join(sorted(legacy))}=...))",
-        DeprecationWarning, stacklevel=3)
-    return ServeConfig(**{_LEGACY_FIELDS[key]: value
-                          for key, value in legacy.items()})

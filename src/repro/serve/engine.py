@@ -1,4 +1,12 @@
-"""The micro-batched inference engine.
+"""The serving engine front and the micro-batched inference engine.
+
+``_EngineFront`` is what every engine shares: the config, metrics, rate
+limiter and closed flag, admission (``submit`` parses a session, checks
+its tenant's rate limit, then hands the :class:`RawSession` to the
+backend's ``_enqueue``), ``score`` / ``score_many``, ``close`` and the
+``health`` / metrics views.  :class:`InferenceEngine` is the local
+backend below; :class:`~repro.serve.cluster.ClusterEngine` the sharded
+one.
 
 :class:`InferenceEngine` owns a warm-loaded CLFD model and a
 :class:`~repro.serve.batcher.MicroBatcher`.  Callers (HTTP handler
@@ -46,8 +54,8 @@ from ..data.sessions import Session, SessionDataset
 from ..data.vocab import Vocabulary
 from ..nn.profiler import Profiler
 from .batcher import MicroBatcher, QueueFullError, submit_windowed
-from .config import ServeConfig, resolve_config
-from .metrics import ServingMetrics
+from .config import ServeConfig
+from .metrics import ServingMetrics, render_snapshot
 from .ratelimit import TenantRateLimiter
 from .schemas import RawSession, RequestError, ScoreResult, parse_session
 
@@ -115,15 +123,120 @@ class _ModelRuntime:
                         oov_count=oov)
 
 
-class InferenceEngine:
+class _EngineFront:
+    """The surface both engines share, over a backend.
+
+    A backend supplies ``_enqueue(raw)`` (queue one admitted session,
+    returning its result future), ``_stop()`` (drain and release, run
+    once by :meth:`close`) and the ``generation`` / ``queue_depth`` /
+    ``precision`` properties.
+    """
+
+    def __init__(self, config: ServeConfig | None,
+                 metrics: ServingMetrics | None,
+                 rate_limiter: TenantRateLimiter | None):
+        self.config = config if config is not None else ServeConfig()
+        self.metrics = metrics or ServingMetrics()
+        self.profiler = Profiler()
+        self._limiter = (rate_limiter if rate_limiter is not None
+                         else TenantRateLimiter.from_config(self.config))
+        self._closed = False
+        # Guards the closed flag and the backend's reload/routing state.
+        self._lock = threading.Lock()
+
+    @property
+    def include_embeddings(self) -> bool:
+        return self.config.include_embeddings
+
+    # ------------------------------------------------------------------
+    # Public scoring API
+    # ------------------------------------------------------------------
+    def submit(self, payload: Any, *,
+               tenant: str | None = None) -> "Future[ScoreResult]":
+        """Validate ``payload`` and hand it to the backend for scoring.
+
+        Raises :class:`RequestError` for malformed payloads, when the
+        queue is full (429), when the tenant is throttled (429), or
+        once shutdown has begun (503); otherwise returns a future
+        resolving to the session's :class:`ScoreResult`.
+        """
+        raw = payload if isinstance(payload, RawSession) \
+            else parse_session(payload)
+        if self._limiter is not None:
+            self._limiter.check(tenant)
+        return self._enqueue(raw)
+
+    def score(self, payload: Any, timeout: float | None = 30.0, *,
+              tenant: str | None = None) -> ScoreResult:
+        """Synchronous single-session scoring (submit + wait)."""
+        return self.submit(payload, tenant=tenant).result(timeout=timeout)
+
+    def score_many(self, payloads: Iterable[Any],
+                   timeout: float | None = 30.0, *,
+                   tenant: str | None = None) -> list[ScoreResult]:
+        """Score several sessions, preserving order.
+
+        Up to ``config.max_queue`` payloads are submitted ahead of the
+        first wait, so they share micro-batches without the call
+        overrunning the queue by itself, however many it scores.
+        """
+        return submit_windowed(
+            functools.partial(self.submit, tenant=tenant), payloads,
+            self.config.max_queue, timeout)
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Drain and stop: every in-flight future resolves first.
+
+        From the moment close begins, :meth:`health` reports
+        ``shutting_down``; once the backend has stopped taking work,
+        submissions answer 503.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._stop()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Observability
+    # ------------------------------------------------------------------
+    def health(self) -> dict:
+        return {"status": "shutting_down" if self._closed else "ok",
+                "generation": self.generation,
+                "queue_depth": self.queue_depth}
+
+    def metrics_snapshot(self) -> dict:
+        """The JSON ``/v1/metrics`` view for this engine."""
+        snap = self.metrics.snapshot(self.profiler.regions)
+        snap["generation"] = self.generation
+        snap["queue_depth"] = self.queue_depth
+        snap["precision"] = self.precision
+        if self._limiter is not None:
+            snap["rate_limiter"] = self._limiter.snapshot()
+        return snap
+
+    def metrics_prometheus(self) -> str:
+        """Prometheus text exposition for this engine."""
+        return render_snapshot(self.metrics_snapshot())
+
+
+class InferenceEngine(_EngineFront):
     """Scores raw sessions against a fitted CLFD with micro-batching.
 
     Parameters
     ----------
     model: a *fitted* CLFD (typically from
         :func:`repro.core.load_clfd`).
-    config: a :class:`ServeConfig`; legacy keyword arguments
-        (``max_batch=...`` etc.) still work through a deprecation shim.
+    config: a :class:`ServeConfig`; ``None`` means the defaults.
     metrics / rate_limiter: injectable collaborators (a cluster worker
         keeps one metrics object across reloads; tests inject a
         fake-clock limiter).
@@ -135,18 +248,9 @@ class InferenceEngine:
     def __init__(self, model: CLFD, config: ServeConfig | None = None, *,
                  metrics: ServingMetrics | None = None,
                  rate_limiter: TenantRateLimiter | None = None,
-                 generation: int = 0, worker_id: int | None = None,
-                 **legacy):
-        self.config = resolve_config(config, legacy, "InferenceEngine")
-        self.metrics = metrics or ServingMetrics()
-        self.profiler = Profiler()
+                 generation: int = 0, worker_id: int | None = None):
+        super().__init__(config, metrics, rate_limiter)
         self.worker_id = worker_id
-        self._limiter = (rate_limiter if rate_limiter is not None
-                         else TenantRateLimiter.from_config(self.config))
-        self._closed = False
-        # Guards reload/close against each other; submissions read
-        # self._active once and never hold the lock.
-        self._admin_lock = threading.Lock()
         runtime = _ModelRuntime(model, generation)
         if self.config.warmup:
             self._score_batch(runtime, [_WARMUP])
@@ -164,8 +268,7 @@ class InferenceEngine:
         """
         from ..core.persistence import load_clfd
 
-        precision = config.precision if isinstance(config, ServeConfig) \
-            else None
+        precision = config.precision if config else None
         return cls(load_clfd(path, precision=precision), config, **kwargs)
 
     def _make_batcher(self, runtime: _ModelRuntime) -> MicroBatcher:
@@ -193,10 +296,6 @@ class InferenceEngine:
         return self._active[0].generation
 
     @property
-    def include_embeddings(self) -> bool:
-        return self.config.include_embeddings
-
-    @property
     def precision(self) -> str:
         """The active numeric path: a quantized runtime's stored
         precision, else the full-precision model's compute dtype."""
@@ -209,21 +308,10 @@ class InferenceEngine:
         return self._active[1].pending
 
     # ------------------------------------------------------------------
-    # Public scoring API
+    # Backend
     # ------------------------------------------------------------------
-    def submit(self, payload: Any, *,
-               tenant: str | None = None) -> "Future[ScoreResult]":
-        """Validate + encode ``payload`` and enqueue it for scoring.
-
-        Raises :class:`RequestError` for malformed payloads, when the
-        queue is full (429), when the tenant is throttled (429), or
-        once shutdown has begun (503); otherwise returns a future
-        resolving to the session's :class:`ScoreResult`.
-        """
-        raw = payload if isinstance(payload, RawSession) \
-            else parse_session(payload)
-        if self._limiter is not None:
-            self._limiter.check(tenant)
+    def _enqueue(self, raw: RawSession) -> "Future[ScoreResult]":
+        """Encode ``raw`` and enqueue it on the live generation."""
         # Two attempts: a rolling reload may close the batcher we read
         # between encode and enqueue — re-read the flipped generation
         # (its vocabulary may differ, so re-encode too) and retry.
@@ -241,23 +329,8 @@ class InferenceEngine:
         raise RequestError("shutting_down",
                            "engine is shutting down", status=503)
 
-    def score(self, payload: Any, timeout: float | None = 30.0, *,
-              tenant: str | None = None) -> ScoreResult:
-        """Synchronous single-session scoring (submit + wait)."""
-        return self.submit(payload, tenant=tenant).result(timeout=timeout)
-
-    def score_many(self, payloads: Iterable[Any],
-                   timeout: float | None = 30.0, *,
-                   tenant: str | None = None) -> list[ScoreResult]:
-        """Score several sessions, preserving order.
-
-        Up to ``config.max_queue`` payloads are enqueued ahead of the
-        first wait, so they share micro-batches without the call
-        overrunning the queue by itself, however many it scores.
-        """
-        return submit_windowed(
-            functools.partial(self.submit, tenant=tenant), payloads,
-            self.config.max_queue, timeout)
+    def _stop(self) -> None:
+        self._active[1].close(timeout=self.config.drain_timeout_s)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -270,7 +343,7 @@ class InferenceEngine:
         previous batcher then drains every already-enqueued request
         against the model that accepted it.  Returns the new generation.
         """
-        with self._admin_lock:
+        with self._lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
             old_runtime, old_batcher = self._active
@@ -292,46 +365,6 @@ class InferenceEngine:
 
         return self.reload_model(
             load_clfd(path, precision=self.config.precision), generation)
-
-    def close(self) -> None:
-        """Drain and stop: every in-flight future resolves first."""
-        with self._admin_lock:
-            if self._closed:
-                return
-            self._closed = True
-            _, batcher = self._active
-        batcher.close(timeout=self.config.drain_timeout_s)
-
-    def __enter__(self) -> "InferenceEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def health(self) -> dict:
-        return {"status": "ok", "queue_depth": self.queue_depth,
-                "generation": self.generation}
-
-    def metrics_snapshot(self) -> dict:
-        """The JSON ``/v1/metrics`` view for this engine."""
-        snap = self.metrics.snapshot(self.profiler.regions)
-        snap["generation"] = self.generation
-        snap["queue_depth"] = self.queue_depth
-        snap["precision"] = self.precision
-        if self._limiter is not None:
-            snap["rate_limiter"] = self._limiter.snapshot()
-        return snap
-
-    def metrics_prometheus(self) -> str:
-        """Prometheus text exposition for this engine."""
-        return self.metrics.render_prometheus(
-            self.profiler.regions,
-            gauges={"generation": self.generation,
-                    "queue_depth": self.queue_depth},
-            precision=self.precision)
 
     # ------------------------------------------------------------------
     # Internals

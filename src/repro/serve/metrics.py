@@ -13,9 +13,10 @@ Cluster aggregation: each scoring worker process keeps its own
 :class:`ServingMetrics`; the front-end fans out snapshot requests and
 merges them with :func:`merge_snapshots` (counters and histograms sum;
 latency quantiles are re-derived per worker, so the merged view reports
-their per-worker extremes).  :func:`render_cluster_prometheus` emits the
-front-end exposition plus cluster gauges (workers alive, shard queue
-depths, reload generation) and per-worker counter series.
+their per-worker extremes).  :func:`render_snapshot` turns either
+engine's snapshot into Prometheus text; a cluster snapshot adds its
+gauges (workers alive, shard queue depths, reload generation) and
+per-worker counter series.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["ServingMetrics", "merge_snapshots", "render_snapshot",
-           "render_cluster_prometheus"]
+__all__ = ["ServingMetrics", "merge_snapshots", "render_snapshot"]
 
 _RESERVOIR = 4096
 
@@ -113,15 +113,6 @@ class ServingMetrics:
             snap["profile_regions_seconds"] = dict(regions)
         return snap
 
-    def render_prometheus(self, regions: dict[str, float] | None = None,
-                          gauges: dict[str, float] | None = None,
-                          precision: str | None = None) -> str:
-        """Text exposition (Prometheus-style) for scraping."""
-        snap = self.snapshot(regions)
-        if precision is not None:
-            snap["precision"] = precision
-        return render_snapshot(snap, gauges=gauges)
-
 
 # ----------------------------------------------------------------------
 # Snapshot-level operations (plain dicts, usable across process borders)
@@ -176,8 +167,14 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
     return merged
 
 
-def render_snapshot(snap: dict, gauges: dict[str, float] | None = None) -> str:
-    """Render one snapshot dict as Prometheus text exposition."""
+def render_snapshot(snap: dict) -> str:
+    """Render an engine's ``metrics_snapshot()`` as Prometheus text.
+
+    The snapshot's ``generation`` / ``queue_depth`` become gauges next to
+    any :meth:`ServingMetrics.set_gauge` ones, and ``precision`` an
+    info-style series.  A cluster snapshot also carries a ``cluster``
+    gauge block and per-worker snapshots under ``workers``.
+    """
     lines = [
         "# TYPE repro_serve_requests_total counter",
         f"repro_serve_requests_total {snap['requests_total']}",
@@ -207,11 +204,11 @@ def render_snapshot(snap: dict, gauges: dict[str, float] | None = None) -> str:
         lines.append(
             f'repro_serve_profile_region_seconds{{region="{name}"}} '
             f"{seconds:.6f}")
-    # Caller-supplied gauges (engine generation/queue depth) merge with
-    # snapshot-carried gauges (ServingMetrics.set_gauge publishers).
-    all_gauges = dict(snap.get("gauges", {}))
-    all_gauges.update(gauges or {})
-    for name, value in sorted(all_gauges.items()):
+    gauges = dict(snap.get("gauges", {}))
+    for name in ("generation", "queue_depth"):
+        if name in snap:
+            gauges[name] = snap[name]
+    for name, value in sorted(gauges.items()):
         lines.append(f"# TYPE repro_serve_{name} gauge")
         lines.append(f"repro_serve_{name} {value:g}")
     if snap.get("precision"):
@@ -219,19 +216,7 @@ def render_snapshot(snap: dict, gauges: dict[str, float] | None = None) -> str:
         lines.append("# TYPE repro_serve_precision gauge")
         lines.append(
             f'repro_serve_precision{{precision="{snap["precision"]}"}} 1')
-    return "\n".join(lines) + "\n"
-
-
-def render_cluster_prometheus(snap: dict) -> str:
-    """Exposition for a cluster snapshot (front-end + cluster gauges).
-
-    ``snap`` is a :meth:`ClusterEngine.metrics_snapshot` dict: front-end
-    counters at the top level, a ``cluster`` gauge block and per-worker
-    snapshots under ``workers``.
-    """
     cluster = snap.get("cluster", {})
-    text = render_snapshot(snap)
-    lines = [text.rstrip("\n")]
     for name in ("workers_alive", "workers_total", "workers_lost",
                  "generation"):
         if name in cluster:
@@ -241,13 +226,10 @@ def render_cluster_prometheus(snap: dict) -> str:
         lines.append(
             f'repro_serve_shard_queue_depth{{worker="{wid}"}} {depth}')
     for wid, worker in sorted(snap.get("workers", {}).items()):
-        for metric, key in (
-                ("requests_total", "requests_total"),
-                ("sessions_total", "sessions_total"),
-                ("batches_total", "batches_total")):
+        for metric in ("requests_total", "sessions_total", "batches_total"):
             lines.append(
                 f'repro_serve_worker_{metric}{{worker="{wid}"}} '
-                f"{worker.get(key, 0)}")
+                f"{worker.get(metric, 0)}")
         lines.append(
             f'repro_serve_worker_batch_seconds_total{{worker="{wid}"}} '
             f"{worker.get('batch_seconds_total', 0.0):.6f}")

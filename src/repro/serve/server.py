@@ -17,18 +17,15 @@ Versioned API (v1)
     ``X-Tenant`` header names the rate-limiting tenant.
 ``GET /v1/healthz``
     Liveness, queue depth, model generation (and worker counts for a
-    cluster).
+    cluster).  Answers 503 with status ``shutting_down`` once the engine
+    has begun to close, so a load balancer stops routing to it while it
+    drains.
 ``GET /v1/metrics``
     Prometheus-style text exposition (``?format=json`` for the JSON
     snapshot; cluster deployments aggregate per-worker series).
 ``POST /v1/reload``
     Body ``{"model": "path.npz"}``: rolling reload to a new archive;
     responds with the new generation.
-
-The unversioned spellings (``/score``, ``/healthz``, ``/metrics``,
-``/reload``) answer **307 Temporary Redirect** to their ``/v1``
-equivalents — method-preserving, so a non-following client sees exactly
-where to go and a following one keeps POSTing.
 
 Every error — validation, backpressure, rate limiting, timeouts,
 internal failures, unknown routes, and the protocol errors
@@ -54,7 +51,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
-from .config import ServeConfig, resolve_config
+from .config import ServeConfig
 from .engine import InferenceEngine
 from .schemas import RequestError, parse_score_request
 
@@ -62,7 +59,6 @@ __all__ = ["ServingServer", "run_server", "API_PREFIX"]
 
 API_PREFIX = "/v1"
 _MAX_BODY_BYTES = 8 * 1024 * 1024
-_LEGACY_ROUTES = {"/score", "/healthz", "/metrics", "/reload"}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -77,12 +73,11 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         parsed = urlparse(self.path)
         path = parsed.path
-        if self._maybe_redirect(parsed):
-            return
         if path == f"{API_PREFIX}/healthz":
             health = self.server.engine.health()
             health["model"] = self.server.model_name
-            self._respond(200, health)
+            self._respond(503 if health["status"] == "shutting_down"
+                          else 200, health)
         elif path == f"{API_PREFIX}/metrics":
             engine = self.server.engine
             if "format=json" in (parsed.query or ""):
@@ -96,10 +91,7 @@ class _Handler(BaseHTTPRequestHandler):
                                     status=404))
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        parsed = urlparse(self.path)
-        path = parsed.path
-        if self._maybe_redirect(parsed):
-            return
+        path = urlparse(self.path).path
         if path == f"{API_PREFIX}/score":
             self._score()
         elif path == f"{API_PREFIX}/reload":
@@ -171,17 +163,6 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _maybe_redirect(self, parsed) -> bool:
-        """307 an unversioned path to its ``/v1`` spelling."""
-        if parsed.path not in _LEGACY_ROUTES:
-            return False
-        location = API_PREFIX + parsed.path
-        if parsed.query:
-            location += f"?{parsed.query}"
-        self._send_bytes(307, json.dumps({"location": location}).encode(),
-                         "application/json", (("Location", location),))
-        return True
-
     def parse_request(self) -> bool:
         self._body_read = False  # per request, not per connection
         return super().parse_request()
@@ -229,8 +210,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_bytes(status, json.dumps(payload).encode("utf-8"),
                          "application/json")
 
-    def _send_bytes(self, status: int, body: bytes, content_type: str,
-                    headers: tuple[tuple[str, str], ...] = ()) -> None:
+    def _send_bytes(self, status: int, body: bytes,
+                    content_type: str) -> None:
         """The one response writer: status line, headers, body, one send."""
         if not self.close_connection and not self._body_read and (
                 self.headers.get("Content-Length", "0").strip() != "0"
@@ -245,7 +226,6 @@ class _Handler(BaseHTTPRequestHandler):
                  f"Date: {self.date_time_string()}",
                  f"Content-Type: {content_type}",
                  f"Content-Length: {len(body)}"]
-        lines += [f"{name}: {value}" for name, value in headers]
         if self.close_connection:
             lines.append("Connection: close")
         head = "\r\n".join(lines) + "\r\n\r\n"
@@ -272,10 +252,8 @@ class ServingServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, engine, config: ServeConfig | None = None,
-                 model_name: str = "clfd", **legacy):
-        if config is None and not legacy:
-            config = getattr(engine, "config", None)
-        self.config = resolve_config(config, legacy, "ServingServer")
+                 model_name: str = "clfd"):
+        self.config = config if config is not None else engine.config
         super().__init__((self.config.host, self.config.port), _Handler)
         self.engine = engine
         self.model_name = model_name
@@ -299,7 +277,8 @@ class ServingServer(ThreadingHTTPServer):
         and flush their responses before the HTTP loop stops.  (The old
         order — stop HTTP, leave the engine running — abandoned every
         in-flight future when the process exited: clients got reset
-        connections and the batcher's promises were never kept.)
+        connections and the batcher's promises were never kept.)  While
+        it drains, ``/v1/healthz`` answers 503 ``shutting_down``.
         """
         self.engine.close()
         super().shutdown()
@@ -312,15 +291,16 @@ class ServingServer(ThreadingHTTPServer):
         super().__exit__(*exc)
 
 
-def run_server(model_path: str, config: ServeConfig | None = None,
-               **legacy) -> None:
+def run_server(model_path: str,
+               config: ServeConfig | None = None) -> None:
     """Blocking entry point behind ``python -m repro serve``.
 
     ``config.workers > 1`` starts the sharded multi-process cluster
     (weights in shared memory, consistent-hash session affinity);
     otherwise a single in-process engine.
     """
-    config = resolve_config(config, legacy, "run_server")
+    if config is None:
+        config = ServeConfig()
     if config.workers > 1:
         from .cluster import ClusterEngine
 

@@ -4,8 +4,8 @@ environment, worker death.
 One module-scoped two-worker cluster serves the cheap assertions (the
 rolling-reload test runs last — it advances the cluster's generation);
 the worker-environment test starts its own one-worker cluster under a
-patched environment, and the worker-kill test spins up its own cluster
-because it leaves a corpse behind.
+patched environment, and the worker-kill and clean-close tests spin up
+their own clusters because they end them.
 """
 
 import os
@@ -249,7 +249,13 @@ def test_worker_death_resharding_and_shutdown(served_archive, single):
         assert set(snap["workers"]) == {"1"}
     finally:
         eng.close()
-    with pytest.raises(RequestError) as excinfo:
-        eng.submit(_payloads(1)[0])
-    assert excinfo.value.code == "shutting_down"
-    assert excinfo.value.status == 503
+
+
+def test_clean_close_loses_no_workers(served_archive):
+    """Regression: each worker's exit after its stop ack read as a death,
+    so a graceful close counted workers as lost."""
+    eng = ClusterEngine(served_archive, CLUSTER_CONFIG)
+    eng.score_many(_payloads(8, prefix="bye-"))
+    eng.close()
+    assert eng.workers_lost == 0
+    assert eng.workers_alive == [0, 1]

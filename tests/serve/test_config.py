@@ -1,10 +1,9 @@
-"""ServeConfig: validation, derived views, and the deprecation shim."""
-
-import warnings
+"""ServeConfig: validation, derived views, and the one way to pass it."""
 
 import pytest
 
-from repro.serve import ServeConfig, resolve_config
+from repro.serve import (ClusterEngine, InferenceEngine, ServeConfig,
+                         ServingServer, run_server)
 
 
 def test_defaults_are_valid():
@@ -72,35 +71,26 @@ def test_worker_config_strips_cluster_level_concerns():
     assert worker.max_batch == 8  # batching knobs pass through
 
 
-def test_resolve_passes_explicit_config_through():
-    config = ServeConfig(max_batch=8)
-    assert resolve_config(config, {}, "X") is config
-    assert resolve_config(None, {}, "X") == ServeConfig()
+@pytest.mark.parametrize("field", [
+    "max_wait_ms", "rate_limit_rps", "rate_limit_burst", "drain_timeout_s",
+    "score_timeout_s", "max_batch"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_values_raise(field, value):
+    """Regression: NaN passed every ordered check, so a NaN wait killed
+    the batcher thread and a NaN rate limit throttled every request."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ServeConfig(**{field: value})
 
 
-def test_resolve_legacy_emits_exactly_one_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = resolve_config(
-            None, {"max_batch": 8, "max_wait_ms": 1.0, "port": 0}, "X")
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    for name in ("max_batch", "max_wait_ms", "port"):
-        assert name in message
-    assert config == ServeConfig(max_batch=8, max_wait_ms=1.0, port=0)
-
-
-def test_resolve_maps_renamed_legacy_kwargs():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        config = resolve_config(None, {"score_timeout": 5.0}, "X")
-    assert config.score_timeout_s == 5.0
-
-
-def test_resolve_rejects_unknown_and_mixed():
-    with pytest.raises(TypeError):
-        resolve_config(None, {"max_btach": 8}, "X")
-    with pytest.raises(TypeError):
-        resolve_config(ServeConfig(), {"max_batch": 8}, "X")
+def test_legacy_kwargs_are_type_errors(served_model, served_archive):
+    """Every serve entry point takes a ServeConfig and nothing else."""
+    entry_points = [
+        lambda: InferenceEngine(served_model, max_batch=8),
+        lambda: ClusterEngine(served_archive, max_batch=8),
+        lambda: ServingServer(object(), max_batch=8),
+        lambda: run_server(str(served_archive), max_batch=8),
+    ]
+    for build in entry_points:
+        with pytest.raises(TypeError, match="max_batch"):
+            build()

@@ -233,45 +233,3 @@ def test_reload_drains_in_flight_requests(served_model, served_archive):
         assert eng.score({"activities": [1, 2]}).generation == 1
     finally:
         eng.close()
-
-
-def test_submit_after_close_is_structured_503(served_model):
-    eng = InferenceEngine(served_model,
-                          ServeConfig(max_wait_ms=0, warmup=False))
-    eng.close()
-    with pytest.raises(RequestError) as excinfo:
-        eng.submit({"activities": [1]})
-    assert excinfo.value.code == "shutting_down"
-    assert excinfo.value.status == 503
-
-
-def test_legacy_kwargs_warn_once_with_identical_behavior(served_model):
-    """The deprecation shim: one warning naming every legacy kwarg, and
-    a config equal to the explicitly-constructed one."""
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eng = InferenceEngine(served_model, max_batch=8, max_wait_ms=1.0,
-                              warmup=False)
-    try:
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "max_batch" in message and "max_wait_ms" in message \
-            and "warmup" in message
-        assert eng.config == ServeConfig(max_batch=8, max_wait_ms=1.0,
-                                         warmup=False)
-    finally:
-        eng.close()
-
-
-def test_config_and_legacy_kwargs_together_is_type_error(served_model):
-    with pytest.raises(TypeError):
-        InferenceEngine(served_model, ServeConfig(), max_batch=8)
-
-
-def test_unknown_legacy_kwarg_is_type_error(served_model):
-    with pytest.raises(TypeError):
-        InferenceEngine(served_model, max_btach=8)

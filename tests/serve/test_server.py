@@ -1,5 +1,4 @@
-"""HTTP front end: the v1 surface, error envelope, redirects, framing,
-shutdown."""
+"""HTTP front end: the v1 surface, error envelope, framing, shutdown."""
 
 import http.client
 import json
@@ -66,41 +65,6 @@ def test_score_batch(server):
     assert all("score" in r for r in body["results"])
 
 
-def test_unversioned_get_redirects_and_resolves(server):
-    # urllib follows GET redirects, so the legacy spelling still works.
-    status, body = _json(server, "/healthz")
-    assert status == 200
-    assert body["status"] == "ok"
-    status, _, _ = _request(server, "/metrics?format=json")
-    assert status == 200
-
-
-def test_unversioned_post_is_method_preserving_307(server):
-    # urllib refuses to auto-follow POST redirects — which makes the
-    # bare 307 + Location observable.
-    status, headers, body = _request(
-        server, "/score", {"activities": [1]})
-    assert status == 307
-    assert headers["Location"] == "/v1/score"
-    assert json.loads(body)["location"] == "/v1/score"
-
-
-def test_redirect_preserves_query(server):
-    # Disable redirect-following so the 307 itself is observable.
-    req = urllib.request.Request(
-        f"http://127.0.0.1:{server.port}/metrics?format=json")
-
-    class NoRedirect(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, *args, **kwargs):
-            return None
-
-    opener = urllib.request.build_opener(NoRedirect)
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        opener.open(req, timeout=30)
-    assert excinfo.value.code == 307
-    assert excinfo.value.headers["Location"] == "/v1/metrics?format=json"
-
-
 def test_malformed_body_is_enveloped_400(server):
     status, body = _json(server, "/v1/score", {"activities": []})
     assert status == 400
@@ -134,6 +98,27 @@ def test_healthz(server):
     assert body["generation"] == 0
 
 
+@pytest.mark.parametrize("status, code", [
+    ("ok", 200), ("degraded", 200), ("shutting_down", 503)])
+def test_healthz_code_follows_engine_status(status, code):
+    class StubEngine:
+        config = ServeConfig(port=0)
+
+        def health(self):
+            return {"status": status}
+
+        def close(self):
+            pass
+
+    srv = ServingServer(StubEngine(), model_name="stub")
+    srv.start_background()
+    try:
+        assert _json(srv, "/v1/healthz") == (
+            code, {"status": status, "model": "stub"})
+    finally:
+        srv.shutdown()
+
+
 def test_metrics_prometheus_text(server):
     # Generate at least one scored request first.
     _json(server, "/v1/score", {"activities": [1]})
@@ -160,12 +145,15 @@ def test_metrics_json_snapshot(server):
 
 
 def test_unknown_route_is_enveloped_404(server):
-    status, body = _json(server, "/v1/nope")
-    assert status == 404
-    assert body["error"]["code"] == "not_found"
-    status, body = _json(server, "/v1/nope", {"activities": [1]})
-    assert status == 404
-    assert body["error"]["code"] == "not_found"
+    # Unversioned spellings of the v1 routes are unknown routes too.
+    for path in ("/v1/nope", "/healthz"):
+        status, body = _json(server, path)
+        assert status == 404
+        assert body["error"]["code"] == "not_found"
+    for path in ("/v1/nope", "/score"):
+        status, body = _json(server, path, {"activities": [1]})
+        assert status == 404
+        assert body["error"]["code"] == "not_found"
 
 
 def test_errors_show_up_in_metrics(server):
@@ -256,7 +244,7 @@ def test_keep_alive_responses_leave_in_one_send(server, monkeypatch):
         ("GET", "/v1/healthz", None, 200),
         ("GET", "/v1/metrics", None, 200),
         ("GET", "/v1/nope", None, 404),
-        ("GET", "/healthz", None, 307),
+        ("GET", "/healthz", None, 404),
         ("POST", "/v1/score", {"activities": []}, 400),
     ]
     sock = None
