@@ -83,6 +83,44 @@ def test_non_finite_values_raise(field, value):
         ServeConfig(**{field: value})
 
 
+def test_resolve_passes_explicit_config_through(served_model):
+    """An explicit config is used as given; ``None`` means the defaults,
+    and the HTTP server falls back to its engine's config."""
+    config = ServeConfig(max_batch=8, warmup=False)
+    eng = InferenceEngine(served_model, config)
+    try:
+        assert eng.config is config
+        srv = ServingServer(eng)
+        try:
+            assert srv.config is config
+        finally:
+            srv.server_close()
+    finally:
+        eng.close()
+    eng = InferenceEngine(served_model)
+    try:
+        assert eng.config == ServeConfig()
+    finally:
+        eng.close()
+
+
+def test_resolve_rejects_unknown_and_mixed(served_model, served_archive):
+    """A misspelled kwarg, or a config mixed with a loose field, is a
+    TypeError at every entry point."""
+    config = ServeConfig()
+    entry_points = [
+        lambda **kw: InferenceEngine(served_model, **kw),
+        lambda **kw: ClusterEngine(served_archive, **kw),
+        lambda **kw: ServingServer(object(), **kw),
+        lambda **kw: run_server(str(served_archive), **kw),
+    ]
+    for build in entry_points:
+        with pytest.raises(TypeError, match="max_btach"):
+            build(max_btach=8)
+        with pytest.raises(TypeError, match="max_batch"):
+            build(config=config, max_batch=8)
+
+
 def test_legacy_kwargs_are_type_errors(served_model, served_archive):
     """Every serve entry point takes a ServeConfig and nothing else."""
     entry_points = [

@@ -233,3 +233,23 @@ def test_reload_drains_in_flight_requests(served_model, served_archive):
         assert eng.score({"activities": [1, 2]}).generation == 1
     finally:
         eng.close()
+
+
+def test_submit_after_close_is_structured_503(served_model):
+    eng = InferenceEngine(served_model,
+                          ServeConfig(max_wait_ms=0, warmup=False))
+    eng.close()
+    with pytest.raises(RequestError) as excinfo:
+        eng.submit({"activities": [1]})
+    assert excinfo.value.code == "shutting_down"
+    assert excinfo.value.status == 503
+
+
+def test_config_and_legacy_kwargs_together_is_type_error(served_model):
+    with pytest.raises(TypeError):
+        InferenceEngine(served_model, ServeConfig(), max_batch=8)
+
+
+def test_unknown_legacy_kwarg_is_type_error(served_model):
+    with pytest.raises(TypeError):
+        InferenceEngine(served_model, max_btach=8)

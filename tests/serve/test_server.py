@@ -145,15 +145,22 @@ def test_metrics_json_snapshot(server):
 
 
 def test_unknown_route_is_enveloped_404(server):
-    # Unversioned spellings of the v1 routes are unknown routes too.
-    for path in ("/v1/nope", "/healthz"):
-        status, body = _json(server, path)
-        assert status == 404
-        assert body["error"]["code"] == "not_found"
-    for path in ("/v1/nope", "/score"):
-        status, body = _json(server, path, {"activities": [1]})
-        assert status == 404
-        assert body["error"]["code"] == "not_found"
+    status, body = _json(server, "/v1/nope")
+    assert status == 404
+    assert body["error"]["code"] == "not_found"
+    status, body = _json(server, "/v1/nope", {"activities": [1]})
+    assert status == 404
+    assert body["error"]["code"] == "not_found"
+
+
+@pytest.mark.parametrize("path, payload", [
+    ("/healthz", None), ("/score", {"activities": [1]})],
+    ids=["get", "post"])
+def test_unversioned_path_is_enveloped_404(server, path, payload):
+    """Only /v1 routes exist: unversioned spellings are unknown routes."""
+    status, body = _json(server, path, payload)
+    assert status == 404
+    assert body["error"]["code"] == "not_found"
 
 
 def test_errors_show_up_in_metrics(server):
