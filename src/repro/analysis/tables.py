@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..data import noise as _noise
 from ..parallel.cache import RunCache
 from .stats import PairedTest, holm_correction, paired_t_test, \
     wilcoxon_signed_rank
@@ -36,14 +37,13 @@ __all__ = ["SweepCell", "SignificanceRow", "load_sweep_records",
 
 
 def noise_label(noise: Sequence) -> str:
-    """Same labels TaskSpec/the runners use, reconstructed from a
-    cache record's serialised ``[kind, params]`` pair."""
-    kind, params = noise[0], [float(p) for p in noise[1]]
-    if kind == "uniform":
-        return f"eta={params[0]}"
-    if kind == "class-dependent":
-        return f"eta10={params[0]},eta01={params[1]}"
-    return "clean"
+    """The runners' result label for a cache record's serialised
+    ``[kind, params]`` pair; a kind outside
+    :data:`~repro.data.noise.NOISE_PROCESSES` reads as clean."""
+    kind, params = noise
+    if kind not in _noise.NOISE_PROCESSES:
+        kind, params = "none", ()
+    return _noise.noise_label(kind, params)
 
 
 @dataclasses.dataclass

@@ -9,6 +9,11 @@ Two noise models are supported, matching the experimental setup:
 
 Noise is applied to ``Session.noisy_label`` only; ground truth stays
 untouched for evaluation.
+
+:data:`NOISE_PROCESSES` names the processes the experiment grids run,
+as ``kind`` plus float ``params``: it is the one place a kind's result
+label (``eta=0.45``, ``eta10=0.3,eta01=0.45``) and its application are
+defined.  A new grid noise process is a new entry there.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ __all__ = [
     "apply_instance_dependent_noise",
     "invert_noisy_labels",
     "empirical_noise_rates",
+    "NOISE_PROCESSES",
+    "noise_label",
+    "apply_noise",
 ]
 
 
@@ -124,3 +132,31 @@ def empirical_noise_rates(dataset: SessionDataset) -> dict[str, float]:
         "eta_10": float(flipped[malicious].mean()) if malicious.any() else 0.0,
         "eta_01": float(flipped[normal].mean()) if normal.any() else 0.0,
     }
+
+
+#: kind -> (result label template over the float params,
+#:          process(dataset, *params, rng)).
+NOISE_PROCESSES = {
+    "uniform": ("eta={}", apply_uniform_noise),
+    "class-dependent": ("eta10={},eta01={}", apply_class_dependent_noise),
+    "none": ("clean", lambda dataset, rng: None),
+}
+
+
+def _process(kind: str):
+    try:
+        return NOISE_PROCESSES[kind]
+    except KeyError:
+        raise ValueError(f"unknown noise kind {kind!r}; choose from "
+                         f"{sorted(NOISE_PROCESSES)}") from None
+
+
+def noise_label(kind: str, params=()) -> str:
+    """The label results of this noise process are keyed by."""
+    return _process(kind)[0].format(*(float(p) for p in params))
+
+
+def apply_noise(dataset: SessionDataset, kind: str, params,
+                rng: np.random.Generator) -> None:
+    """Apply the ``kind`` process with ``params`` to ``dataset``."""
+    _process(kind)[1](dataset, *params, rng)

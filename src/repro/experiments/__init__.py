@@ -18,7 +18,6 @@ from .runner import (
     run_ablation,
     run_comparison,
     run_latency,
-    run_single,
     run_table1,
     run_table2,
     run_table3,
@@ -37,7 +36,7 @@ from .settings import (
 __all__ = [
     "ExperimentSettings", "DATASETS", "UNIFORM_ETAS", "CLASS_DEPENDENT_RATES",
     "NoiseSpec", "uniform_noise", "class_dependent_noise",
-    "estimator_registry", "run_single", "run_comparison",
+    "estimator_registry", "run_comparison",
     "run_table1", "run_table2", "run_table3", "run_table4", "run_table5",
     "run_ablation", "run_latency", "ABLATIONS", "SweepError",
     "format_comparison_table", "format_ablation_table",

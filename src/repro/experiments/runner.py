@@ -14,27 +14,24 @@ and can render themselves as text tables shaped like the paper's.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..baselines import BASELINES, Estimator
-from ..core import CLFD, CLFDConfig
-from ..data import (
-    SessionDataset,
-    apply_class_dependent_noise,
-    apply_uniform_noise,
-    cached_splits,
-    make_dataset,
-)
-from ..metrics import MetricSummary, evaluate_detector, summarize_runs, true_rates
+from ..data import SessionDataset, cached_splits
+from ..data.noise import apply_noise, noise_label
+from ..metrics import MetricSummary, summarize_runs
 from ..train import seed_everything
 from ..parallel import (
     GridExecutor,
     RunCache,
     SweepError,
     TaskSpec,
+    build_estimator,
     format_timing_summary,
 )
 from .settings import CLASS_DEPENDENT_RATES, DATASETS, ExperimentSettings
@@ -44,7 +41,6 @@ __all__ = [
     "uniform_noise",
     "class_dependent_noise",
     "estimator_registry",
-    "run_single",
     "run_comparison",
     "run_table1",
     "run_table2",
@@ -62,114 +58,93 @@ __all__ = [
 METRICS = ("f1", "fpr", "auc_roc")
 
 
+@dataclasses.dataclass(frozen=True)
 class NoiseSpec:
     """A label-noise process to apply to a training set.
 
-    ``kind``/``params`` are the serialisable description used by the
-    parallel executor and the run cache; ``None`` kind marks a custom
-    process (arbitrary callable) that can only run sequentially and
-    uncached.
+    Plain data: a kind of :data:`repro.data.noise.NOISE_PROCESSES` and
+    its parameters, so it crosses process boundaries and keys the run
+    cache.  Calling it applies the process; :attr:`label` keys the
+    results.
     """
 
-    def __init__(self, label: str,
-                 apply: Callable[[SessionDataset, np.random.Generator], None],
-                 kind: str | None = None,
-                 params: Sequence[float] = ()):
-        self.label = label
-        self._apply = apply
-        self.kind = kind
-        self.params = tuple(params)
+    kind: str
+    params: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "params",
+                           tuple(float(p) for p in self.params))
+        noise_label(self.kind, self.params)  # rejects an unknown kind
+
+    @property
+    def label(self) -> str:
+        return noise_label(self.kind, self.params)
 
     def __call__(self, dataset: SessionDataset,
                  rng: np.random.Generator) -> None:
-        self._apply(dataset, rng)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"NoiseSpec({self.label})"
+        apply_noise(dataset, self.kind, self.params, rng)
 
 
 def uniform_noise(eta: float) -> NoiseSpec:
-    return NoiseSpec(f"eta={eta}",
-                     lambda ds, rng: apply_uniform_noise(ds, eta, rng),
-                     kind="uniform", params=(eta,))
+    return NoiseSpec("uniform", (eta,))
 
 
 def class_dependent_noise(eta_10: float = CLASS_DEPENDENT_RATES[0],
                           eta_01: float = CLASS_DEPENDENT_RATES[1],
                           ) -> NoiseSpec:
-    return NoiseSpec(
-        f"eta10={eta_10},eta01={eta_01}",
-        lambda ds, rng: apply_class_dependent_noise(ds, eta_10, eta_01, rng),
-        kind="class-dependent", params=(eta_10, eta_01),
-    )
+    return NoiseSpec("class-dependent", (eta_10, eta_01))
+
+
+def _estimator_specs(settings: ExperimentSettings,
+                     models: Sequence[str] | None = None
+                     ) -> dict[str, tuple[str, object]]:
+    """The model table: display name -> picklable ``(estimator, config)``.
+
+    The one place the harness names its models (``models`` picks and
+    orders a subset; ``None`` is every model).  The pairs cross process
+    boundaries and feed the run-cache key.
+    """
+    known = {"CLFD": ("clfd", settings.clfd_config())}
+    for name in BASELINES:
+        known[name] = (name, settings.baseline_config())
+    if models is None:
+        return known
+    unknown = [name for name in models if name not in known]
+    if unknown:
+        raise KeyError(f"unknown model(s) {unknown!r}; "
+                       f"choose from {sorted(known)}")
+    return {name: known[name] for name in models}
+
+
+def _cells(models: dict[str, tuple[str, object]], datasets: Sequence[str],
+           noises: Sequence[NoiseSpec], seeds: int, scale: float,
+           measure: str = "test_metrics") -> list[TaskSpec]:
+    """One cell per model x dataset x noise x seed, in that order."""
+    return [TaskSpec(model=name, estimator=estimator, config=config,
+                     dataset=dataset, noise_kind=noise.kind,
+                     noise_params=noise.params, seed=seed, scale=scale,
+                     measure=measure)
+            for name, (estimator, config) in models.items()
+            for dataset in datasets
+            for noise in noises
+            for seed in range(seeds)]
 
 
 def estimator_registry(settings: ExperimentSettings
                        ) -> dict[str, Callable[[], Estimator]]:
     """Every model the harness can run, as Estimator factories.
 
-    CLFD and the baselines enter one registry and are driven through
-    the :class:`~repro.baselines.Estimator` protocol from here on —
-    no per-model special cases downstream.
+    A view of the model table: each factory builds its model the way a
+    grid worker does, through
+    :func:`~repro.parallel.worker.build_estimator` (the cell's dataset
+    and noise play no part in that).  CLFD and the baselines are driven
+    through the :class:`~repro.baselines.Estimator` protocol from here
+    on — no per-model special cases downstream.
     """
-    registry: dict[str, Callable[[], Estimator]] = {
-        "CLFD": lambda: CLFD(settings.clfd_config()),
-    }
-    for name, cls in BASELINES.items():
-        registry[name] = (lambda c=cls: c(settings.baseline_config()))
-    return registry
-
-
-def _model_factories(settings: ExperimentSettings,
-                     models: Sequence[str]
-                     ) -> dict[str, Callable[[], Estimator]]:
-    registry = estimator_registry(settings)
-    unknown = [name for name in models if name not in registry]
-    if unknown:
-        raise KeyError(f"unknown model(s) {unknown!r}; "
-                       f"choose from {sorted(registry)}")
-    return {name: registry[name] for name in models}
-
-
-def _estimator_specs(settings: ExperimentSettings, models: Sequence[str]
-                     ) -> dict[str, tuple[str, object]]:
-    """Map model display names to picklable ``(estimator, config)`` pairs.
-
-    These cross process boundaries and feed the run-cache key, unlike
-    the closures of :func:`estimator_registry`.
-    """
-    known: dict[str, Callable[[], tuple[str, object]]] = {
-        "CLFD": lambda: ("clfd", settings.clfd_config()),
-    }
-    for name in BASELINES:
-        known[name] = (lambda n=name: (n, settings.baseline_config()))
-    unknown = [name for name in models if name not in known]
-    if unknown:
-        raise KeyError(f"unknown model(s) {unknown!r}; "
-                       f"choose from {sorted(known)}")
-    return {name: known[name]() for name in models}
-
-
-def run_single(model_factory: Callable[[], Estimator], dataset: str,
-               noise: NoiseSpec, seed: int, scale: float) -> dict[str, float]:
-    """Train one estimator on one noisy split; return test metrics.
-
-    The split comes from the per-process memoized
-    :func:`~repro.data.cached_splits` — the noise is applied to a
-    private copy with the generator stream positioned exactly as if the
-    split had just been generated, so results are bit-identical to the
-    historical regenerate-every-cell path.
-    """
-    train, test, rng = cached_splits(dataset, seed, scale)
-    noise(train, rng)
-    model = model_factory()
-    model.fit(train, rng=seed_everything(seed))
-    labels, scores = model.predict(test)
-    return evaluate_detector(test.labels(), labels, scores)
-
-
-def _serializable(noises: Sequence[NoiseSpec]) -> bool:
-    return all(n.kind is not None for n in noises)
+    cells = _cells(_estimator_specs(settings), ["cert"],
+                   [NoiseSpec("none")], 1, settings.scale)
+    return {cell.model: functools.partial(build_estimator, cell)
+            for cell in cells}
 
 
 def _execute_grid(specs: Sequence[TaskSpec], workers: int,
@@ -196,6 +171,25 @@ def _execute_grid(specs: Sequence[TaskSpec], workers: int,
     return cell_results
 
 
+def _summarise(cell_results, metrics: Sequence[str], verbose: bool
+               ) -> dict[tuple[str, str, str], dict[str, MetricSummary]]:
+    """Aggregate cells over seeds, keyed ``(model, dataset, noise label)``."""
+    runs: dict[tuple[str, str, str], list[dict]] = {}
+    for cell in cell_results:
+        spec = cell.spec
+        runs.setdefault((spec.model, spec.dataset, spec.noise_label),
+                        []).append(cell.metrics)
+    summary = {}
+    for key, per_seed in runs.items():
+        summary[key] = {metric: summarize_runs([r[metric] for r in per_seed])
+                        for metric in metrics}
+        if verbose:  # pragma: no cover - console reporting
+            print("{:20s} {:14s} {:22s} ".format(*key)
+                  + " ".join(f"{k}={v!s}" for k, v in summary[key].items()),
+                  flush=True)
+    return summary
+
+
 def run_comparison(settings: ExperimentSettings, noises: Sequence[NoiseSpec],
                    models: Sequence[str] | None = None,
                    datasets: Sequence[str] = DATASETS,
@@ -216,73 +210,16 @@ def run_comparison(settings: ExperimentSettings, noises: Sequence[NoiseSpec],
 
     Returns ``results[model][dataset][noise.label][metric]``.
     """
-    if models is None:
-        models = ["CLFD"] + list(BASELINES)
-    if not _serializable(noises):
-        if workers > 1 or cache is not None or coordinate:
-            raise ValueError(
-                "custom NoiseSpec objects (kind=None) cannot cross process "
-                "boundaries or be cache-keyed; run with workers=1 and "
-                "cache=None")
-        return _run_comparison_legacy(settings, noises, models, datasets,
-                                      verbose)
     estimators = _estimator_specs(settings, models)
-    specs, meta = [], []
-    for model_name in models:
-        estimator, config = estimators[model_name]
-        for dataset in datasets:
-            for noise in noises:
-                for seed in range(settings.seeds):
-                    specs.append(TaskSpec(
-                        model=model_name, estimator=estimator, config=config,
-                        dataset=dataset, noise_kind=noise.kind,
-                        noise_params=noise.params, seed=seed,
-                        scale=settings.scale))
-                    meta.append((model_name, dataset, noise))
-    cell_results = _execute_grid(specs, workers, cache, retries, verbose,
-                                 coordinate=coordinate)
-
-    grouped: dict[tuple, list[dict]] = {}
-    for (model_name, dataset, noise), cell in zip(meta, cell_results):
-        grouped.setdefault((model_name, dataset, noise.label),
-                           []).append(cell.metrics)
-    results: dict = {m: {d: {} for d in datasets} for m in models}
-    for model_name in models:
-        for dataset in datasets:
-            for noise in noises:
-                runs = grouped[(model_name, dataset, noise.label)]
-                summary = {metric: summarize_runs([r[metric] for r in runs])
-                           for metric in METRICS}
-                results[model_name][dataset][noise.label] = summary
-                if verbose:  # pragma: no cover - console reporting
-                    print(f"{model_name:10s} {dataset:14s} {noise.label:22s} "
-                          + " ".join(f"{k}={v!s}" for k, v in summary.items()),
-                          flush=True)
-    return results
-
-
-def _run_comparison_legacy(settings: ExperimentSettings,
-                           noises: Sequence[NoiseSpec],
-                           models: Sequence[str],
-                           datasets: Sequence[str],
-                           verbose: bool) -> dict:
-    """Sequential in-process grid for non-serialisable noise processes."""
-    factories = _model_factories(settings, models)
-    results: dict = {m: {d: {} for d in datasets} for m in models}
-    for model_name, factory in factories.items():
-        for dataset in datasets:
-            for noise in noises:
-                runs = [run_single(factory, dataset, noise, seed,
-                                   settings.scale)
-                        for seed in range(settings.seeds)]
-                summary = {metric: summarize_runs([r[metric] for r in runs])
-                           for metric in METRICS}
-                results[model_name][dataset][noise.label] = summary
-                if verbose:  # pragma: no cover - console reporting
-                    print(f"{model_name:10s} {dataset:14s} {noise.label:22s} "
-                          + " ".join(f"{k}={v!s}" for k, v in summary.items()),
-                          flush=True)
-    return results
+    specs = _cells(estimators, datasets, noises, settings.seeds,
+                   settings.scale)
+    summary = _summarise(_execute_grid(specs, workers, cache, retries,
+                                       verbose, coordinate=coordinate),
+                         METRICS, verbose)
+    return {model: {dataset: {noise.label: summary[model, dataset, noise.label]
+                              for noise in noises}
+                    for dataset in datasets}
+            for model in estimators}
 
 
 def run_table1(settings: ExperimentSettings | None = None,
@@ -317,40 +254,14 @@ def run_table3(settings: ExperimentSettings | None = None,
     """
     settings = settings or ExperimentSettings.from_env()
     noises = [uniform_noise(0.45), class_dependent_noise()]
-    config = settings.clfd_config()
-    specs, meta = [], []
-    for dataset in DATASETS:
-        for noise in noises:
-            for seed in range(settings.seeds):
-                specs.append(TaskSpec(
-                    model="CLFD", estimator="clfd", config=config,
-                    dataset=dataset, noise_kind=noise.kind,
-                    noise_params=noise.params, seed=seed,
-                    scale=settings.scale, measure="correction_rates"))
-                meta.append((dataset, noise))
-    cell_results = _execute_grid(specs, workers, cache, retries, verbose,
-                                 coordinate=coordinate)
-
-    grouped: dict[tuple, dict[str, list[float]]] = {}
-    for (dataset, noise), cell in zip(meta, cell_results):
-        rates = grouped.setdefault((dataset, noise.label),
-                                   {"tpr": [], "tnr": []})
-        rates["tpr"].append(cell.metrics["tpr"])
-        rates["tnr"].append(cell.metrics["tnr"])
-    results: dict = {}
-    for dataset in DATASETS:
-        results[dataset] = {}
-        for noise in noises:
-            rates = grouped[(dataset, noise.label)]
-            results[dataset][noise.label] = {
-                "tpr": summarize_runs(rates["tpr"]),
-                "tnr": summarize_runs(rates["tnr"]),
-            }
-            if verbose:  # pragma: no cover
-                r = results[dataset][noise.label]
-                print(f"{dataset:14s} {noise.label:22s} "
-                      f"TPR={r['tpr']!s} TNR={r['tnr']!s}", flush=True)
-    return results
+    specs = _cells(_estimator_specs(settings, ["CLFD"]), DATASETS, noises,
+                   settings.seeds, settings.scale, measure="correction_rates")
+    summary = _summarise(_execute_grid(specs, workers, cache, retries,
+                                       verbose, coordinate=coordinate),
+                         ("tpr", "tnr"), verbose)
+    return {dataset: {noise.label: summary["CLFD", dataset, noise.label]
+                      for noise in noises}
+            for dataset in DATASETS}
 
 
 # Table IV/V rows -> config overrides (see CLFDConfig docstring).
@@ -379,73 +290,16 @@ def run_ablation(noise: NoiseSpec, settings: ExperimentSettings | None = None,
     """
     settings = settings or ExperimentSettings.from_env()
     variants = list(variants) if variants else list(ABLATIONS)
-    base_config = settings.clfd_config()
-    if not _serializable([noise]):
-        if workers > 1 or cache is not None or coordinate:
-            raise ValueError(
-                "custom NoiseSpec (kind=None) cannot run with workers>1 "
-                "or a run cache; use uniform_noise/class_dependent_noise")
-        return _run_ablation_legacy(noise, settings, variants, datasets,
-                                    base_config, verbose)
-
-    specs, meta = [], []
-    for variant in variants:
-        overrides = ABLATIONS[variant]
-        config = CLFDConfig(**{**base_config.__dict__, **overrides})
-        for dataset in datasets:
-            for seed in range(settings.seeds):
-                specs.append(TaskSpec(
-                    model=variant, estimator="clfd", config=config,
-                    dataset=dataset, noise_kind=noise.kind,
-                    noise_params=noise.params, seed=seed,
-                    scale=settings.scale))
-                meta.append((variant, dataset))
-    cell_results = _execute_grid(specs, workers, cache, retries, verbose,
-                                 coordinate=coordinate)
-
-    grouped: dict[tuple, list[dict]] = {}
-    for (variant, dataset), cell in zip(meta, cell_results):
-        grouped.setdefault((variant, dataset), []).append(cell.metrics)
-    results: dict = {}
-    for variant in variants:
-        results[variant] = {}
-        for dataset in datasets:
-            runs = grouped[(variant, dataset)]
-            results[variant][dataset] = {
-                metric: summarize_runs([r[metric] for r in runs])
-                for metric in METRICS
-            }
-            if verbose:  # pragma: no cover
-                r = results[variant][dataset]
-                print(f"{variant:20s} {dataset:14s} "
-                      + " ".join(f"{k}={v!s}" for k, v in r.items()),
-                      flush=True)
-    return results
-
-
-def _run_ablation_legacy(noise, settings, variants, datasets, base_config,
-                         verbose) -> dict:
-    """Sequential ablation path for non-serialisable noise callables."""
-    results: dict = {}
-    for variant in variants:
-        overrides = ABLATIONS[variant]
-        results[variant] = {}
-        for dataset in datasets:
-            runs = []
-            for seed in range(settings.seeds):
-                config = CLFDConfig(**{**base_config.__dict__, **overrides})
-                runs.append(run_single(lambda: CLFD(config), dataset, noise,
-                                       seed, settings.scale))
-            results[variant][dataset] = {
-                metric: summarize_runs([r[metric] for r in runs])
-                for metric in METRICS
-            }
-            if verbose:  # pragma: no cover
-                r = results[variant][dataset]
-                print(f"{variant:20s} {dataset:14s} "
-                      + " ".join(f"{k}={v!s}" for k, v in r.items()),
-                      flush=True)
-    return results
+    base = settings.clfd_config()
+    rows = {variant: ("clfd", dataclasses.replace(base, **ABLATIONS[variant]))
+            for variant in variants}
+    specs = _cells(rows, datasets, [noise], settings.seeds, settings.scale)
+    summary = _summarise(_execute_grid(specs, workers, cache, retries,
+                                       verbose, coordinate=coordinate),
+                         METRICS, verbose)
+    return {variant: {dataset: summary[variant, dataset, noise.label]
+                      for dataset in datasets}
+            for variant in variants}
 
 
 def run_table4(settings: ExperimentSettings | None = None,
@@ -466,25 +320,26 @@ def run_latency(settings: ExperimentSettings | None = None,
                 verbose: bool = False) -> dict[str, float]:
     """§IV-B3: wall-clock training time per model, in seconds.
 
+    Each model trains on the seed-0 cell of the grid (same split, noise
+    and estimator construction as a table cell); only ``fit`` is timed.
     Absolute numbers are hardware-specific; the paper's claim is the
     *relative* cost — supervised-contrastive models (CLFD, Sel-CL, CTRR)
     cost a multiple of the rest.
     """
     settings = settings or ExperimentSettings.from_env()
-    if models is None:
-        models = ["CLFD"] + list(BASELINES)
-    factories = _model_factories(settings, models)
-    rng = seed_everything(0)
-    train, _ = make_dataset(dataset, rng, scale=settings.scale)
-    apply_uniform_noise(train, eta, rng)
+    cells = _cells(_estimator_specs(settings, models), [dataset],
+                   [uniform_noise(eta)], 1, settings.scale)
     latencies: dict[str, float] = {}
-    for name, factory in factories.items():
-        model = factory()
+    for cell in cells:
+        train, _, rng = cached_splits(cell.dataset, cell.seed, cell.scale)
+        cell.apply_noise(train, rng)
+        model = build_estimator(cell)
         start = time.perf_counter()
-        model.fit(train, rng=seed_everything(0))
-        latencies[name] = time.perf_counter() - start
+        model.fit(train, rng=seed_everything(cell.seed))
+        latencies[cell.model] = time.perf_counter() - start
         if verbose:  # pragma: no cover
-            print(f"{name:10s} {latencies[name]:8.2f}s", flush=True)
+            print(f"{cell.model:10s} {latencies[cell.model]:8.2f}s",
+                  flush=True)
     return latencies
 
 

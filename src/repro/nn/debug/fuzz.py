@@ -593,46 +593,6 @@ def _build_fused_gru_sequence(rng, dtype, extreme, size):
     return fn, [x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c]
 
 
-# -- quantized inference kernels ---------------------------------------
-# The int8/float16 payloads are constants by construction (gradients
-# flow into activations, scales and bias only), so smooth trials are
-# exactly linear in every checked leaf and gradcheck is tight.
-@_register("quant_matmul", covers=("quant_matmul", "sum", "__mul__"))
-def _build_quant_matmul(rng, dtype, extreme, size):
-    from ..quant import quant_matmul, quantize_symmetric
-    m, k, n = size + 1, size + 2, size + 1
-    q, _ = quantize_symmetric(rng.normal(size=(k, n)))
-    x = _t(rng, (m, k), dtype, extreme, max_mag=1e4)
-    scales = _t(rng, (n,), dtype, extreme, positive=True, low=0.1,
-                max_mag=10.0)
-    bias = _t(rng, (n,), dtype, extreme, max_mag=10.0)
-    return (lambda: _weighted_sum(quant_matmul(x, q, scales, bias)),
-            [x, scales, bias])
-
-
-@_register("dequantize", covers=("dequantize", "sum", "__mul__"))
-def _build_dequantize(rng, dtype, extreme, size):
-    from ..quant import dequantize, quantize_symmetric
-    k, n = size + 2, size + 1
-    q, _ = quantize_symmetric(rng.normal(size=(k, n)))
-    scales = _t(rng, (n,), dtype, extreme, positive=True, low=0.1,
-                max_mag=10.0)
-    return lambda: _weighted_sum(dequantize(q, scales)), [scales]
-
-
-@_register("fp16_embed", covers=("fp16_embed", "sum", "__mul__"))
-def _build_fp16_embed(rng, dtype, extreme, size):
-    from ..quant import fp16_embed, quantize_fp16_rows
-    v, d = size + 3, size + 2
-    table, _ = quantize_fp16_rows(rng.normal(size=(v, d)))
-    # Duplicate ids on purpose: exercises the np.add.at scatter in the
-    # per-row scale gradient.
-    ids = rng.integers(0, v, size=(2, size + 2))
-    scales = _t(rng, (v,), dtype, extreme, positive=True, low=0.1,
-                max_mag=10.0)
-    return lambda: _weighted_sum(fp16_embed(ids, table, scales)), [scales]
-
-
 # -- loss kernels ------------------------------------------------------
 def _probs_and_targets(rng, dtype, extreme, size):
     """(logits leaf, probs fn, targets) for the probability-space losses.

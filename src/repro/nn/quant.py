@@ -5,24 +5,21 @@ needs exactly three primitives, and — because a session's score must not
 depend on *which* consumer ran the math — each primitive has exactly one
 numerical definition here, shared by every caller:
 
-* :func:`quant_matmul_np` / :func:`quant_matmul` — the fused
-  dequantize-on-the-fly GEMM ``(x @ q) * scale (+ bias)`` over an int8
-  weight with per-output-channel float scales.  The scale is applied
-  *after* the matmul (it commutes onto output columns), so the hot loop
-  multiplies against the int8 matrix cast once per call instead of
-  materialising a scaled copy per step.
-* :func:`dequantize_np` / :func:`dequantize` — expand ``(int8 q, scale)``
-  back to a float matrix (used once per forward for recurrent weights,
-  whose reset-gated products do not commute with per-column scales).
-* :func:`fp16_embed_np` / :func:`fp16_embed` — row-scaled float16
-  embedding lookup: tables store unit-magnitude float16 rows plus one
-  float32 scale per row (vocabulary compression for large generators).
+* :func:`quant_matmul_np` — the fused dequantize-on-the-fly GEMM
+  ``(x @ q) * scale (+ bias)`` over an int8 weight with
+  per-output-channel float scales.  The scale is applied *after* the
+  matmul (it commutes onto output columns), so the hot loop multiplies
+  against the int8 matrix cast once per call instead of materialising a
+  scaled copy per step.
+* :func:`dequantize_np` — expand ``(int8 q, scale)`` back to a float
+  matrix (used once per forward for recurrent weights, whose
+  reset-gated products do not commute with per-column scales).
+* :func:`fp16_embed_np` — row-scaled float16 embedding lookup: tables
+  store unit-magnitude float16 rows plus one float32 scale per row
+  (vocabulary compression for large generators).
 
-The ``*_np`` forms are the inference hot path (plain NumPy, no graph);
-the Tensor forms wrap the same arithmetic as autograd ops so the fuzz
-registry (:mod:`repro.nn.debug.fuzz`) and graph lint can exercise them —
-gradients flow into the float inputs (activations, scales, bias); the
-int8/float16 payloads are constants by construction.
+They are plain NumPy with no autograd graph: serving is inference
+only, so nothing differentiates through them.
 
 Quantization itself (:func:`quantize_symmetric`,
 :func:`quantize_fp16_rows`) is deterministic: scale = maxabs/127 per
@@ -34,13 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = [
     "INT8_LEVELS",
     "quantize_symmetric", "dequantize_np", "quant_matmul_np",
     "quantize_fp16_rows", "fp16_embed_np",
-    "quant_matmul", "dequantize", "fp16_embed",
 ]
 
 #: Symmetric int8 uses the balanced range [-127, 127]; -128 is unused so
@@ -90,7 +84,7 @@ def quant_matmul_np(x: np.ndarray, q: np.ndarray, scales: np.ndarray,
     """Fused int8 GEMM: ``(x @ q) * scale (+ bias)`` in ``x``'s dtype.
 
     The one numerical definition of the quantized projection — the
-    serving runtime, the Tensor op and every test call this, because
+    serving runtime and every test call this, because
     ``(x @ q) * s`` and ``x @ (q * s)`` differ in ULPs and a score must
     be a function of the session alone.
     """
@@ -125,120 +119,3 @@ def fp16_embed_np(ids: np.ndarray, table: np.ndarray, scales: np.ndarray,
     ids = np.asarray(ids, dtype=np.int64)
     rows = table[ids].astype(dtype)
     return rows * np.asarray(scales, dtype=dtype)[ids][..., None]
-
-
-# ----------------------------------------------------------------------
-# Autograd ops (fuzz / lint surface; same arithmetic as the *_np forms)
-# ----------------------------------------------------------------------
-def _as_tensor(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
-
-
-def quant_matmul(x: Tensor, q: np.ndarray, scales,
-                 bias=None) -> Tensor:
-    """Tensor form of :func:`quant_matmul_np`.
-
-    ``x`` (and optionally ``scales`` / ``bias``) are Tensors; ``q`` is a
-    constant int8 matrix.  Gradients: ``dx = (g * s) @ qᵀ``,
-    ``ds = Σ_rows g * (x @ q)``, ``db = Σ_rows g``.
-    """
-    if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x))
-    q = np.asarray(q)
-    if q.dtype != np.int8:
-        raise TypeError(f"quant_matmul weight must be int8, got {q.dtype}")
-    scales = _as_tensor(scales, x.data.dtype)
-    parents = [x, scales]
-    q_f = q.astype(x.data.dtype)
-    base = x.data @ q_f
-    out_data = base * scales.data.astype(x.data.dtype, copy=False)
-    if bias is not None:
-        bias = _as_tensor(bias, x.data.dtype)
-        parents.append(bias)
-        out_data = out_data + bias.data.astype(x.data.dtype, copy=False)
-
-    def backward():
-        g = out.grad
-        if x.requires_grad:
-            x._accumulate((g * scales.data.astype(g.dtype, copy=False))
-                          @ q_f.T)
-        if scales.requires_grad:
-            gs = (g * base).reshape(-1, base.shape[-1]).sum(axis=0)
-            scales._accumulate(gs.astype(scales.data.dtype, copy=False))
-        if bias is not None and bias.requires_grad:
-            gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-            bias._accumulate(gb.astype(bias.data.dtype, copy=False))
-
-    def recompute():
-        np.matmul(x.data, q_f, out=base)
-        np.multiply(base, scales.data.astype(x.data.dtype, copy=False),
-                    out=out_data)
-        if bias is not None:
-            np.add(out_data, bias.data.astype(x.data.dtype, copy=False),
-                   out=out_data)
-
-    out = Tensor._make(out_data, parents, backward, recompute,
-                       "quant_matmul")
-    return out
-
-
-def dequantize(q: np.ndarray, scales) -> Tensor:
-    """Tensor form of :func:`dequantize_np`: ``q * scales`` per column.
-
-    ``q`` is a constant int8 matrix; the float ``scales`` carry the
-    gradient (``ds = Σ_rows g * q``).
-    """
-    q = np.asarray(q)
-    if q.dtype != np.int8:
-        raise TypeError(f"dequantize weight must be int8, got {q.dtype}")
-    if not isinstance(scales, Tensor):
-        scales = Tensor(np.asarray(scales))
-    q_f = q.astype(scales.data.dtype)
-    out_data = q_f * scales.data
-
-    def backward():
-        if scales.requires_grad:
-            gs = (out.grad * q_f).sum(axis=0)
-            scales._accumulate(gs.astype(scales.data.dtype, copy=False))
-
-    def recompute():
-        np.multiply(q_f, scales.data, out=out_data)
-
-    out = Tensor._make(out_data, (scales,), backward, recompute,
-                       "dequantize")
-    return out
-
-
-def fp16_embed(ids: np.ndarray, table: np.ndarray, scales) -> Tensor:
-    """Tensor form of :func:`fp16_embed_np`.
-
-    ``table`` is a constant float16 matrix; the per-row float ``scales``
-    carry the gradient (scatter-add over looked-up rows).
-    """
-    table = np.asarray(table)
-    if table.dtype != np.float16:
-        raise TypeError(f"fp16_embed table must be float16, got "
-                        f"{table.dtype}")
-    if not isinstance(scales, Tensor):
-        scales = Tensor(np.asarray(scales))
-    ids = np.asarray(ids, dtype=np.int64)
-    dtype = scales.data.dtype
-    rows = table[ids].astype(dtype)
-    out_data = rows * scales.data[ids][..., None]
-
-    def backward():
-        if scales.requires_grad:
-            gs = np.zeros_like(scales.data)
-            contrib = (out.grad * rows).sum(axis=-1)
-            np.add.at(gs, ids, contrib.astype(scales.data.dtype,
-                                              copy=False))
-            scales._accumulate(gs)
-
-    def recompute():
-        np.multiply(rows, scales.data[ids][..., None], out=out_data)
-
-    out = Tensor._make(out_data, (scales,), backward, recompute,
-                       "fp16_embed")
-    return out

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from ..data.noise import apply_class_dependent_noise, apply_uniform_noise
+from ..data.noise import NOISE_PROCESSES, apply_noise, noise_label
 from ..data.sessions import SessionDataset
 
 __all__ = ["TaskSpec", "task_key", "CACHE_FORMAT"]
@@ -34,7 +34,6 @@ __all__ = ["TaskSpec", "task_key", "CACHE_FORMAT"]
 # derivation, ...).
 CACHE_FORMAT = 1
 
-_NOISE_KINDS = ("uniform", "class-dependent", "none")
 _MEASURES = ("test_metrics", "correction_rates")
 
 
@@ -52,9 +51,10 @@ class TaskSpec:
         whole so workers need no side channel and the cache key covers
         every hyper-parameter.
     dataset: benchmark name for :func:`repro.data.make_dataset`.
-    noise_kind / noise_params: serialisable noise process —
-        ``("uniform", (eta,))``, ``("class-dependent", (eta10, eta01))``
-        or ``("none", ())``.
+    noise_kind / noise_params: serialisable noise process, a kind of
+        :data:`repro.data.noise.NOISE_PROCESSES` — ``("uniform",
+        (eta,))``, ``("class-dependent", (eta10, eta01))`` or
+        ``("none", ())``.
     seed: the cell's deterministic seed; the split generator, the noise
         draw and the training rng all derive from it, so the tuple
         ``(estimator, config, dataset, noise, seed, scale)`` fully
@@ -79,8 +79,9 @@ class TaskSpec:
     failpoint: str | None = None
 
     def __post_init__(self):
-        if self.noise_kind not in _NOISE_KINDS:
-            raise ValueError(f"noise_kind must be one of {_NOISE_KINDS}, "
+        if self.noise_kind not in NOISE_PROCESSES:
+            raise ValueError(f"noise_kind must be one of "
+                             f"{tuple(NOISE_PROCESSES)}, "
                              f"got {self.noise_kind!r}")
         if self.measure not in _MEASURES:
             raise ValueError(f"measure must be one of {_MEASURES}, "
@@ -94,20 +95,11 @@ class TaskSpec:
     # ------------------------------------------------------------------
     @property
     def noise_label(self) -> str:
-        """Same labels the sequential runner uses, for aggregation."""
-        if self.noise_kind == "uniform":
-            return f"eta={self.noise_params[0]}"
-        if self.noise_kind == "class-dependent":
-            return (f"eta10={self.noise_params[0]},"
-                    f"eta01={self.noise_params[1]}")
-        return "clean"
+        return noise_label(self.noise_kind, self.noise_params)
 
     def apply_noise(self, dataset: SessionDataset,
                     rng: np.random.Generator) -> None:
-        if self.noise_kind == "uniform":
-            apply_uniform_noise(dataset, self.noise_params[0], rng)
-        elif self.noise_kind == "class-dependent":
-            apply_class_dependent_noise(dataset, *self.noise_params, rng)
+        apply_noise(dataset, self.noise_kind, self.noise_params, rng)
 
     def describe(self) -> str:
         """One-line cell description for progress output."""

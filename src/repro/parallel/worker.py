@@ -8,9 +8,9 @@ serialised parameters) and returns a plain ``dict`` payload that
 pickles cheaply back to the coordinator.
 
 Determinism: the split generator, the noise draw and the training rng
-all derive from ``spec.seed`` exactly the way the sequential runner
-derives them, so a cell computes bit-identical metrics whether it runs
-in-process, in a pool worker, or on a different day from the run cache.
+all derive from ``spec.seed`` alone, so a cell computes bit-identical
+metrics whether it runs in-process, in a pool worker, or on a different
+day from the run cache.
 """
 
 from __future__ import annotations

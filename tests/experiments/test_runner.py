@@ -6,13 +6,13 @@ import pytest
 from repro.experiments import (
     ABLATIONS,
     ExperimentSettings,
+    NoiseSpec,
     class_dependent_noise,
     format_ablation_table,
     format_comparison_table,
     run_ablation,
     run_comparison,
     run_latency,
-    run_single,
     run_table3,
     uniform_noise,
 )
@@ -56,12 +56,9 @@ def test_noise_specs_apply():
     assert (train2.labels() != train2.noisy_labels()).any()
 
 
-def test_run_single_returns_metrics(settings):
-    from repro.core import CLFD
-
-    metrics = run_single(lambda: CLFD(settings.clfd_config()), "cert",
-                         uniform_noise(0.2), seed=0, scale=0.02)
-    assert set(metrics) == {"f1", "fpr", "auc_roc"}
+def test_noise_spec_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="salt-and-pepper"):
+        NoiseSpec("salt-and-pepper", (0.1,))
 
 
 def test_run_comparison_structure(settings):
@@ -210,20 +207,19 @@ def test_run_ablation_parallel_is_bit_identical(settings):
             == run_ablation(uniform_noise(0.2), settings, **kwargs))
 
 
-def test_custom_noise_requires_sequential_uncached(settings):
-    custom = __import__("repro.experiments", fromlist=["NoiseSpec"]).NoiseSpec(
-        "clean", lambda ds, rng: None)
-    # Sequential/uncached still works through the legacy path...
-    results = run_comparison(settings, [custom], models=["DeepLog"],
-                             datasets=("cert",))
-    assert "clean" in results["DeepLog"]["cert"]
-    # ...but fanning out or caching a non-serialisable callable is an error.
-    with pytest.raises(ValueError):
-        run_comparison(settings, [custom], models=["DeepLog"],
-                       datasets=("cert",), workers=2)
-    with pytest.raises(ValueError):
-        run_ablation(custom, settings, variants=["CLFD"],
-                     datasets=("cert",), cache="unused")
+def test_integer_noise_rate_keys_match_analysis_labels(settings, tmp_path):
+    """uniform_noise(0) keys results by the label `repro analyze` gives
+    the same cells when it reads them back from the run cache."""
+    from repro.analysis.tables import load_sweep_records, noise_label
+
+    cache = str(tmp_path / "cache")
+    results = run_comparison(settings, [uniform_noise(0)],
+                             models=["DeepLog"], datasets=("cert",),
+                             cache=cache)
+    records = load_sweep_records(cache)
+    assert records
+    assert {noise_label(r["noise"]) for r in records} == \
+        set(results["DeepLog"]["cert"])
 
 
 def test_failed_cells_raise_sweep_error_after_completion(settings,

@@ -1,24 +1,16 @@
-"""Quantized inference kernels: numerics, autograd surface, fuzz + lint.
+"""Quantized inference kernels: the quantizers and the NumPy kernels.
 
 The three primitives behind the low-precision serving path each have one
-numerical definition in :mod:`repro.nn.quant` shared by the NumPy hot
-path and the Tensor (autograd) form; these tests pin that equivalence,
-the quantizers' determinism and error bounds, and the debug-tooling
-coverage (fuzz registry + graph lint) the numerics-smoke CI relies on.
+numerical definition in :mod:`repro.nn.quant`; these tests pin the
+kernels' arithmetic and the quantizers' determinism and error bounds.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.debug.fuzz import OP_REGISTRY, covered_graph_ops, fuzz_all
-from repro.nn.debug.lint import lint_graph
-from repro.nn.quant import (INT8_LEVELS, dequantize, dequantize_np,
-                            fp16_embed, fp16_embed_np, quant_matmul,
+from repro.nn.quant import (INT8_LEVELS, dequantize_np, fp16_embed_np,
                             quant_matmul_np, quantize_fp16_rows,
                             quantize_symmetric)
-from repro.nn.tensor import Tensor
-
-QUANT_OPS = ("quant_matmul", "dequantize", "fp16_embed")
 
 
 # ----------------------------------------------------------------------
@@ -114,92 +106,3 @@ def test_fp16_embed_np_lookup():
     assert out.dtype == np.float32
     np.testing.assert_array_equal(
         out[0, 1], table[3].astype(np.float32) * scales[3])
-
-
-# ----------------------------------------------------------------------
-# Tensor (autograd) forms
-# ----------------------------------------------------------------------
-def test_tensor_forms_match_np_kernels_bitwise():
-    rng = np.random.default_rng(5)
-    w = rng.normal(size=(6, 4))
-    q, s = quantize_symmetric(w)
-    x = rng.normal(size=(3, 6)).astype(np.float32)
-    bias = rng.normal(size=4).astype(np.float32)
-    out = quant_matmul(Tensor(x), q, s, bias)
-    np.testing.assert_array_equal(out.data, quant_matmul_np(x, q, s, bias))
-    np.testing.assert_array_equal(dequantize(q, s).data,
-                                  dequantize_np(q, s))
-    table, ts = quantize_fp16_rows(rng.normal(size=(5, 4)))
-    ids = np.array([1, 1, 4])
-    np.testing.assert_array_equal(fp16_embed(ids, table, ts).data,
-                                  fp16_embed_np(ids, table, ts))
-
-
-def test_tensor_forms_reject_wrong_payload_dtypes():
-    x = Tensor(np.ones((2, 3), dtype=np.float32))
-    with pytest.raises(TypeError):
-        quant_matmul(x, np.ones((3, 2), dtype=np.float32), np.ones(2))
-    with pytest.raises(TypeError):
-        dequantize(np.ones((3, 2)), np.ones(2))
-    with pytest.raises(TypeError):
-        fp16_embed(np.array([0]), np.ones((2, 2), dtype=np.float32),
-                   np.ones(2))
-
-
-def test_quant_matmul_gradients_flow_to_float_leaves():
-    rng = np.random.default_rng(6)
-    q, s = quantize_symmetric(rng.normal(size=(4, 3)))
-    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    scales = Tensor(np.asarray(s, dtype=np.float64), requires_grad=True)
-    bias = Tensor(rng.normal(size=3), requires_grad=True)
-    out = quant_matmul(x, q, scales, bias)
-    out.sum().backward()
-    qf = q.astype(np.float64)
-    np.testing.assert_allclose(x.grad, np.ones((2, 3)) * s @ qf.T)
-    np.testing.assert_allclose(scales.grad, (x.data @ qf).sum(axis=0))
-    np.testing.assert_allclose(bias.grad, np.full(3, 2.0))
-
-
-def test_fp16_embed_gradient_scatters_over_duplicate_ids():
-    rng = np.random.default_rng(7)
-    table, s = quantize_fp16_rows(rng.normal(size=(5, 3)))
-    scales = Tensor(np.asarray(s, dtype=np.float64), requires_grad=True)
-    ids = np.array([2, 2, 0])
-    out = fp16_embed(ids, table, scales)
-    out.sum().backward()
-    rows = table.astype(np.float64)
-    expected = np.zeros(5)
-    expected[2] = 2.0 * rows[2].sum()
-    expected[0] = rows[0].sum()
-    np.testing.assert_allclose(scales.grad, expected)
-
-
-# ----------------------------------------------------------------------
-# Debug-tooling coverage (fuzz registry + graph lint)
-# ----------------------------------------------------------------------
-def test_quant_ops_are_registered_for_fuzzing():
-    for name in QUANT_OPS:
-        assert name in OP_REGISTRY
-        assert name in OP_REGISTRY[name].covers
-    assert set(QUANT_OPS) <= covered_graph_ops()
-
-
-def test_fuzz_sweep_passes_for_quant_ops():
-    report = fuzz_all(seed=0, ops=list(QUANT_OPS))
-    assert report.ok, report.summary()
-    assert report.trials > 0
-
-
-def test_lint_accepts_quant_graph():
-    """A graph built from the quantized ops must pass the unfuzzed-op
-    check — the guarantee that numerics-smoke CI covers them."""
-    rng = np.random.default_rng(8)
-    q, s = quantize_symmetric(rng.normal(size=(4, 3)))
-    x = Tensor(rng.normal(size=(2, 4)).astype(np.float32),
-               requires_grad=True)
-    table, ts = quantize_fp16_rows(rng.normal(size=(5, 4)))
-    total = (quant_matmul(x, q, s.astype(np.float32)).sum()
-             + dequantize(q, s).sum()
-             + fp16_embed(np.array([0, 1, 1]), table, ts).sum())
-    issues = lint_graph(total, parameters=[x])
-    assert [i for i in issues if i.check == "unfuzzed-op"] == []

@@ -41,6 +41,21 @@ def test_key_covers_every_hyperparameter(make_spec, tiny_config):
     assert task_key(spec) != task_key(bumped)
 
 
+def test_keys_match_caches_written_by_earlier_versions(make_spec):
+    """Pinned key bytes: a change here silently invalidates every run
+    cache users already hold."""
+    from repro.experiments import ExperimentSettings
+
+    clfd = TaskSpec(model="CLFD", estimator="clfd",
+                    config=ExperimentSettings().clfd_config(),
+                    dataset="cert", noise_kind="uniform", noise_params=(0.2,),
+                    seed=0, scale=0.02, measure="test_metrics")
+    rates = dataclasses.replace(clfd, measure="correction_rates")
+    assert task_key(make_spec()) == "2e03399be0e1ab0d246935a26ed3f3a0"
+    assert task_key(clfd) == "0fac3169978f7fbaee3171940bb93bb0"
+    assert task_key(rates) == "a1e5fbc0cb3d9a1ffe07a0c5754f24d6"
+
+
 def test_spec_validation(make_spec, tiny_config):
     with pytest.raises(ValueError, match="noise_kind"):
         TaskSpec(model="m", estimator="DeepLog", config=tiny_config,

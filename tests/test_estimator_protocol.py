@@ -99,10 +99,8 @@ def test_estimator_protocol_conformance(name, split):
 
 
 def test_registry_rejects_unknown_models():
-    from repro.experiments.runner import _model_factories
-
     with pytest.raises(KeyError, match="NoSuchModel"):
-        _model_factories(_TinySettings(), ["CLFD", "NoSuchModel"])
+        estimator_registry(_TinySettings())["NoSuchModel"]
 
 
 def test_registry_lists_paper_models():
