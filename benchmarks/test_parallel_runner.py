@@ -13,6 +13,7 @@ of the executor design.
 Marked ``smoke``: 12 tiny DeepLog/LogBert cells, seconds end to end.
 """
 
+import math
 import os
 
 import pytest
@@ -39,6 +40,15 @@ def _smoke_grid():
         for eta in (0.2, 0.45)
         for seed in range(3)
     ]
+
+
+def _same_metrics(a, b):
+    """Exact equality per metric, NaN equal to NaN (an all-negative
+    cell's F1 is NaN, and a NaN that was pickled or read back from JSON
+    is a new object, so plain dict ``==`` never holds)."""
+    return a.keys() == b.keys() and all(
+        a[name] == b[name] or (math.isnan(a[name]) and math.isnan(b[name]))
+        for name in a)
 
 
 def test_parallel_runner_speedup_and_resume(report, tmp_path):
@@ -70,8 +80,8 @@ def test_parallel_runner_speedup_and_resume(report, tmp_path):
     # Bit-identity: same metrics from every execution mode.
     assert all(r.ok for r in seq_results)
     for seq, par, res in zip(seq_results, par_results, warm_results):
-        assert par.metrics == seq.metrics
-        assert res.metrics == seq.metrics
+        assert _same_metrics(par.metrics, seq.metrics), (par, seq)
+        assert _same_metrics(res.metrics, seq.metrics), (res, seq)
 
     # Resume: the warm run reads 12 JSON files instead of training.
     assert all(r.cached for r in warm_results)

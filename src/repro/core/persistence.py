@@ -112,9 +112,7 @@ def save_clfd(model: CLFD, path: str | os.PathLike) -> pathlib.Path:
         if model.fraud_detector.centroids is not None:
             payload["detector/centroids"] = model.fraud_detector.centroids
 
-    # Atomic + deterministic: save_arrays writes to a temp file and
-    # renames, with pinned zip metadata so identical models produce
-    # bit-identical archive bytes.
+    # Pinned zip metadata: identical models give identical bytes.
     return save_arrays(_normalize_path(path), payload)
 
 

@@ -17,6 +17,7 @@ import zipfile
 
 import numpy as np
 
+from ..durable import atomic_write
 from .module import LoadReport, Module
 
 __all__ = ["save_module", "load_module", "load_arrays", "load_arrays_into",
@@ -67,30 +68,20 @@ def save_arrays(path: str | os.PathLike,
     ``.npy`` members, but sorts keys and pins every member's timestamp
     to the DOS epoch, so bytes are a pure function of the arrays.
 
-    Atomic like :func:`repro.core.persistence.save_clfd`: written to a
-    temp file in the target directory, then renamed into place.
+    Written through :func:`repro.durable.atomic_write` (durable).
     Returns the path written.
     """
-    path = pathlib.Path(path)
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-                for key in sorted(arrays):
-                    buf = io.BytesIO()
-                    np.lib.format.write_array(
-                        buf, np.ascontiguousarray(arrays[key]),
-                        allow_pickle=False)
-                    info = zipfile.ZipInfo(f"{key}.npy",
-                                           date_time=_ZIP_EPOCH)
-                    zf.writestr(info, buf.getvalue())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-    return path
+    def write(fh):
+        with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+            for key in sorted(arrays):
+                buf = io.BytesIO()
+                np.lib.format.write_array(
+                    buf, np.ascontiguousarray(arrays[key]),
+                    allow_pickle=False)
+                info = zipfile.ZipInfo(f"{key}.npy", date_time=_ZIP_EPOCH)
+                zf.writestr(info, buf.getvalue())
+
+    return atomic_write(path, write, durable=True)
 
 
 def load_arrays(path: str | os.PathLike) -> dict[str, np.ndarray]:

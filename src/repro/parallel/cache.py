@@ -6,15 +6,13 @@ repeated table invocation (same configs, same seeds, same scale) skips
 straight to aggregation.  Only *successful* runs are stored — failures
 are always retried by the next sweep.
 
-Writes are atomic (temp file + ``os.replace``), so a sweep killed
-mid-write never leaves a truncated record; corrupt or unreadable files
-are treated as misses and overwritten.  The same directory may be
-shared by several hosts (NFS + a multi-host coordinator sweep):
-records are self-contained and idempotent, so concurrent writers can
-only race to produce identical bytes.  Orphaned ``*.tmp`` files — the
-crash window between ``mkstemp`` and ``os.replace`` — are swept on
-open and on :meth:`RunCache.clear`, age-gated so an in-flight writer
-on another host is never clobbered.
+Crash posture: :mod:`repro.durable`.  Corrupt or unreadable files are
+misses and get overwritten.  The same directory may be shared by
+several hosts (NFS + a multi-host coordinator sweep): records are
+self-contained and idempotent, so concurrent writers can only race to
+produce identical bytes.  Orphaned temp files are swept on open and on
+:meth:`RunCache.clear`, age-gated so an in-flight writer on another
+host is never clobbered.
 """
 
 from __future__ import annotations
@@ -22,14 +20,15 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 import time
+
+from ..durable import atomic_write
 
 __all__ = ["RunCache", "DEFAULT_CACHE_DIR", "TMP_SWEEP_AGE_S"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-# A writer holds its .tmp for milliseconds (json.dump + os.replace).
+# A writer holds its .tmp for milliseconds.
 # Anything this much older is an orphan from a crashed process, not an
 # in-flight write on a slow NFS peer.
 TMP_SWEEP_AGE_S = 3600.0
@@ -62,17 +61,9 @@ class RunCache:
         payload = dict(record)
         payload.setdefault("key", key)
         payload.setdefault("created", time.time())
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self.path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(payload, sort_keys=True)
+        atomic_write(self.path(key), lambda fh: fh.write(text.encode()),
+                     durable=False)
 
     def __contains__(self, key: str) -> bool:
         # Must agree with get(): a torn/corrupt record on disk is a
@@ -86,8 +77,8 @@ class RunCache:
     def sweep_orphans(self, min_age_s: float | None = None) -> int:
         """Remove ``*.tmp`` leftovers older than ``min_age_s`` seconds.
 
-        A ``put`` interrupted between ``mkstemp`` and ``os.replace``
-        strands its temp file; under a shared multi-host cache dir
+        A ``put`` whose writer died before its cleanup strands its temp
+        file; under a shared multi-host cache dir
         those accumulate forever.  The age gate keeps concurrent
         in-flight writers on other hosts safe.  Returns the number of
         files removed.
@@ -102,7 +93,7 @@ class RunCache:
                     path.unlink()
                     removed += 1
             except OSError:
-                pass  # raced with another sweeper or an os.replace
+                pass  # raced with another sweeper or a writer's rename
         return removed
 
     def clear(self) -> int:

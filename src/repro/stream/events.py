@@ -35,6 +35,7 @@ import numpy as np
 
 from ..data.generators import DATASET_GENERATORS, Archetype
 from ..data.sessions import MALICIOUS, NORMAL
+from ..durable import append_line, read_lines
 
 __all__ = ["Event", "EventLog", "synthesize_drifting_events",
            "write_events", "NOVEL_ARCHETYPES", "DRIFT_MODES"]
@@ -77,9 +78,7 @@ class EventLog:
     """Append-only JSONL event log with offset-addressed replay.
 
     One JSON object per line; the offset of an event is its line
-    number.  Appends are flushed (same crash posture as the metric
-    journal: a SIGKILLed process loses nothing already in the page
-    cache), and readers skip a torn trailing line.
+    number.  Crash posture: :mod:`repro.durable`.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -90,36 +89,20 @@ class EventLog:
 
     def append(self, event: Event) -> int:
         """Append one event; returns the offset it was written at."""
-        offset = len(self)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(event.to_dict()) + "\n")
-            fh.flush()
-        return offset
+        append_line(self.path, json.dumps(event.to_dict()))
+        return len(self) - 1
 
     def extend(self, events: Iterable[Event]) -> int:
-        """Append many events in one handle; returns the next offset."""
-        offset = len(self)
-        with open(self.path, "a") as fh:
-            for event in events:
-                fh.write(json.dumps(event.to_dict()) + "\n")
-                offset += 1
-            fh.flush()
-        return offset
+        """Append many events in one write; returns the next offset."""
+        lines = [json.dumps(event.to_dict()) for event in events]
+        if lines:
+            append_line(self.path, "\n".join(lines))
+        return len(self)
 
     def read(self, start: int = 0) -> Iterator[Event]:
         """Yield events from ``start`` onward, offsets attached."""
-        with open(self.path) as fh:
-            for offset, line in enumerate(fh):
-                if offset < start:
-                    continue
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn write at crash time
-                yield Event.from_dict(payload, offset=offset)
+        for offset, payload in read_lines(self.path, start):
+            yield Event.from_dict(payload, offset=offset)
 
     def __iter__(self) -> Iterator[Event]:
         return self.read(0)

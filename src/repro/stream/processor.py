@@ -18,18 +18,15 @@
   archive is hot-swapped into the engine via the rolling ``reload``
   (no dropped scores) and the monitor re-arms against the new model.
 
-Crash posture: the durable state has two parts, so nothing rewritten
-per window grows with the stream.  ``records.jsonl`` is an append-only
-log: each window batch appends one line with its scored records and
-the windower session counters that changed.  ``checkpoint.json`` is a
-small head, replaced atomically (temp file, then ``os.replace``): the
-bounded state (windower open/pending sessions, monitor, rng, counters,
-current archive, recent windows) plus the committed byte lengths of
-``records.jsonl`` and ``journal.jsonl``.  A commit appends to the log
-first and replaces the head second, so the head never points past
-data on disk.  Appends are flushed, not fsynced — the same posture as
-the :class:`~repro.train.MetricJournal`: a killed *process* loses
-nothing, a power cut may.  A processor constructed with
+Durable state has two parts, so nothing rewritten per window grows
+with the stream.  ``records.jsonl`` is an append-only log: each window
+batch appends one line with its scored records and the windower
+session counters that changed.  ``checkpoint.json`` is a small head:
+the bounded state (windower open/pending sessions, monitor, rng,
+counters, current archive, recent windows) plus the committed byte
+lengths of ``records.jsonl`` and ``journal.jsonl``.  A commit appends
+to the log, then replaces the head, so the head never points past data
+on disk (crash posture: :mod:`repro.durable`).  A processor built with
 ``resume=True`` cuts both files back to the head's lengths (dropping
 torn or uncommitted tails, e.g. the journal line of a window whose
 batch never committed), replays the log, and produces bit-identical
@@ -49,10 +46,10 @@ import numpy as np
 
 from ..core import CLFD
 from ..core.persistence import load_clfd
+from ..durable import append_line, atomic_write, truncate_to
 from ..serve.config import ServeConfig
 from ..serve.engine import InferenceEngine
 from ..train import MetricJournal, TrainRun
-from ..train.journal import truncate_to
 from ..train.seeding import generator_state, set_generator_state
 from .drift import DriftMonitor, DriftReading
 from .events import Event
@@ -405,12 +402,9 @@ class StreamProcessor:
         records = self._records[self._committed_records:]
         counts = self._windower.take_count_updates()
         if records or counts:
-            line = json.dumps({"records": records,
-                               "session_counts": counts}) + "\n"
-            with open(self._records_path, "ab") as fh:
-                fh.write(line.encode())
-                fh.flush()
-                self._records_bytes = fh.tell()
+            self._records_bytes = append_line(
+                self._records_path,
+                json.dumps({"records": records, "session_counts": counts}))
             self._committed_records = len(self._records)
         state = {
             "version": CHECKPOINT_VERSION,
@@ -426,9 +420,9 @@ class StreamProcessor:
             "archive": str(self._archive),
             "recent": self._recent,
         }
-        tmp = self._checkpoint_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(state))
-        os.replace(tmp, self._checkpoint_path)
+        head = json.dumps(state).encode()
+        atomic_write(self._checkpoint_path, lambda fh: fh.write(head),
+                     durable=False)
 
     def _load_checkpoint(self) -> int:
         """Restore the head and replay the log; returns the committed

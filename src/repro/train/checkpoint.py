@@ -15,9 +15,7 @@ loss histories all snapshot through the same two calls:
 Arrays round-trip bit for bit (dtype and shape preserved, stored
 uncompressed); everything else rides in a JSON sidecar entry inside the
 same archive, with arbitrary-precision ints intact (PCG64 RNG state is
-a 128-bit integer).  Writes are atomic — temp file in the target
-directory, then ``os.replace`` — so a crash mid-snapshot can never
-corrupt the previous snapshot.
+a 128-bit integer).  Crash posture: :mod:`repro.durable`.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ import os
 import pathlib
 
 import numpy as np
+
+from ..durable import atomic_write
 
 __all__ = ["CheckpointManager"]
 
@@ -97,35 +97,9 @@ class CheckpointManager:
         meta = json.dumps(skeleton).encode("utf-8")
         payload = dict(arrays)
         payload[_META_KEY] = np.frombuffer(meta, dtype=np.uint8)
-        target = self.path(tag)
-        tmp = target.with_name(f".{target.name}.tmp-{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **payload)
-                # Flush the payload to stable storage *before* the
-                # rename: os.replace only orders the directory entry,
-                # so an unsynced temp file can survive a power loss as
-                # a zero-length "committed" snapshot.
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            # Best-effort cleanup that must never mask the original
-            # failure (the unlink itself can raise, e.g. ENOENT after
-            # a concurrent clear, or EACCES on a read-only mount).
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-        # Make the rename itself durable: fsync the parent directory so
-        # the new entry survives a crash of the whole machine.
-        dir_fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-        return target
+        return atomic_write(self.path(tag),
+                            lambda fh: np.savez(fh, **payload),
+                            durable=True)
 
     def load(self, tag: str) -> dict | None:
         """Return the snapshot for ``tag``, or None if absent."""

@@ -14,14 +14,10 @@ uninterrupted run and a kill/resume run with the same seed) with
 :func:`deterministic_entries` projects out exactly the deterministic
 part, which is what resume tests and the CI resume-smoke job compare.
 
-Crash safety: lines are flushed after every write, a torn trailing
-line (the process died mid-write) is ignored by readers, and opening a
-journal with ``resume=True`` compacts the file down to its valid
-prefix.  :meth:`MetricJournal.drop` removes entries a resumed run is
-about to recompute, so re-run epochs never appear twice.  A caller
-that records the journal's byte length in its own checkpoint cuts
-everything logged after that commit with :func:`truncate_to` before
-reopening the journal.
+Crash posture: :mod:`repro.durable`.  Readers ignore a torn trailing
+line, ``resume=True`` compacts it away, and :meth:`MetricJournal.drop`
+removes entries a resumed run is about to recompute, so re-run epochs
+never appear twice.
 """
 
 from __future__ import annotations
@@ -31,6 +27,8 @@ import os
 import pathlib
 import time
 from typing import Callable, Iterable
+
+from ..durable import append_line, atomic_write, read_lines
 
 __all__ = [
     "MetricJournal",
@@ -61,12 +59,7 @@ class MetricJournal:
     # ------------------------------------------------------------------
     def log(self, **record) -> dict:
         """Append one entry; returns the record as written."""
-        # Flush (not fsync): a SIGKILLed *process* loses nothing once the
-        # line is in the page cache, and per-epoch fsyncs would dominate
-        # the fast classifier-head epochs.
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(record) + "\n")
-            fh.flush()
+        append_line(self.path, json.dumps(record))
         return record
 
     def log_epoch(self, phase: str, epoch: int, loss: float,
@@ -105,48 +98,17 @@ class MetricJournal:
         return removed
 
     def _rewrite(self, entries: Iterable[dict]) -> None:
-        tmp = self.path.with_name(f".{self.path.name}.tmp-{os.getpid()}")
-        with open(tmp, "w") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-
-
-def truncate_to(path: str | os.PathLike, size: int) -> None:
-    """Cut ``path`` back to its first ``size`` bytes.
-
-    Raises ``ValueError`` when the file holds fewer bytes than that: a
-    committed prefix went missing, which no truncation can repair.
-    """
-    with open(path, "r+b") as fh:
-        actual = fh.seek(0, os.SEEK_END)
-        if actual < size:
-            raise ValueError(
-                f"{path} holds {actual} bytes but {size} were committed; "
-                "the file lost committed data")
-        fh.truncate(size)
+        text = "".join(json.dumps(entry) + "\n" for entry in entries)
+        atomic_write(self.path, lambda fh: fh.write(text.encode()),
+                     durable=True)
 
 
 def read_journal(path: str | os.PathLike) -> list[dict]:
     """Parse a journal file, skipping torn/corrupt lines."""
-    path = pathlib.Path(path)
-    if not path.exists():
+    if not os.path.exists(path):
         return []
-    entries = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write at crash time
-            if isinstance(entry, dict):
-                entries.append(entry)
-    return entries
+    return [entry for _, entry in read_lines(path)
+            if isinstance(entry, dict)]
 
 
 def deterministic_entries(path: str | os.PathLike) -> list[dict]:

@@ -48,6 +48,19 @@ def test_event_log_skips_torn_trailing_line(tmp_path):
     assert [e.offset for e in log] == [0]
 
 
+def test_append_after_torn_tail_starts_a_new_line(tmp_path):
+    """Regression: an append after a torn last line (its writer was
+    killed mid-write) landed on that line, so ``read()`` skipped the new
+    event and the returned offset pointed at nothing."""
+    path = tmp_path / "events.jsonl"
+    EventLog(path).append(_event(0.0))
+    with open(path, "a") as fh:
+        fh.write('{"time": 1.0, "entity": "u0", "act')  # crash mid-write
+    log = EventLog(path)
+    assert log.append(_event(2.0)) == 1
+    assert [(e.offset, e.time) for e in log] == [(0, 0.0), (1, 2.0)]
+
+
 def test_synthesis_is_deterministic():
     a = synthesize_drifting_events("cert", n_sessions=30, rng=5)
     b = synthesize_drifting_events("cert", n_sessions=30, rng=5)

@@ -1,9 +1,13 @@
 """Tests for the atomic tagged checkpoint store."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from repro.train import CheckpointManager
+from repro.nn.serialize import save_arrays
+from repro.train import CheckpointManager, MetricJournal
 
 
 @pytest.fixture()
@@ -110,28 +114,45 @@ def test_numpy_scalars_coerced(manager):
     assert isinstance(loaded["i"], int) and isinstance(loaded["b"], bool)
 
 
+def _assert_fsyncs_file_then_directory(monkeypatch, write):
+    kinds = []
+    real_fsync = os.fsync
+
+    def spy_fsync(fd):
+        kinds.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    write()
+    assert "file" in kinds, "temp file never fsynced before os.replace"
+    assert "dir" in kinds, "parent directory never fsynced after rename"
+    assert kinds.index("file") < kinds.index("dir")
+
+
 def test_save_fsyncs_payload_and_directory(manager, monkeypatch):
     """Durability: the temp file must be fsynced before os.replace (an
     unsynced rename can commit a zero-length snapshot across a power
     loss) and the parent directory after it (or the rename itself can
     be lost)."""
-    import os as _os
+    _assert_fsyncs_file_then_directory(
+        monkeypatch, lambda: manager.save("durable", {"w": np.ones(3)}))
 
-    synced_fds = []
-    real_fsync = _os.fsync
 
-    def spy_fsync(fd):
-        synced_fds.append(_os.fstat(fd).st_mode)
-        return real_fsync(fd)
+def _compact_journal(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    path.write_text('{"phase": "fit", "epoch": 0}\n{"torn')
+    MetricJournal(path, resume=True)
 
-    monkeypatch.setattr("repro.train.checkpoint.os.fsync", spy_fsync)
-    manager.save("durable", {"w": np.ones(3)})
-    import stat
-    kinds = [("dir" if stat.S_ISDIR(mode) else "file")
-             for mode in synced_fds]
-    assert "file" in kinds, "temp file never fsynced before os.replace"
-    assert "dir" in kinds, "parent directory never fsynced after rename"
-    assert kinds.index("file") < kinds.index("dir")
+
+@pytest.mark.parametrize("write", [
+    lambda tmp_path: save_arrays(tmp_path / "model.npz", {"w": np.ones(3)}),
+    _compact_journal,
+], ids=["save_arrays", "journal-compaction"])
+def test_durable_site_fsyncs_payload_then_directory(tmp_path, monkeypatch,
+                                                    write):
+    """The other durable sites keep the checkpoint's posture."""
+    _assert_fsyncs_file_then_directory(monkeypatch,
+                                       lambda: write(tmp_path))
 
 
 def test_save_error_path_does_not_mask_original_exception(manager,
