@@ -9,6 +9,7 @@ cells and returns one :class:`CellResult` per spec, in input order.
 * ``workers>1`` fans cells out over a ``ProcessPoolExecutor``.  Results
   are bit-identical to sequential execution because every cell derives
   all randomness from its own spec (see :mod:`repro.parallel.worker`).
+  Each pool worker runs one BLAS thread (:mod:`repro.blas`).
 * A :class:`~repro.parallel.cache.RunCache` (optional) is consulted
   before any work is scheduled and updated after every success, so
   interrupted sweeps resume and repeated invocations skip straight
@@ -34,6 +35,7 @@ cells and returns one :class:`CellResult` per spec, in input order.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import queue as queue_mod
 import time
 import traceback
@@ -41,6 +43,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
+from ..blas import pin_forked_worker
 from .cache import RunCache
 from .coordinator import DEFAULT_LEASE_TTL
 from .tasks import TaskSpec, task_key
@@ -171,6 +174,17 @@ class _Progress:
         return f"  (elapsed {_hms(elapsed)}, eta {_hms(eta)})"
 
 
+def _process_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` forked processes, one BLAS thread each.
+
+    Fork, not spawn: a spawned worker costs a fresh interpreter and
+    NumPy import, and the pool a resource tracker process.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=pin_forked_worker)
+
+
 def _hms(seconds: float) -> str:
     seconds = int(round(seconds))
     if seconds < 60:
@@ -292,7 +306,7 @@ class GridExecutor:
                     break
 
     def _run_pool(self, specs, todo, results, progress) -> None:
-        pool = ProcessPoolExecutor(max_workers=self.workers)
+        pool = _process_pool(self.workers)
         # future -> (spec index, attempt, owning pool).  The owning pool
         # matters on breakage: futures of an already-replaced pool still
         # surface BrokenProcessPool later, and must not tear down the
@@ -319,8 +333,7 @@ class GridExecutor:
                         # budget of innocent cells sharing its pool.
                         if owner is pool:
                             pool.shutdown(wait=False)
-                            pool = ProcessPoolExecutor(
-                                max_workers=self.workers)
+                            pool = _process_pool(self.workers)
                         suspects.append((i, attempt))
                     except Exception as exc:
                         attempt += 1
@@ -353,7 +366,7 @@ class GridExecutor:
         """
         key = task_key(spec)
         while True:
-            solo = ProcessPoolExecutor(max_workers=1)
+            solo = _process_pool(1)
             try:
                 payload = solo.submit(execute_task, spec, attempt,
                                       self.checkpoint_dir).result()

@@ -23,6 +23,7 @@ import time
 import traceback
 import uuid
 
+from ..blas import spawn_env
 from .coordinator import CoordinatorClient
 
 __all__ = ["run_worker", "spawn_local_workers"]
@@ -148,7 +149,11 @@ def _local_worker_main(address: tuple[str, int],
 
 def spawn_local_workers(address: tuple[str, int], count: int,
                         checkpoint_dir: str | None = None) -> list:
-    """Start ``count`` worker processes against ``address``."""
+    """Start ``count`` worker processes against ``address``.
+
+    Each runs one BLAS thread (:mod:`repro.blas`); ``repro join``, which
+    the operator starts, keeps BLAS's default.
+    """
     import multiprocessing
 
     ctx = multiprocessing.get_context("spawn")
@@ -156,6 +161,7 @@ def spawn_local_workers(address: tuple[str, int], count: int,
     for _ in range(count):
         proc = ctx.Process(target=_local_worker_main,
                            args=(address, checkpoint_dir), daemon=True)
-        proc.start()
+        with spawn_env():
+            proc.start()
         procs.append(proc)
     return procs

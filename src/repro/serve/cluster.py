@@ -29,9 +29,8 @@ processes**:
 
 Workers are ``spawn``-started: fork is unsafe under the front-end's
 HTTP threads, and spawn keeps each worker a clean interpreter.  Each
-worker starts with one BLAS thread (:func:`_worker_blas_env`): the
-cluster's parallelism is its N workers, and N processes each running a
-BLAS pool as wide as the host only fight over the same cores.
+worker starts with one BLAS thread (:mod:`repro.blas`): the cluster's
+parallelism is its N workers.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import traceback
 from concurrent.futures import Future
 from typing import Any, Iterable
 
+from ..blas import spawn_env
 from .config import ServeConfig
 from .engine import InferenceEngine, _EngineFront
 from .metrics import ServingMetrics, merge_snapshots
@@ -57,10 +57,6 @@ __all__ = ["ClusterEngine", "HashRing", "WorkerGone"]
 
 _READY_TIMEOUT_S = 120.0
 _METRICS_TIMEOUT_S = 10.0
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
-# Serialises the temporary os.environ edit around a worker's start.
-_SPAWN_ENV_LOCK = threading.Lock()
 
 
 class WorkerGone(RuntimeError):
@@ -127,15 +123,6 @@ class HashRing:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _worker_blas_env(environ) -> dict[str, str]:
-    """The BLAS thread variables a worker starts with.
-
-    Each is ``"1"`` unless the operator already set it in ``environ``,
-    in which case their value wins.
-    """
-    return {name: environ.get(name, "1") for name in _BLAS_THREAD_VARS}
-
-
 def _worker_main(worker_id: int, req_conn, resp_conn, manifest: dict,
                  config: ServeConfig) -> None:
     """Entry point of one scoring worker process.
@@ -257,18 +244,8 @@ class _WorkerClient:
             target=_worker_main,
             args=(worker_id, req_recv, resp_send, manifest, config),
             name=f"repro-serve-worker-{worker_id}", daemon=True)
-        # The child inherits os.environ at start(): add the BLAS pins
-        # the operator left unset, then take them out of ours again.
-        with _SPAWN_ENV_LOCK:
-            added = {name: value
-                     for name, value in _worker_blas_env(os.environ).items()
-                     if name not in os.environ}
-            os.environ.update(added)
-            try:
-                self.process.start()
-            finally:
-                for name in added:
-                    del os.environ[name]
+        with spawn_env():
+            self.process.start()
         req_recv.close()
         resp_send.close()
         self._reader = threading.Thread(

@@ -33,3 +33,22 @@ def fresh_split_cache():
     clear_split_cache()
     yield
     clear_split_cache()
+
+
+@pytest.fixture
+def two_blas_threads(monkeypatch):
+    """A parent running two BLAS threads and no operator thread variable.
+
+    Forcing two threads makes a pool worker's one thread a real change
+    on any host, including a one-CPU one.
+    """
+    from repro.blas import _BLAS_THREAD_VARS, _set_threads, blas_threads
+
+    for name in _BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    before = blas_threads()
+    assert before is not None, "no OpenBLAS loaded in the test process"
+    _set_threads(2)
+    assert blas_threads() == 2
+    yield
+    _set_threads(before)

@@ -10,6 +10,7 @@ workers, including a SIGKILL mid-cell.
 import math
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from repro.parallel import (
     run_worker,
     spawn_local_workers,
 )
+from repro.blas import _BLAS_THREAD_VARS
 from repro.parallel.worker import execute_task
 
 
@@ -258,3 +260,31 @@ def test_coordinated_executor_records_structured_failures(make_spec):
     assert results[1].error["type"] == "RuntimeError"
     assert "injected failure" in results[1].error["message"]
     assert results[1].attempts == 1
+
+
+def test_local_worker_start_leaves_parent_environ_unchanged(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")  # the operator's choice
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    procs = []
+    # Bound but never listening: the worker's connects are refused, so
+    # it keeps retrying until terminated.
+    with socket.socket() as refused:
+        refused.bind(("127.0.0.1", 0))
+        try:
+            procs = spawn_local_workers(refused.getsockname(), 1)
+            assert dict(os.environ) == before
+            with open(f"/proc/{procs[0].pid}/environ", "rb") as fh:
+                worker_env = dict(entry.decode().split("=", 1)
+                                  for entry in fh.read().split(b"\0")
+                                  if entry)
+        finally:
+            for proc in procs:
+                proc.terminate()
+                proc.join(timeout=5)
+    assert not procs[0].is_alive()
+    assert dict(os.environ) == before
+    assert {name: worker_env.get(name) for name in _BLAS_THREAD_VARS} == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+        "MKL_NUM_THREADS": "1"}

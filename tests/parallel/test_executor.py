@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.blas import blas_threads
 from repro.parallel import GridExecutor, RunCache, SweepError, task_key
 from repro.parallel import executor as executor_mod
 from repro.parallel import format_timing_summary
@@ -35,6 +37,40 @@ def test_parallel_is_bit_identical_to_sequential(make_spec):
     parallel = GridExecutor(workers=2).run(specs)
     for seq, par in zip(sequential, parallel):
         assert_metrics_identical(par.metrics, seq.metrics)
+
+
+def _report_blas_threads(spec, attempt, checkpoint_dir):
+    return {"metrics": {"blas_threads": blas_threads()}, "seconds": 0.0}
+
+
+def test_pool_workers_run_one_blas_thread(make_spec, two_blas_threads,
+                                          monkeypatch):
+    # Forked workers inherit the patched cell function.
+    monkeypatch.setattr(executor_mod, "execute_task", _report_blas_threads)
+    results = GridExecutor(workers=2).run(
+        [make_spec(seed=s) for s in range(4)])
+    assert [r.metrics for r in results] == [{"blas_threads": 1}] * 4
+    assert blas_threads() == 2  # the parent keeps its pool
+
+
+def _gemm(seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, 512, 512))
+    return blas_threads(), a @ b
+
+
+def test_one_thread_gemm_is_bit_identical_to_parent(two_blas_threads):
+    # 512^3 is far past the size at which OpenBLAS splits a GEMM over
+    # its threads, so the parent's product is computed by two.
+    threads, parent = _gemm(7)
+    assert threads == 2
+    pool = executor_mod._process_pool(1)
+    try:
+        threads, worker = pool.submit(_gemm, 7).result(timeout=60)
+    finally:
+        pool.shutdown(wait=True)
+    assert threads == 1
+    assert worker.tobytes() == parent.tobytes()
 
 
 def test_cache_skips_recompute(make_spec, tmp_path, monkeypatch):

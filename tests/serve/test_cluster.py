@@ -18,7 +18,7 @@ import pytest
 from repro.core import load_clfd
 from repro.serve import (ClusterEngine, HashRing, InferenceEngine,
                          RequestError, ServeConfig, TenantRateLimiter)
-from repro.serve.cluster import _BLAS_THREAD_VARS, _worker_blas_env
+from repro.blas import _BLAS_THREAD_VARS, _worker_blas_env
 
 CLUSTER_CONFIG = ServeConfig(workers=2, max_wait_ms=1.0, max_batch=8)
 
