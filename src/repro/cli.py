@@ -147,8 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "across a cluster sharing one weight copy)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batch size ceiling")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="coalescing window after the first request")
+    serve.add_argument("--max-wait-ms", type=float, default=0.0,
+                       help="coalescing window after the first request "
+                            "(default 0: batch whatever is queued when "
+                            "the worker is free)")
     serve.add_argument("--max-queue", type=int, default=1024,
                        help="queue bound before 429 backpressure")
     serve.add_argument("--rate-limit-rps", type=float, default=None,

@@ -26,6 +26,13 @@ Two tiers are provided:
   GEMM over all timesteps instead of one small GEMM per step.  These
   are what the ``LSTM``/``GRU`` layers use.
 
+Inference over a padded batch can skip dead cells: with grad disabled,
+the sequence kernels take ``live`` (from :func:`live_rows`), run the
+time loop only up to the longest row, and confine each step's
+elementwise work to the row prefix that still holds a live row.  Every
+GEMM keeps its full shape, so live cells are bit-identical to the full
+grid (DESIGN.md §7); the cells skipped are left at zero.
+
 All kernels follow the engine's dtype: float32 inputs stay float32
 throughout forward and backward.
 """
@@ -34,9 +41,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
+    "live_rows",
     "fused_lstm_step",
     "fused_lstm_step_preproj",
     "fused_lstm_sequence",
@@ -56,6 +64,32 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
     np.exp(x, out=x)
     x += 1.0
     np.reciprocal(x, out=x)
+
+
+def live_rows(lengths, time: int) -> tuple[int, ...]:
+    """Per-step live-row prefix of a padded batch, for the sequence kernels.
+
+    Entry ``t`` is ``n_t = 1 + max{b : len_b > t}``, the shortest row
+    prefix holding every row still inside its sequence at step ``t``;
+    there is one entry per step up to the longest row (lengths are
+    clipped to ``time``).  Rows need not be sorted: a short row inside
+    the prefix is simply computed as in the full grid.
+    """
+    lengths = np.minimum(np.asarray(lengths).astype(np.int64), time)
+    steps = int(lengths.max(initial=0))
+    alive = lengths[None, :] > np.arange(steps)[:, None]
+    rank = np.arange(1, len(lengths) + 1)
+    return tuple(int(n) for n in (alive * rank).max(axis=1, initial=0))
+
+
+def _steps(live, time: int) -> int:
+    """Time steps a sequence kernel runs: all, or the ``live`` ones."""
+    if live is None:
+        return time
+    if is_grad_enabled():
+        raise ValueError("live rows skip cells the backward pass reads; "
+                         "pass them only under nn.no_grad()")
+    return len(live)
 
 
 def _add_grad_slice(param: Tensor, cols: slice, grad: np.ndarray) -> None:
@@ -186,7 +220,7 @@ def _lstm_tail(project, x_in, h_prev, c_prev, w_x, w_h, bias):
     return h_out, c_out
 
 
-def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias):
+def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias, live=None):
     """Run a whole LSTM layer over time as one graph node.
 
     ``x`` is the layer input ``(batch, time, features)``.  The input
@@ -198,9 +232,14 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias):
     reverse, filling one ``(batch, time, 4*hidden)`` pre-activation
     gradient buffer; every weight gradient is then one batched GEMM over
     all timesteps rather than ``time`` small per-step GEMMs.
+
+    ``live`` (inference only, from :func:`live_rows`) runs ``len(live)``
+    steps, step ``t`` updating rows ``[:live[t]]``; the states of the
+    skipped cells are zero.
     """
     x, h0, c0 = as_tensor(x), as_tensor(h0), as_tensor(c0)
     batch, time, feat = x.data.shape
+    steps = _steps(live, time)
     hs = w_h.shape[0]
     four_hs = 4 * hs
     dtype = x.data.dtype
@@ -226,15 +265,20 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias):
         np.dot(flat, w_x.data, out=proj2d)
         np.add(proj2d, bias.data, out=proj2d)
         c_all[0], h_all[0] = c0.data, h0.data
+        if live is not None:
+            c_all[1:], h_all[1:] = 0.0, 0.0
         h0_zero = not (h0.requires_grad or h0.data.any())
         h, c = h0.data, c0.data
-        for t in range(time):
-            gates = act[t]
+        for t in range(steps):
+            # Only the GEMM sees every row: its output rows do not depend
+            # on each other, so a live row gets the full-grid bits.
+            rows = batch if live is None else live[t]
             if t == 0 and h0_zero:  # h0 all-zero: skip the recurrent GEMM
-                np.copyto(gates, proj[t])
+                np.copyto(act[t], proj[t])
             else:
-                np.dot(h, w_h.data, out=gates)
-                gates += proj[t]
+                np.dot(h, w_h.data, out=act[t])
+                act[t, :rows] += proj[t, :rows]
+            gates = act[t, :rows]
             _sigmoid_inplace(gates[:, 0 * hs:2 * hs])   # input + forget
             np.tanh(gates[:, 2 * hs:3 * hs], out=gates[:, 2 * hs:3 * hs])
             _sigmoid_inplace(gates[:, 3 * hs:4 * hs])   # output
@@ -242,13 +286,14 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias):
             f = gates[:, 1 * hs:2 * hs]
             g = gates[:, 2 * hs:3 * hs]
             o = gates[:, 3 * hs:4 * hs]
-            c_new, tc, h_new = c_all[t + 1], tc_all[t], h_all[t + 1]
-            np.multiply(f, c, out=c_new)
-            np.multiply(i, g, out=scratch)
-            c_new += scratch
+            c_new, tc = c_all[t + 1, :rows], tc_all[t, :rows]
+            h_new, s = h_all[t + 1, :rows], scratch[:rows]
+            np.multiply(f, c[:rows], out=c_new)
+            np.multiply(i, g, out=s)
+            c_new += s
             np.tanh(c_new, out=tc)
             np.multiply(o, tc, out=h_new)
-            h, c = h_new, c_new
+            h, c = h_all[t + 1], c_all[t + 1]
 
     forward_pass()
 
@@ -442,7 +487,8 @@ def _gru_tail(project_gates, project_cand, x_in, h_prev, w_x, w_h, bias,
     return h_out
 
 
-def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c):
+def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
+                       live=None):
     """Run a whole GRU layer over time as one graph node.
 
     ``x`` is the layer input ``(batch, time, features)``.  Both input
@@ -451,10 +497,11 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c):
     Returns ``(h_seq, h_T)``.  Like :func:`fused_lstm_sequence`, the
     single backward closure fills per-sequence gradient buffers and
     computes every weight gradient with batched GEMMs over all
-    timesteps.
+    timesteps, and ``live`` skips dead cells at inference.
     """
     x, h0 = as_tensor(x), as_tensor(h0)
     batch, time, feat = x.data.shape
+    steps = _steps(live, time)
     hs = w_h.shape[0]
     two_hs = 2 * hs
     dtype = x.data.dtype
@@ -472,7 +519,8 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c):
     n_all = np.empty((time, batch, hs), dtype=dtype)
     # Extra leading slot holds h0 so backward reads h_prev as a slice.
     h_all = np.empty((time + 1, batch, hs), dtype=dtype)
-    scratch = np.empty((batch, hs), dtype=dtype)
+    # Zeroed: the candidate GEMM reads every row, dead ones included.
+    scratch = np.zeros((batch, hs), dtype=dtype)
 
     def forward_pass():
         np.copyto(x_tb, x.data.transpose(1, 0, 2))
@@ -481,24 +529,30 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c):
         np.dot(flat, w_xc.data, out=proj_c2d)
         np.add(proj_c2d, bias_c.data, out=proj_c2d)
         h_all[0] = h0.data
+        if live is not None:
+            h_all[1:] = 0.0
         h = h0.data
-        for t in range(time):
-            gates = gate_all[t]
-            np.dot(h, w_h.data, out=gates)
-            gates += proj_g[t]
+        for t in range(steps):
+            # As in fused_lstm_sequence: full-shape GEMMs, live-row
+            # prefix for everything elementwise.
+            rows = batch if live is None else live[t]
+            np.dot(h, w_h.data, out=gate_all[t])
+            gates = gate_all[t, :rows]
+            gates += proj_g[t, :rows]
             _sigmoid_inplace(gates)                  # reset + update
             r = gates[:, 0 * hs:1 * hs]
             z = gates[:, 1 * hs:2 * hs]
-            n, h_new = n_all[t], h_all[t + 1]
-            np.multiply(r, h, out=scratch)
-            np.dot(scratch, w_hc.data, out=n)
-            n += proj_c[t]
+            s = scratch[:rows]
+            np.multiply(r, h[:rows], out=s)
+            np.dot(scratch, w_hc.data, out=n_all[t])
+            n, h_new = n_all[t, :rows], h_all[t + 1, :rows]
+            n += proj_c[t, :rows]
             np.tanh(n, out=n)
-            np.multiply(z, h, out=h_new)
-            np.subtract(1.0, z, out=scratch)
-            np.multiply(scratch, n, out=scratch)
-            h_new += scratch
-            h = h_new
+            np.multiply(z, h[:rows], out=h_new)
+            np.subtract(1.0, z, out=s)
+            np.multiply(s, n, out=s)
+            h_new += s
+            h = h_all[t + 1]
 
     forward_pass()
 

@@ -19,7 +19,9 @@ recurrent matrix once (cached) and the timestep loop reuses it.
 Every operation here is deterministic NumPy with fixed shapes (the
 serving engine pads batches to ``max_batch`` rows), which is what makes
 quantized scores bit-identical across cluster workers and across a
-rolling reload at fixed precision.
+rolling reload at fixed precision.  As in :mod:`repro.nn.fused`, the
+LSTM/GRU stacks under mean pooling skip dead cells: GEMMs keep every
+row, elementwise work runs on the live-row prefix only.
 
 The forward math mirrors :mod:`repro.core.encoder` /
 :mod:`repro.nn.lstm` exactly — gate order ``[input, forget, cell,
@@ -39,6 +41,7 @@ from ..data.pipeline import SessionVectorizer
 from ..data.sessions import SessionDataset, iter_batches
 from ..data.vocab import Vocabulary
 from ..data.word2vec import Word2VecConfig
+from ..nn.fused import live_rows
 from ..nn.quant import dequantize_np, fp16_embed_np, quant_matmul_np
 from .quantize import SCALE_SUFFIX
 
@@ -130,18 +133,26 @@ class QuantizedSkipGram:
 # Encoder stacks (forward math mirrors repro.nn.lstm / gru / bilstm)
 # ----------------------------------------------------------------------
 class _QuantLSTMStack:
-    """N stacked LSTM layers; cells are dicts of QuantWeight/bias."""
+    """N stacked LSTM layers; cells are dicts of QuantWeight/bias.
+
+    ``live`` (from :func:`repro.nn.fused.live_rows`) runs ``len(live)``
+    steps, step ``t`` updating rows ``[:live[t]]``; skipped cells of the
+    output are zero.  The recurrent state keeps every row, so each
+    step's GEMM has the full-grid shape.
+    """
 
     def __init__(self, cells: list[dict]):
         self.cells = cells
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray,
+                live: tuple[int, ...] | None = None) -> np.ndarray:
         for cell in self.cells:
-            x = self._layer(x, cell)
+            x = self._layer(x, cell, live)
         return x
 
     @staticmethod
-    def _layer(x: np.ndarray, cell: dict) -> np.ndarray:
+    def _layer(x: np.ndarray, cell: dict,
+               live: tuple[int, ...] | None) -> np.ndarray:
         batch, time, _ = x.shape
         hidden = cell["bias"].shape[0] // 4
         proj = cell["w_x"].project(x.reshape(batch * time, -1),
@@ -150,32 +161,36 @@ class _QuantLSTMStack:
         w_h = cell["w_h"].dense()
         h = np.zeros((batch, hidden), dtype=_F32)
         c = np.zeros((batch, hidden), dtype=_F32)
-        out = np.empty((batch, time, hidden), dtype=_F32)
-        for t in range(time):
-            gates = proj[:, t] + h @ w_h
+        out = np.zeros((batch, time, hidden), dtype=_F32)
+        for t in range(time if live is None else len(live)):
+            rows = batch if live is None else live[t]
+            gates = proj[:rows, t] + (h @ w_h)[:rows]
             i = _sigmoid(gates[:, :hidden])
             f = _sigmoid(gates[:, hidden:2 * hidden])
             g = np.tanh(gates[:, 2 * hidden:3 * hidden])
             o = _sigmoid(gates[:, 3 * hidden:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            out[:, t] = h
+            c[:rows] = f * c[:rows] + i * g
+            h[:rows] = o * np.tanh(c[:rows])
+            out[:rows, t] = h[:rows]
         return out
 
 
 class _QuantGRUStack:
-    """N stacked GRU layers (reset/update gates + separate candidate)."""
+    """N stacked GRU layers (reset/update gates + separate candidate);
+    ``live`` skips dead cells as in :class:`_QuantLSTMStack`."""
 
     def __init__(self, cells: list[dict]):
         self.cells = cells
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray,
+                live: tuple[int, ...] | None = None) -> np.ndarray:
         for cell in self.cells:
-            x = self._layer(x, cell)
+            x = self._layer(x, cell, live)
         return x
 
     @staticmethod
-    def _layer(x: np.ndarray, cell: dict) -> np.ndarray:
+    def _layer(x: np.ndarray, cell: dict,
+               live: tuple[int, ...] | None) -> np.ndarray:
         batch, time, _ = x.shape
         hidden = cell["bias"].shape[0] // 2
         flat = x.reshape(batch * time, -1)
@@ -186,14 +201,17 @@ class _QuantGRUStack:
         w_h = cell["w_h"].dense()
         w_hc = cell["w_hc"].dense()
         h = np.zeros((batch, hidden), dtype=_F32)
-        out = np.empty((batch, time, hidden), dtype=_F32)
-        for t in range(time):
-            gates = proj_g[:, t] + h @ w_h
+        rh = np.zeros((batch, hidden), dtype=_F32)
+        out = np.zeros((batch, time, hidden), dtype=_F32)
+        for t in range(time if live is None else len(live)):
+            rows = batch if live is None else live[t]
+            gates = proj_g[:rows, t] + (h @ w_h)[:rows]
             r = _sigmoid(gates[:, :hidden])
             z = _sigmoid(gates[:, hidden:])
-            candidate = np.tanh(proj_c[:, t] + (r * h) @ w_hc)
-            h = z * h + (1.0 - z) * candidate
-            out[:, t] = h
+            rh[:rows] = r * h[:rows]
+            candidate = np.tanh(proj_c[:rows, t] + (rh @ w_hc)[:rows])
+            h[:rows] = z * h[:rows] + (1.0 - z) * candidate
+            out[:rows, t] = h[:rows]
         return out
 
 
@@ -224,9 +242,13 @@ class _QuantEncoder:
         self.attention_query = attention_query
 
     def encode(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        outputs = self.stack.forward(np.asarray(x, dtype=_F32))
+        x = np.asarray(x, dtype=_F32)
         if self.pooling == "attention":
-            return self._attention_pool(outputs, lengths)
+            return self._attention_pool(self.stack.forward(x), lengths)
+        if isinstance(self.stack, _QuantBiLSTMStack):
+            # The reverse pass reads the padding first: full grid.
+            return self._mean_pool(self.stack.forward(x), lengths)
+        outputs = self.stack.forward(x, live_rows(lengths, x.shape[1]))
         return self._mean_pool(outputs, lengths)
 
     @staticmethod

@@ -5,8 +5,11 @@ calls whose cost grows sub-linearly in batch size, so scoring 32
 sessions in one forward costs a small multiple of scoring one.  The
 :class:`MicroBatcher` exploits that: callers submit one item at a time
 and block on a future; a single worker thread drains the queue into
-batches of up to ``max_batch`` items, waiting at most ``max_wait_ms``
-after the first item so a lone request is never parked indefinitely.
+batches of up to ``max_batch`` items.  By default it does not wait for
+company: a batch is whatever is queued when the worker frees up, so a
+lone request is dispatched at once and requests that arrive during a
+forward share the next one.  ``max_wait_ms`` opts into a coalescing
+window after the first item.
 
 Backpressure is a bounded queue: when ``max_queue`` submissions are
 already waiting, :meth:`submit` fails fast with :class:`QueueFullError`
@@ -60,15 +63,16 @@ class MicroBatcher:
         survives).
     max_batch: largest batch handed to ``process``.
     max_wait_ms: how long the worker waits for co-batchable items after
-        the first one arrives.  ``0`` degenerates to per-item batches
-        under low concurrency.
+        the first one arrives.  ``0`` (the default) waits for none: the
+        batch is what is already queued, which is a single item only
+        when nothing else arrived during the previous forward.
     max_queue: bound on not-yet-batched submissions (backpressure).
     on_batch: optional observer ``(batch_size, process_seconds)`` —
         the metrics hook.
     """
 
     def __init__(self, process: Callable[[list], Sequence],
-                 max_batch: int = 32, max_wait_ms: float = 2.0,
+                 max_batch: int = 32, max_wait_ms: float = 0.0,
                  max_queue: int = 1024,
                  on_batch: Callable[[int, float], None] | None = None):
         if max_batch < 1:

@@ -26,7 +26,10 @@ class ServeConfig:
     ----------
     max_batch / max_wait_ms / max_queue: micro-batcher window — batch
         ceiling, coalescing wait after the first request, and the
-        backpressure bound that maps to HTTP 429.
+        backpressure bound that maps to HTTP 429.  ``max_wait_ms=0``
+        (the default) dispatches whatever is queued the moment the
+        worker is free: every batch is padded to ``max_batch`` rows
+        anyway, so waiting for company never makes a forward cheaper.
     workers: scoring processes.  ``1`` serves in-process through
         :class:`InferenceEngine`; ``>1`` starts a sharded
         :class:`ClusterEngine` with model weights in shared memory.
@@ -50,7 +53,7 @@ class ServeConfig:
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     max_queue: int = 1024
     workers: int = 1
     host: str = "127.0.0.1"

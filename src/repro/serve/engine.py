@@ -383,6 +383,11 @@ class InferenceEngine(_EngineFront):
         function of the session alone, which is what keeps
         differently-coalesced engines (cluster shards vs a single
         process) bit-identical.
+
+        Padding costs little beyond the GEMM rows: LSTM and GRU
+        encoders with mean pooling skip dead cells (DESIGN.md §7), so a
+        tail pad row of length 1 is computed at step 0 only and no step
+        runs past the longest real session.
         """
         rows = items + [_WARMUP] * (self.config.max_batch - len(items))
         dataset = SessionDataset(

@@ -105,3 +105,47 @@ def _persist_in_memory(model):
 
     with tempfile.TemporaryDirectory() as tmp:
         return read_archive(save_clfd(model, tmp + "/m"))
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_mean_pool_skips_dead_cells_bit_for_bit(cell):
+    """The quant stacks under mean pooling compute only live-row
+    prefixes; every computed cell keeps the full-grid bits, skipped ones
+    are zero, and the pooled encoding does not move."""
+    from repro.nn.fused import live_rows
+    from repro.quant.runtime import (QuantWeight, _QuantEncoder,
+                                     _QuantGRUStack, _QuantLSTMStack)
+
+    rng = np.random.default_rng(0)
+    gates = 4 if cell == "lstm" else 2
+    hidden, feat = 16, 12
+
+    def int8(rows, cols):
+        return QuantWeight(
+            "int8", rng.integers(-127, 128, (rows, cols)).astype(np.int8),
+            rng.uniform(0.001, 0.01, cols).astype(np.float32))
+
+    cells = []
+    for layer in range(2):
+        width = feat if layer == 0 else hidden
+        entry = {"w_x": int8(width, gates * hidden),
+                 "w_h": int8(hidden, gates * hidden),
+                 "bias": rng.normal(size=gates * hidden).astype(np.float32)}
+        if cell == "gru":
+            entry.update(w_xc=int8(width, hidden), w_hc=int8(hidden, hidden),
+                         bias_c=rng.normal(size=hidden).astype(np.float32))
+        cells.append(entry)
+    stack = (_QuantLSTMStack if cell == "lstm" else _QuantGRUStack)(cells)
+    lengths = np.array([9, 3, 9, 2, 1, 1, 1, 1])
+    x = rng.normal(size=(len(lengths), 9, feat)).astype(np.float32)
+
+    full = stack.forward(x)
+    live = live_rows(lengths, 9)
+    aware = stack.forward(x, live)
+    for t in range(9):
+        rows = live[t] if t < len(live) else 0
+        assert aware[:rows, t].tobytes() == full[:rows, t].tobytes(), t
+        assert not aware[rows:, t].any(), t
+    pooled = _QuantEncoder(stack, "mean").encode(x, lengths)
+    assert pooled.tobytes() == _QuantEncoder._mean_pool(full,
+                                                        lengths).tobytes()

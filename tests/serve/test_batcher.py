@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro.serve import MicroBatcher, QueueFullError
+from repro.cli import build_parser
+from repro.serve import MicroBatcher, QueueFullError, ServeConfig
 
 
 def test_results_map_back_to_items():
@@ -37,6 +38,47 @@ def test_concurrent_submissions_coalesce():
     assert sum(batch_sizes) == 8
     assert len(batch_sizes) < 8
     assert max(batch_sizes) > 1
+
+
+def test_no_surface_waits_for_company_by_default():
+    assert ServeConfig().max_wait_ms == 0
+    args = build_parser().parse_args(["serve", "--model", "m.npz"])
+    assert args.max_wait_ms == 0
+    with MicroBatcher(lambda items: items) as batcher:
+        assert batcher.max_wait_s == 0
+
+
+def test_default_dispatches_a_lone_submit_alone_and_at_once():
+    batches = []
+
+    def process(items):
+        batches.append(list(items))
+        return items
+
+    with MicroBatcher(process) as batcher:
+        assert batcher.submit("lone").result(timeout=5) == "lone"
+    assert batches == [["lone"]]
+
+
+def test_default_batches_what_arrived_during_a_forward():
+    """No window and no sleeps: the first forward blocks until the test
+    releases it, and everything submitted meanwhile is the next batch."""
+    batches = []
+    entered, release = threading.Event(), threading.Event()
+
+    def process(items):
+        batches.append(list(items))
+        entered.set()
+        assert release.wait(timeout=5)
+        return items
+
+    with MicroBatcher(process) as batcher:
+        first = batcher.submit("a")
+        assert entered.wait(timeout=5)
+        queued = [batcher.submit(item) for item in "bcd"]
+        release.set()
+        assert [f.result(timeout=5) for f in [first, *queued]] == list("abcd")
+    assert batches == [["a"], ["b", "c", "d"]]
 
 
 def test_max_batch_is_respected():
