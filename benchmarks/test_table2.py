@@ -2,9 +2,9 @@
 
 import numpy as np
 
+from repro.analysis import render_markdown
 from repro.experiments import (
     class_dependent_noise,
-    format_comparison_table,
     paper_reference,
     run_comparison,
 )
@@ -17,20 +17,17 @@ def test_table2_class_dependent_noise(run_once, settings, report):
     )
 
     report()
-    report(format_comparison_table(
-        results, "Table II (measured, η10=0.3 η01=0.45, reduced scale)"))
-    report()
-    report("Paper F1 means for reference:")
-    for model, per_ds in paper_reference.TABLE2_F1.items():
-        row = "  ".join(f"{ds}={f1:.1f}" for ds, f1 in per_ds.items())
-        report(f"  {model:10s} {row}")
+    report("Table II (measured, η10=0.3 η01=0.45, reduced scale)")
+    for metric, cells in results.items():
+        report()
+        report(render_markdown(cells, metric,
+                               paper=paper_reference.lookup(metric)))
 
-    noise_label = next(iter(results["CLFD"]["cert"]))
-    datasets = list(results["CLFD"])
+    models = list(dict.fromkeys(cell.model for cell in results["f1"]))
 
     def mean_metric(model, metric):
-        return np.mean([results[model][d][noise_label][metric].mean
-                        for d in datasets])
+        return np.mean([cell.mean for cell in results[metric]
+                        if cell.model == model])
 
     # Shape assertions.  On the synthetic benchmarks the baselines do not
     # collapse quite as hard as on the paper's real data (EXPERIMENTS.md
@@ -38,8 +35,8 @@ def test_table2_class_dependent_noise(run_once, settings, report):
     # AUC-ROC and within the top 3 on mean F1.
     clfd_auc = mean_metric("CLFD", "auc_roc")
     assert all(mean_metric(m, "auc_roc") <= clfd_auc + 1e-9
-               for m in results), "CLFD should have the best mean AUC-ROC"
-    f1_rank = sorted(results, key=lambda m: -mean_metric(m, "f1"))
+               for m in models), "CLFD should have the best mean AUC-ROC"
+    f1_rank = sorted(models, key=lambda m: -mean_metric(m, "f1"))
     assert f1_rank.index("CLFD") <= 2, (
         f"CLFD should rank top-3 on mean F1, got rank "
         f"{f1_rank.index('CLFD') + 1} in {f1_rank}"

@@ -1,5 +1,8 @@
 """Benchmark: regenerate Table III (label-corrector TPR/TNR)."""
 
+import numpy as np
+
+from repro.analysis import render_markdown
 from repro.experiments import paper_reference, run_table3
 
 
@@ -7,27 +10,15 @@ def test_table3_label_corrector(run_once, settings, report):
     results = run_once(lambda: run_table3(settings, verbose=True))
 
     report()
-    report("Table III (measured, reduced scale) vs paper:")
-    report(f"{'Dataset':14s} {'Noise':22s} {'TPR':>12s} {'TNR':>12s} "
-          f"{'paper TPR':>10s} {'paper TNR':>10s}")
-    for dataset, per_noise in results.items():
-        for noise_label, cell in per_noise.items():
-            kind = "uniform" if noise_label.startswith("eta=") \
-                else "class-dependent"
-            paper_tpr, paper_tnr = paper_reference.TABLE3[dataset][kind]
-            report(f"{dataset:14s} {noise_label:22s} "
-                  f"{cell['tpr']!s:>12s} {cell['tnr']!s:>12s} "
-                  f"{paper_tpr:10.1f} {paper_tnr:10.1f}")
+    report("Table III (measured, reduced scale) vs paper")
+    for metric, cells in results.items():
+        report()
+        report(render_markdown(cells, metric,
+                               paper=paper_reference.lookup(metric)))
 
     # Shape: the corrector must denoise — per cell it must beat the raw
     # noise floor (the noisy labels' TNR is 55 at η/η₀₁ = 0.45) and on
     # average it must clear it decisively.
-    import numpy as np
-
-    tnrs = [cell["tnr"].mean
-            for per_noise in results.values()
-            for cell in per_noise.values()]
-    for dataset, per_noise in results.items():
-        for noise_label, cell in per_noise.items():
-            assert cell["tnr"].mean > 55.0, (dataset, noise_label)
-    assert float(np.mean(tnrs)) > 65.0
+    for cell in results["tnr"]:
+        assert cell.mean > 55.0, (cell.dataset, cell.noise)
+    assert float(np.mean([cell.mean for cell in results["tnr"]])) > 65.0

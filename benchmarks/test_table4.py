@@ -2,34 +2,30 @@
 
 import numpy as np
 
-from repro.experiments import (
-    format_ablation_table,
-    paper_reference,
-    run_table4,
-)
+from repro.analysis import render_markdown
+from repro.experiments import paper_reference, run_table4
 
 
 def test_table4_ablation_uniform(run_once, settings, report):
     results = run_once(lambda: run_table4(settings, verbose=True))
 
     report()
-    report(format_ablation_table(results,
-                                "Table IV (measured, η=0.45, reduced scale)"))
-    report()
-    report("Paper F1 means for reference:")
-    for variant, per_ds in paper_reference.TABLE4_F1.items():
-        row = "  ".join(f"{ds}={f1:.1f}" for ds, f1 in per_ds.items())
-        report(f"  {variant:20s} {row}")
+    report("Table IV (measured, η=0.45, reduced scale)")
+    for metric, cells in results.items():
+        report()
+        report(render_markdown(cells, metric,
+                               paper=paper_reference.lookup(metric)))
 
-    datasets = list(results["CLFD"])
+    variants = list(dict.fromkeys(cell.model for cell in results["f1"]))
 
     def mean_f1(variant):
-        return np.mean([results[variant][d]["f1"].mean for d in datasets])
+        return np.mean([cell.mean for cell in results["f1"]
+                        if cell.model == variant])
 
     full = mean_f1("CLFD")
     # Shape: the full framework must beat the majority of its ablations
     # (every ablation in the paper), demonstrating each component helps.
-    weaker = [v for v in results if v != "CLFD" and mean_f1(v) < full]
+    weaker = [v for v in variants if v != "CLFD" and mean_f1(v) < full]
     assert len(weaker) >= 4, (
         f"full CLFD (F1={full:.1f}) should beat most ablations; "
         f"beaten: {sorted(weaker)}"

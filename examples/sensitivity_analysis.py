@@ -7,10 +7,9 @@ high noise, and renders the curve in the terminal.
 Run:  python examples/sensitivity_analysis.py
 """
 
-from repro.analysis import ascii_curve
+from repro.analysis import ascii_curve, render_markdown
 from repro.experiments import (
     ExperimentSettings,
-    format_sweep,
     sweep_config_field,
     uniform_noise,
 )
@@ -19,13 +18,14 @@ from repro.experiments import (
 def main():
     settings = ExperimentSettings(scale=0.1, seeds=1)
     qs = [0.3, 0.5, 0.7, 0.9]
-    points = sweep_config_field("q", qs, settings=settings,
-                                noise=uniform_noise(0.45), verbose=True)
+    results = sweep_config_field("q", qs, settings=settings,
+                                 noise=uniform_noise(0.45), verbose=True)
 
+    for metric, cells in results.items():
+        print()
+        print(render_markdown(cells, metric))
     print()
-    print(format_sweep("q", points))
-    print()
-    print(ascii_curve(qs, [p.f1.mean for p in points],
+    print(ascii_curve(qs, [cell.mean for cell in results["f1"]],
                       title="CLFD F1 vs GCE exponent q (cert, η=0.45)",
                       y_label="F1 %", height=10))
 

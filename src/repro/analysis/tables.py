@@ -11,9 +11,11 @@ The cache is the natural input: records are content-keyed and
 self-describing (model, dataset, noise, seed, scale, measure, metrics),
 so ``repro analyze`` works identically on a sweep that just finished,
 on one resumed across interruptions, and on one computed by a dozen
-hosts into a shared directory.  Per-seed values are kept — the
-aggregated mean±std the table runners print is not enough for paired
-tests, which need the seed-aligned vectors.
+hosts into a shared directory.  The table runners aggregate their
+in-memory cell records through the same :func:`cross_seed_table` and
+render through the same :func:`render_markdown`.  Per-seed values are
+kept — a mean±std is not enough for paired tests, which need the
+seed-aligned vectors.
 """
 
 from __future__ import annotations
@@ -48,13 +50,27 @@ def noise_label(noise: Sequence) -> str:
 
 @dataclasses.dataclass
 class SweepCell:
-    """One (model, dataset, noise) cell's cross-seed aggregate."""
+    """One (model, dataset, noise) cell's cross-seed aggregate.
+
+    ``model`` is the table row: a model, an ablation variant or a swept
+    config value.  Equality is bitwise with NaN equal to NaN (a metric
+    undefined on its input), so the parallel and resume contracts hold
+    for cells whose values were pickled or read back from JSON.
+    """
 
     model: str
     dataset: str
     noise: str
     seeds: list[int]
     values: list[float]  # metric value per seed, aligned with `seeds`
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SweepCell):
+            return NotImplemented
+        return ((self.model, self.dataset, self.noise, self.seeds)
+                == (other.model, other.dataset, other.noise, other.seeds)
+                and np.array_equal(self.values, other.values,
+                                   equal_nan=True))
 
     @property
     def n(self) -> int:
@@ -66,7 +82,7 @@ class SweepCell:
 
     @property
     def std(self) -> float:
-        # ddof=0 matches MetricSummary / summarize_runs.
+        # ddof=0: the population std small-n result tables report.
         return float(np.std(self.values)) if self.values else float("nan")
 
     def format(self, digits: int = 2) -> str:
@@ -95,6 +111,8 @@ def load_sweep_records(cache: RunCache | str | os.PathLike,
 
     Corrupt or torn records are skipped exactly as the executor skips
     them (they re-run on the next sweep, so they are not results yet).
+    Records come back sorted by (model, dataset, noise label, seed), so
+    tables built from them list their cells in that order.
     """
     if not isinstance(cache, RunCache):
         cache = RunCache(cache)
@@ -106,7 +124,13 @@ def load_sweep_records(cache: RunCache | str | os.PathLike,
         if record.get("measure", "test_metrics") != measure:
             continue
         records.append(record)
-    return records
+    return sorted(records, key=lambda r: (*_cell_of(r), int(r["seed"])))
+
+
+def _cell_of(record: dict) -> tuple[str, str, str]:
+    """A record's (model, dataset, noise label) table cell."""
+    return (str(record.get("model", record.get("estimator", "?"))),
+            str(record["dataset"]), noise_label(record["noise"]))
 
 
 def _grouped(records: Iterable[dict], metric: str
@@ -123,8 +147,7 @@ def _grouped(records: Iterable[dict], metric: str
         value = metrics[metric]
         if value is None:
             value = float("nan")
-        cell = (str(record.get("model", record.get("estimator", "?"))),
-                str(record["dataset"]), noise_label(record["noise"]))
+        cell = _cell_of(record)
         seed = int(record["seed"])
         per_seed = grouped.setdefault(cell, {})
         if seed in per_seed:
@@ -146,10 +169,14 @@ def _grouped(records: Iterable[dict], metric: str
 # ----------------------------------------------------------------------
 def cross_seed_table(records: Iterable[dict], metric: str = "f1",
                      ) -> list[SweepCell]:
-    """Aggregate a metric over seeds for every (model, dataset, noise)."""
+    """Aggregate a metric over seeds for every (model, dataset, noise).
+
+    Cells come in the order their first record does, so a runner's
+    (row, dataset, noise) order is the table's.
+    """
     cells = []
-    for (model, dataset, noise), per_seed in sorted(
-            _grouped(records, metric).items()):
+    for (model, dataset, noise), per_seed in \
+            _grouped(records, metric).items():
         seeds = sorted(per_seed)
         cells.append(SweepCell(model=model, dataset=dataset, noise=noise,
                                seeds=seeds,
@@ -226,13 +253,25 @@ def _p_str(p: float | None) -> str:
 
 
 def render_markdown(cells: Sequence[SweepCell], metric: str = "f1",
-                    digits: int = 2) -> str:
+                    digits: int = 2,
+                    paper: Mapping[tuple[str, str, str], float] | None = None,
+                    ) -> str:
     """Cross-seed table as GitHub markdown: model × noise rows,
-    dataset columns, mean±std cells with the seed count."""
+    dataset columns, mean±std cells with the seed count.
+
+    ``paper`` maps (row, dataset, noise label) to the paper's reported
+    mean (:func:`repro.experiments.paper_reference.lookup`); with it,
+    each dataset column is followed by a paper column, "—" where the
+    paper reports no value.
+    """
     models, datasets, noises, index = _table_axes(cells)
-    lines = [f"| Model | Noise | " + " | ".join(
-        f"{d} ({metric}, mean±std)" for d in datasets) + " |"]
-    lines.append("|" + "---|" * (2 + len(datasets)))
+    header = []
+    for dataset in datasets:
+        header.append(f"{dataset} ({metric}, mean±std)")
+        if paper is not None:
+            header.append(f"{dataset} (paper)")
+    lines = ["| Model | Noise | " + " | ".join(header) + " |",
+             "|" + "---|" * (2 + len(header))]
     for model in models:
         for noise in noises:
             row = [model, noise]
@@ -244,6 +283,9 @@ def render_markdown(cells: Sequence[SweepCell], metric: str = "f1",
                 else:
                     row.append(f"{cell.format(digits)} (n={cell.n})")
                     any_cell = True
+                if paper is not None:
+                    ref = paper.get((model, dataset, noise))
+                    row.append("—" if ref is None else f"{ref:.{digits}f}")
             if any_cell:
                 lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
@@ -341,18 +383,26 @@ def analyze_cache(cache: RunCache | str | os.PathLike, metric: str = "f1",
                   target: str = "CLFD", fmt: str = "markdown",
                   alpha: float = 0.05, measure: str = "test_metrics",
                   ) -> str:
-    """Aggregate + test + render a run-cache directory in one call."""
+    """Aggregate + test + render a run-cache directory in one call.
+
+    A ``metric`` no record carries, or a ``target`` missing from a cache
+    of two or more models, raises :class:`ValueError` naming what the
+    cache holds; a single-model cache gets the aggregate table alone.
+    """
     records = load_sweep_records(cache, measure=measure)
     if not records:
         raise ValueError(f"no completed {measure!r} records in "
                          f"{cache!r} — run a sweep first")
     cells = cross_seed_table(records, metric=metric)
-    sections = []
+    if not cells:
+        present = sorted({name for r in records for name in r["metrics"]})
+        raise ValueError(f"no {measure!r} record carries metric "
+                         f"{metric!r}; metrics present: {present}")
     models = {c.model for c in cells}
-    try:
-        rows = significance_report(records, metric=metric, target=target)
-    except ValueError:
-        rows = []  # single-model caches still get the aggregate table
+    # significance_report raises for a target the cache does not hold.
+    rows = (significance_report(records, metric=metric, target=target)
+            if len(models) > 1 else [])
+    sections = []
     if fmt in ("markdown", "both"):
         sections.append(f"### Cross-seed aggregation ({metric})\n")
         sections.append(render_markdown(cells, metric=metric))

@@ -16,7 +16,9 @@ Usage::
     python -m repro distill --model model.npz --out student.npz
     python -m repro stream --model model.npz --workdir stream-state
 
-Each command prints the measured table; scale/seed options map onto
+Each table command prints a title line, then one markdown table per
+metric (cross-seed mean±std, next to the paper's value where it
+reports one); scale/seed options map onto
 :class:`repro.experiments.ExperimentSettings`.
 """
 
@@ -27,12 +29,12 @@ import sys
 
 import numpy as np
 
+from .analysis import render_markdown
 from .parallel import DEFAULT_CACHE_DIR
 from .experiments import (
     ExperimentSettings,
     class_dependent_noise,
-    format_ablation_table,
-    format_comparison_table,
+    paper_reference,
     run_ablation,
     run_latency,
     run_table1,
@@ -307,6 +309,18 @@ def _executor_kwargs(args) -> dict:
     return kwargs
 
 
+def _print_tables(title: str, results: dict, paper: bool = True) -> None:
+    """A table command's output: ``title``, then one markdown table per
+    metric, with the paper's column when ``paper``."""
+    print()
+    print(title)
+    for metric, cells in results.items():
+        print()
+        print(render_markdown(
+            cells, metric,
+            paper=paper_reference.lookup(metric) if paper else None))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     settings = _settings(args)
@@ -315,29 +329,21 @@ def main(argv: list[str] | None = None) -> int:
         settings.etas = tuple(float(e) for e in args.etas.split(","))
         results = run_table1(settings, models=_model_list(args.models),
                              verbose=True, **_executor_kwargs(args))
-        print()
-        print(format_comparison_table(results, "Table I (measured)"))
+        _print_tables("Table I (measured)", results)
     elif args.command == "table2":
         results = run_table2(settings, models=_model_list(args.models),
                              verbose=True, **_executor_kwargs(args))
-        print()
-        print(format_comparison_table(results, "Table II (measured)"))
+        _print_tables("Table II (measured)", results)
     elif args.command == "table3":
         results = run_table3(settings, verbose=True,
                              **_executor_kwargs(args))
-        print()
-        for dataset, per_noise in results.items():
-            for noise_label, cell in per_noise.items():
-                print(f"{dataset:14s} {noise_label:22s} "
-                      f"TPR={cell['tpr']!s} TNR={cell['tnr']!s}")
+        _print_tables("Table III (measured)", results)
     elif args.command == "ablation":
         noise = (uniform_noise(args.eta) if args.noise == "uniform"
                  else class_dependent_noise())
         results = run_ablation(noise, settings, verbose=True,
                                **_executor_kwargs(args))
-        print()
-        print(format_ablation_table(
-            results, f"Ablations ({noise.label}, measured)"))
+        _print_tables(f"Ablations ({noise.label}, measured)", results)
     elif args.command == "latency":
         latencies = run_latency(settings, verbose=True)
         print()
@@ -345,15 +351,14 @@ def main(argv: list[str] | None = None) -> int:
         for model, seconds in sorted(latencies.items(), key=lambda kv: -kv[1]):
             print(f"{model:10s} {seconds:8.2f}s ({seconds / base:4.1f}x)")
     elif args.command == "sweep":
-        from .experiments import format_sweep, sweep_config_field
+        from .experiments import sweep_config_field
 
         values = [_parse_value(v) for v in args.values]
-        points = sweep_config_field(args.field, values, settings=settings,
-                                    dataset=args.dataset,
-                                    noise=uniform_noise(args.eta),
-                                    verbose=True)
-        print()
-        print(format_sweep(args.field, points))
+        results = sweep_config_field(args.field, values, settings=settings,
+                                     dataset=args.dataset,
+                                     noise=uniform_noise(args.eta),
+                                     verbose=True)
+        _print_tables(f"sweep over {args.field}", results, paper=False)
     elif args.command == "join":
         from .parallel import run_worker
 

@@ -1,20 +1,12 @@
 """Experiment harness: one runner per paper table, plus latency."""
 
 from . import paper_reference
-from .report import (
-    ablation_markdown,
-    comparison_markdown,
-    latency_markdown,
-    table3_markdown,
-)
 from .runner import (
     ABLATIONS,
     NoiseSpec,
     SweepError,
     class_dependent_noise,
     estimator_registry,
-    format_ablation_table,
-    format_comparison_table,
     run_ablation,
     run_comparison,
     run_latency,
@@ -25,7 +17,7 @@ from .runner import (
     run_table5,
     uniform_noise,
 )
-from .sweeps import SweepPoint, format_sweep, sweep_config_field
+from .sweeps import sweep_config_field
 from .settings import (
     CLASS_DEPENDENT_RATES,
     DATASETS,
@@ -39,9 +31,5 @@ __all__ = [
     "estimator_registry", "run_comparison",
     "run_table1", "run_table2", "run_table3", "run_table4", "run_table5",
     "run_ablation", "run_latency", "ABLATIONS", "SweepError",
-    "format_comparison_table", "format_ablation_table",
-    "paper_reference",
-    "comparison_markdown", "ablation_markdown", "table3_markdown",
-    "latency_markdown",
-    "SweepPoint", "sweep_config_field", "format_sweep",
+    "paper_reference", "sweep_config_field",
 ]

@@ -1,15 +1,22 @@
 """The paper's reported numbers, for shape comparison.
 
 Values transcribed from Tables I-V of the paper (means only; std
-elided).  Used by EXPERIMENTS.md generation and by the benchmark
-harness's shape assertions — this reproduction targets the *shape*
-(who wins, how performance decays with noise), not absolute parity,
-since the substrate is a CPU NumPy simulator on synthetic sessions.
+elided).  :func:`lookup` flattens them into the paper column that
+:func:`repro.analysis.tables.render_markdown` prints next to each
+measured table — this reproduction targets the *shape* (who wins, how
+performance decays with noise), not absolute parity, since the
+substrate is a CPU NumPy simulator on synthetic sessions.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
+from ..data.noise import noise_label
+from .settings import CLASS_DEPENDENT_RATES
+
 __all__ = [
+    "lookup",
     "TABLE1_F1",
     "TABLE1_CLFD",
     "TABLE2_F1",
@@ -145,3 +152,56 @@ LATENCY_SECONDS: dict[str, float] = {
     "umd-wikipedia": 19_158.0,
     "openstack": 28_872.0,
 }
+
+
+_CLFD_COLUMNS = ("f1", "fpr", "auc_roc")  # TABLE1_CLFD tuple order
+_TABLE3_COLUMNS = ("tpr", "tnr")           # TABLE3 tuple order
+
+
+def _entries(metric: str) -> Iterator[tuple[tuple[str, str, str], float]]:
+    """Every ((row, dataset, noise label), mean) the paper reports for
+    ``metric``, table by table."""
+    def uniform(eta):
+        return noise_label("uniform", (eta,))
+
+    class_dependent = noise_label("class-dependent", CLASS_DEPENDENT_RATES)
+    if metric == "f1":
+        for model, per_dataset in TABLE1_F1.items():
+            for dataset, per_eta in per_dataset.items():
+                for eta, value in per_eta.items():
+                    yield (model, dataset, uniform(eta)), value
+        for table, noise in ((TABLE2_F1, class_dependent),
+                             (TABLE4_F1, uniform(0.45)),
+                             (TABLE5_F1, class_dependent)):
+            for row, per_dataset in table.items():
+                for dataset, value in per_dataset.items():
+                    yield (row, dataset, noise), value
+    if metric in _CLFD_COLUMNS:
+        column = _CLFD_COLUMNS.index(metric)
+        for dataset, per_eta in TABLE1_CLFD.items():
+            for eta, values in per_eta.items():
+                yield ("CLFD", dataset, uniform(eta)), values[column]
+    if metric in _TABLE3_COLUMNS:
+        column = _TABLE3_COLUMNS.index(metric)
+        noises = {"uniform": uniform(0.45),
+                  "class-dependent": class_dependent}
+        for dataset, per_kind in TABLE3.items():
+            for kind, rates in per_kind.items():
+                yield ("CLFD", dataset, noises[kind]), rates[column]
+
+
+def lookup(metric: str) -> dict[tuple[str, str, str], float]:
+    """The paper's mean of ``metric`` per (row, dataset, noise label).
+
+    Rows are the table runners' row names (models, ablation variants)
+    and noise labels are :func:`repro.data.noise.noise_label`'s, so the
+    mapping indexes runner output directly.  A key two tables both
+    report (CLFD's row of Tables I and IV, of Tables II and V) must
+    agree, or this raises :class:`ValueError`.
+    """
+    table: dict[tuple[str, str, str], float] = {}
+    for key, value in _entries(metric):
+        if table.setdefault(key, value) != value:
+            raise ValueError(f"paper tables disagree on {metric} at {key}: "
+                             f"{table[key]} vs {value}")
+    return table

@@ -8,8 +8,12 @@ Each ``run_table*`` function reproduces one artifact:
 * Tables IV/V — CLFD ablations under both noise models;
 * §IV-B3 — training-latency comparison.
 
-Runners return nested dicts of :class:`~repro.metrics.MetricSummary`
-and can render themselves as text tables shaped like the paper's.
+Every table runner returns ``{metric: [SweepCell, ...]}``: one
+:class:`~repro.analysis.tables.SweepCell` per (row, dataset, noise) in
+the runner's order, aggregated over seeds by
+:func:`~repro.analysis.tables.cross_seed_table` and rendered by
+:func:`~repro.analysis.tables.render_markdown` — the path ``repro
+analyze`` takes through a run cache.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..analysis.tables import SweepCell, cross_seed_table
 from ..baselines import BASELINES, Estimator
 from ..data import SessionDataset, cached_splits
 from ..data.noise import apply_noise, noise_label
-from ..metrics import MetricSummary, summarize_runs
 from ..train import seed_everything
 from ..parallel import (
     GridExecutor,
@@ -51,8 +55,6 @@ __all__ = [
     "run_latency",
     "ABLATIONS",
     "SweepError",
-    "format_comparison_table",
-    "format_ablation_table",
 ]
 
 METRICS = ("f1", "fpr", "auc_roc")
@@ -147,10 +149,11 @@ def estimator_registry(settings: ExperimentSettings
             for cell in cells}
 
 
-def _execute_grid(specs: Sequence[TaskSpec], workers: int,
-                  cache: RunCache | str | None, retries: int,
-                  verbose: bool, coordinate: str | bool | None = None):
-    """Run a spec grid through one shared executor; fail loudly at the end.
+def _run_grid(specs: Sequence[TaskSpec], metrics: Sequence[str],
+              workers: int, cache: RunCache | str | None, retries: int,
+              verbose: bool, coordinate: str | bool | None = None,
+              ) -> dict[str, list[SweepCell]]:
+    """Run a spec grid through one shared executor and aggregate it.
 
     The sweep itself is fault-isolated (every cell runs, successes are
     cached); only after it completes does a remaining failure raise
@@ -158,6 +161,8 @@ def _execute_grid(specs: Sequence[TaskSpec], workers: int,
     recomputes the failed cells.  ``coordinate`` switches to the
     multi-host work-stealing tier: this process becomes the leader on
     that address and remote ``repro join`` workers can lease cells.
+    Returns ``{metric: cells}``, cells in spec order, aggregated over
+    seeds from the same records the run cache holds.
     """
     executor = GridExecutor(workers=workers, cache=cache, retries=retries,
                             progress=bool(verbose), coordinate=coordinate)
@@ -168,26 +173,8 @@ def _execute_grid(specs: Sequence[TaskSpec], workers: int,
     failures = [r for r in cell_results if not r.ok]
     if failures:
         raise SweepError(failures)
-    return cell_results
-
-
-def _summarise(cell_results, metrics: Sequence[str], verbose: bool
-               ) -> dict[tuple[str, str, str], dict[str, MetricSummary]]:
-    """Aggregate cells over seeds, keyed ``(model, dataset, noise label)``."""
-    runs: dict[tuple[str, str, str], list[dict]] = {}
-    for cell in cell_results:
-        spec = cell.spec
-        runs.setdefault((spec.model, spec.dataset, spec.noise_label),
-                        []).append(cell.metrics)
-    summary = {}
-    for key, per_seed in runs.items():
-        summary[key] = {metric: summarize_runs([r[metric] for r in per_seed])
-                        for metric in metrics}
-        if verbose:  # pragma: no cover - console reporting
-            print("{:20s} {:14s} {:22s} ".format(*key)
-                  + " ".join(f"{k}={v!s}" for k, v in summary[key].items()),
-                  flush=True)
-    return summary
+    records = [cell.record() for cell in cell_results]
+    return {metric: cross_seed_table(records, metric) for metric in metrics}
 
 
 def run_comparison(settings: ExperimentSettings, noises: Sequence[NoiseSpec],
@@ -198,7 +185,7 @@ def run_comparison(settings: ExperimentSettings, noises: Sequence[NoiseSpec],
                    cache: RunCache | str | None = None,
                    retries: int = 1,
                    coordinate: str | bool | None = None,
-                   ) -> dict[str, dict[str, dict[str, dict[str, MetricSummary]]]]:
+                   ) -> dict[str, list[SweepCell]]:
     """Grid of model x dataset x noise, aggregated over seeds.
 
     Executes through the shared :class:`~repro.parallel.GridExecutor`:
@@ -208,23 +195,19 @@ def run_comparison(settings: ExperimentSettings, noises: Sequence[NoiseSpec],
     fails after ``retries`` extra attempts raises :class:`SweepError`
     once the rest of the sweep has completed.
 
-    Returns ``results[model][dataset][noise.label][metric]``.
+    Returns ``{metric: cells}`` for F1, FPR and AUC-ROC, cells in
+    model x dataset x noise order.
     """
-    estimators = _estimator_specs(settings, models)
-    specs = _cells(estimators, datasets, noises, settings.seeds,
-                   settings.scale)
-    summary = _summarise(_execute_grid(specs, workers, cache, retries,
-                                       verbose, coordinate=coordinate),
-                         METRICS, verbose)
-    return {model: {dataset: {noise.label: summary[model, dataset, noise.label]
-                              for noise in noises}
-                    for dataset in datasets}
-            for model in estimators}
+    specs = _cells(_estimator_specs(settings, models), datasets, noises,
+                   settings.seeds, settings.scale)
+    return _run_grid(specs, METRICS, workers, cache, retries, verbose,
+                     coordinate)
 
 
 def run_table1(settings: ExperimentSettings | None = None,
                models: Sequence[str] | None = None,
-               verbose: bool = False, **executor_kwargs) -> dict:
+               verbose: bool = False, **executor_kwargs
+               ) -> dict[str, list[SweepCell]]:
     """Table I: uniform noise η sweep over all models and datasets."""
     settings = settings or ExperimentSettings.from_env()
     noises = [uniform_noise(eta) for eta in settings.etas]
@@ -234,7 +217,8 @@ def run_table1(settings: ExperimentSettings | None = None,
 
 def run_table2(settings: ExperimentSettings | None = None,
                models: Sequence[str] | None = None,
-               verbose: bool = False, **executor_kwargs) -> dict:
+               verbose: bool = False, **executor_kwargs
+               ) -> dict[str, list[SweepCell]]:
     """Table II: class-dependent noise (η₁₀=0.3, η₀₁=0.45)."""
     settings = settings or ExperimentSettings.from_env()
     return run_comparison(settings, [class_dependent_noise()], models=models,
@@ -247,21 +231,18 @@ def run_table3(settings: ExperimentSettings | None = None,
                cache: RunCache | str | None = None,
                retries: int = 1,
                coordinate: str | bool | None = None,
-               ) -> dict[str, dict[str, dict[str, MetricSummary]]]:
+               ) -> dict[str, list[SweepCell]]:
     """Table III: label-corrector TPR/TNR on the noisy training set.
 
-    Returns ``results[dataset][noise.label]["tpr"/"tnr"]``.
+    Returns ``{"tpr": cells, "tnr": cells}``, one CLFD row, cells in
+    dataset x noise order.
     """
     settings = settings or ExperimentSettings.from_env()
     noises = [uniform_noise(0.45), class_dependent_noise()]
     specs = _cells(_estimator_specs(settings, ["CLFD"]), DATASETS, noises,
                    settings.seeds, settings.scale, measure="correction_rates")
-    summary = _summarise(_execute_grid(specs, workers, cache, retries,
-                                       verbose, coordinate=coordinate),
-                         ("tpr", "tnr"), verbose)
-    return {dataset: {noise.label: summary["CLFD", dataset, noise.label]
-                      for noise in noises}
-            for dataset in DATASETS}
+    return _run_grid(specs, ("tpr", "tnr"), workers, cache, retries,
+                     verbose, coordinate)
 
 
 # Table IV/V rows -> config overrides (see CLFDConfig docstring).
@@ -283,10 +264,12 @@ def run_ablation(noise: NoiseSpec, settings: ExperimentSettings | None = None,
                  workers: int = 1,
                  cache: RunCache | str | None = None,
                  retries: int = 1,
-                 coordinate: str | bool | None = None) -> dict:
+                 coordinate: str | bool | None = None,
+                 ) -> dict[str, list[SweepCell]]:
     """Shared engine for Tables IV and V.
 
-    Returns ``results[variant][dataset][metric]``.
+    Returns ``{metric: cells}`` for F1, FPR and AUC-ROC, one row per
+    variant, cells in variant x dataset order.
     """
     settings = settings or ExperimentSettings.from_env()
     variants = list(variants) if variants else list(ABLATIONS)
@@ -294,22 +277,18 @@ def run_ablation(noise: NoiseSpec, settings: ExperimentSettings | None = None,
     rows = {variant: ("clfd", dataclasses.replace(base, **ABLATIONS[variant]))
             for variant in variants}
     specs = _cells(rows, datasets, [noise], settings.seeds, settings.scale)
-    summary = _summarise(_execute_grid(specs, workers, cache, retries,
-                                       verbose, coordinate=coordinate),
-                         METRICS, verbose)
-    return {variant: {dataset: summary[variant, dataset, noise.label]
-                      for dataset in datasets}
-            for variant in variants}
+    return _run_grid(specs, METRICS, workers, cache, retries, verbose,
+                     coordinate)
 
 
 def run_table4(settings: ExperimentSettings | None = None,
-               **kwargs) -> dict:
+               **kwargs) -> dict[str, list[SweepCell]]:
     """Table IV: ablations under uniform noise η=0.45."""
     return run_ablation(uniform_noise(0.45), settings, **kwargs)
 
 
 def run_table5(settings: ExperimentSettings | None = None,
-               **kwargs) -> dict:
+               **kwargs) -> dict[str, list[SweepCell]]:
     """Table V: ablations under class-dependent noise."""
     return run_ablation(class_dependent_noise(), settings, **kwargs)
 
@@ -342,49 +321,3 @@ def run_latency(settings: ExperimentSettings | None = None,
                   flush=True)
     return latencies
 
-
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
-def format_comparison_table(results: dict, title: str) -> str:
-    """Render run_comparison output like the paper's Tables I/II."""
-    lines = [title]
-    datasets = list(next(iter(results.values())))
-    header = f"{'Model':12s} {'Noise':22s}"
-    for dataset in datasets:
-        header += f" | {dataset:^26s}"
-    lines.append(header)
-    sub = f"{'':12s} {'':22s}"
-    for _ in datasets:
-        sub += f" | {'F1':>8s} {'FPR':>8s} {'AUC':>8s}"
-    lines.append(sub)
-    lines.append("-" * len(sub))
-    for model, per_dataset in results.items():
-        noise_labels = list(next(iter(per_dataset.values())))
-        for noise_label in noise_labels:
-            row = f"{model:12s} {noise_label:22s}"
-            for dataset in datasets:
-                cell = per_dataset[dataset][noise_label]
-                row += (f" | {cell['f1']!s:>8s} {cell['fpr']!s:>8s} "
-                        f"{cell['auc_roc']!s:>8s}")
-            lines.append(row)
-    return "\n".join(lines)
-
-
-def format_ablation_table(results: dict, title: str) -> str:
-    """Render run_ablation output like the paper's Tables IV/V."""
-    lines = [title]
-    datasets = list(next(iter(results.values())))
-    header = f"{'Variant':22s}"
-    for dataset in datasets:
-        header += f" | {dataset:^26s}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for variant, per_dataset in results.items():
-        row = f"{variant:22s}"
-        for dataset in datasets:
-            cell = per_dataset[dataset]
-            row += (f" | {cell['f1']!s:>8s} {cell['fpr']!s:>8s} "
-                    f"{cell['auc_roc']!s:>8s}")
-        lines.append(row)
-    return "\n".join(lines)

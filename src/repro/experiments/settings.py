@@ -4,7 +4,7 @@ The paper's experiments run at full dataset scale with 5 seeds on a
 V100; this harness defaults to CPU-sized runs and scales up through
 environment variables:
 
-* ``REPRO_SCALE``  — dataset scale factor (default 0.05 for benches);
+* ``REPRO_SCALE``  — dataset scale factor (default 0.1);
 * ``REPRO_SEEDS``  — number of repeated runs (default 1);
 * ``REPRO_ETAS``   — comma-separated uniform noise rates.
 

@@ -8,43 +8,34 @@ the paper's fixed settings.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
-import numpy as np
-
+from ..analysis.tables import SweepCell, cross_seed_table
 from ..core import CLFD, CLFDConfig
 from ..data import make_dataset
-from ..metrics import evaluate_detector, summarize_runs
+from ..metrics import evaluate_detector
+from ..parallel import CellResult, TaskSpec
 from ..train import seed_everything
 from .runner import NoiseSpec, uniform_noise
 from .settings import ExperimentSettings
 
-__all__ = ["SweepPoint", "sweep_config_field", "format_sweep"]
+__all__ = ["sweep_config_field"]
 
-
-@dataclasses.dataclass(frozen=True)
-class SweepPoint:
-    """Aggregated results at one swept value."""
-
-    value: object
-    f1: object          # MetricSummary
-    fpr: object
-    auc_roc: object
-    corrector_tpr: object
-    corrector_tnr: object
+METRICS = ("f1", "fpr", "auc_roc", "tpr", "tnr")
 
 
 def sweep_config_field(field: str, values: Sequence,
                        settings: ExperimentSettings | None = None,
                        dataset: str = "cert",
                        noise: NoiseSpec | None = None,
-                       verbose: bool = False) -> list[SweepPoint]:
+                       verbose: bool = False) -> dict[str, list[SweepCell]]:
     """Train CLFD once per (value, seed) and aggregate metrics.
 
     ``field`` must be a :class:`~repro.core.CLFDConfig` attribute
     (e.g. ``"q"``, ``"mixup_beta"``, ``"aux_batch_size"``,
-    ``"supcon_variant"``).
+    ``"supcon_variant"``).  Returns ``{metric: cells}`` for the test
+    metrics (F1, FPR, AUC-ROC) and the corrector's TPR/TNR, one row per
+    value named ``f"{field}={value}"``, in ``values`` order.
     """
     settings = settings or ExperimentSettings.from_env()
     base = settings.clfd_config()
@@ -52,42 +43,24 @@ def sweep_config_field(field: str, values: Sequence,
         raise AttributeError(f"CLFDConfig has no field {field!r}")
     noise = noise or uniform_noise(0.45)
 
-    points = []
+    records = []
     for value in values:
-        runs = []
+        config = CLFDConfig(**{**base.__dict__, field: value})
         for seed in range(settings.seeds):
             rng = seed_everything(seed)
             train, test = make_dataset(dataset, rng, scale=settings.scale)
             noise(train, rng)
-            config = CLFDConfig(**{**base.__dict__, field: value})
             model = CLFD(config).fit(train, rng=seed_everything(seed))
             metrics = evaluate_detector(test.labels(), *model.predict(test))
             metrics.update(model.correction_quality(train))
-            runs.append(metrics)
-        point = SweepPoint(
-            value=value,
-            f1=summarize_runs([r["f1"] for r in runs]),
-            fpr=summarize_runs([r["fpr"] for r in runs]),
-            auc_roc=summarize_runs([r["auc_roc"] for r in runs]),
-            corrector_tpr=summarize_runs([r["tpr"] for r in runs]),
-            corrector_tnr=summarize_runs([r["tnr"] for r in runs]),
-        )
-        points.append(point)
-        if verbose:  # pragma: no cover
-            print(f"{field}={value}: F1={point.f1!s} AUC={point.auc_roc!s}",
-                  flush=True)
-    return points
-
-
-def format_sweep(field: str, points: list[SweepPoint]) -> str:
-    """Render a sweep as a text table."""
-    lines = [f"sweep over {field}",
-             f"{'value':>12s} {'F1':>12s} {'FPR':>12s} {'AUC':>12s} "
-             f"{'corrTPR':>12s} {'corrTNR':>12s}"]
-    for point in points:
-        lines.append(
-            f"{str(point.value):>12s} {point.f1!s:>12s} {point.fpr!s:>12s} "
-            f"{point.auc_roc!s:>12s} {point.corrector_tpr!s:>12s} "
-            f"{point.corrector_tnr!s:>12s}"
-        )
-    return "\n".join(lines)
+            spec = TaskSpec(model=f"{field}={value}", estimator="clfd",
+                            config=config, dataset=dataset,
+                            noise_kind=noise.kind, noise_params=noise.params,
+                            seed=seed, scale=settings.scale)
+            # Trained in-process, not a run-cache entry: no content key.
+            records.append(CellResult(spec=spec, key="",
+                                      metrics=metrics).record())
+            if verbose:  # pragma: no cover
+                print(f"{spec.describe()}: " + ", ".join(
+                    f"{k}={v:.1f}" for k, v in metrics.items()), flush=True)
+    return {metric: cross_seed_table(records, metric) for metric in METRICS}

@@ -21,8 +21,6 @@ __all__ = [
     "roc_curve",
     "auc_roc",
     "evaluate_detector",
-    "MetricSummary",
-    "summarize_runs",
     "UndefinedMetricWarning",
 ]
 
@@ -167,37 +165,3 @@ def evaluate_detector(y_true, y_pred, scores=None) -> dict[str, float]:
     if scores is not None:
         out["auc_roc"] = auc_roc(y_true, scores)
     return out
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class MetricSummary:
-    """Mean ± std over repeated runs, as reported in the tables."""
-
-    mean: float
-    std: float
-
-    def __eq__(self, other) -> bool:
-        # Bitwise semantics: two summaries of identical runs must compare
-        # equal even when the metric is NaN (undefined on that input).
-        if not isinstance(other, MetricSummary):
-            return NotImplemented
-        return (np.array_equal(self.mean, other.mean, equal_nan=True)
-                and np.array_equal(self.std, other.std, equal_nan=True))
-
-    def __hash__(self) -> int:
-        return hash((self.mean, self.std))
-
-    def __format__(self, spec: str) -> str:
-        spec = spec or ".2f"
-        return f"{self.mean:{spec}}±{self.std:{spec}}"
-
-    def __str__(self) -> str:
-        return format(self, ".2f")
-
-
-def summarize_runs(values) -> MetricSummary:
-    """Aggregate one metric across runs (ddof=0, matching small-n reports)."""
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot summarize an empty run list")
-    return MetricSummary(mean=float(values.mean()), std=float(values.std()))

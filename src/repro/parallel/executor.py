@@ -76,6 +76,19 @@ class CellResult:
         order += [k for k in metrics if k not in order]
         return [(k, metrics[k]) for k in order[:3]]
 
+    def record(self) -> dict:
+        """The self-describing record a success is cached as, and what
+        :func:`repro.analysis.tables.cross_seed_table` aggregates."""
+        spec = self.spec
+        return {
+            "model": spec.model, "estimator": spec.estimator,
+            "dataset": spec.dataset,
+            "noise": [spec.noise_kind, list(spec.noise_params)],
+            "seed": spec.seed, "scale": spec.scale,
+            "measure": spec.measure,
+            "metrics": self.metrics, "seconds": self.seconds,
+        }
+
 
 class SweepError(RuntimeError):
     """Raised by runners when cells remain failed after a full sweep.
@@ -271,15 +284,7 @@ class GridExecutor:
     def _finish(self, results, progress, i, result: CellResult) -> None:
         results[i] = result
         if result.ok and not result.cached and self.cache is not None:
-            spec = result.spec
-            self.cache.put(result.key, {
-                "model": spec.model, "estimator": spec.estimator,
-                "dataset": spec.dataset,
-                "noise": [spec.noise_kind, list(spec.noise_params)],
-                "seed": spec.seed, "scale": spec.scale,
-                "measure": spec.measure,
-                "metrics": result.metrics, "seconds": result.seconds,
-            })
+            self.cache.put(result.key, result.record())
         if progress:
             progress.update(result)
 

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.analysis import SweepCell, render_markdown
 from repro.experiments import (
     ABLATIONS,
     ExperimentSettings,
     NoiseSpec,
     class_dependent_noise,
-    format_ablation_table,
-    format_comparison_table,
     run_ablation,
     run_comparison,
     run_latency,
@@ -19,7 +18,6 @@ from repro.experiments import (
 from repro.baselines import BaselineConfig
 from repro.core import CLFDConfig
 from repro.data import Word2VecConfig, make_dataset
-from repro.metrics import MetricSummary
 
 
 class TinySettings(ExperimentSettings):
@@ -65,11 +63,14 @@ def test_run_comparison_structure(settings):
     results = run_comparison(settings, [uniform_noise(0.2)],
                              models=["CLFD", "DeepLog"],
                              datasets=("cert",))
-    assert set(results) == {"CLFD", "DeepLog"}
-    cell = results["CLFD"]["cert"]["eta=0.2"]
-    assert isinstance(cell["f1"], MetricSummary)
-    text = format_comparison_table(results, "Table I (tiny)")
-    assert "CLFD" in text and "cert" in text
+    assert set(results) == {"f1", "fpr", "auc_roc"}
+    for cells in results.values():
+        assert all(isinstance(cell, SweepCell) for cell in cells)
+        assert [(c.model, c.dataset, c.noise, c.seeds) for c in cells] == [
+            ("CLFD", "cert", "eta=0.2", [0]),
+            ("DeepLog", "cert", "eta=0.2", [0])]
+    text = render_markdown(results["f1"], "f1")
+    assert "| CLFD | eta=0.2 |" in text and "cert (f1, mean±std)" in text
 
 
 def test_run_comparison_rejects_unknown_model(settings):
@@ -80,19 +81,21 @@ def test_run_comparison_rejects_unknown_model(settings):
 
 def test_run_table3_structure(settings):
     results = run_table3(settings)
-    assert set(results) == {"cert", "umd-wikipedia", "openstack"}
-    for per_noise in results.values():
-        for cell in per_noise.values():
-            assert 0 <= cell["tpr"].mean <= 100
-            assert 0 <= cell["tnr"].mean <= 100
+    assert set(results) == {"tpr", "tnr"}
+    for cells in results.values():
+        assert [(c.model, c.dataset) for c in cells] == [
+            ("CLFD", dataset) for dataset in
+            ("cert", "cert", "umd-wikipedia", "umd-wikipedia",
+             "openstack", "openstack")]
+        assert all(0 <= cell.mean <= 100 for cell in cells)
 
 
 def test_run_ablation_covers_variants(settings):
     results = run_ablation(uniform_noise(0.2), settings,
                            variants=["CLFD", "w/o FD"], datasets=("cert",))
-    assert set(results) == {"CLFD", "w/o FD"}
-    text = format_ablation_table(results, "Table IV (tiny)")
-    assert "w/o FD" in text
+    assert [cell.model for cell in results["f1"]] == ["CLFD", "w/o FD"]
+    text = render_markdown(results["f1"], "f1")
+    assert "| w/o FD | eta=0.2 |" in text
 
 
 def test_ablation_registry_matches_paper_rows():
@@ -134,41 +137,6 @@ def test_paper_reference_consistency():
                 assert per_ds[dataset] < clfd2
 
 
-def test_markdown_report_generation(settings):
-    """Markdown renderers produce valid tables from runner output."""
-    from repro.experiments import (
-        ablation_markdown,
-        comparison_markdown,
-        latency_markdown,
-        table3_markdown,
-        paper_reference,
-    )
-
-    results = run_comparison(settings, [uniform_noise(0.2)],
-                             models=["CLFD", "DeepLog"], datasets=("cert",))
-    md = comparison_markdown(results, paper_f1=None, title="Tiny")
-    assert "### Tiny" in md and "| CLFD |" in md
-
-    md_ref = comparison_markdown(
-        results,
-        paper_f1={m: {"cert": {0.2: 50.0}} for m in ("CLFD", "DeepLog")},
-    )
-    assert "50.0" in md_ref
-
-    ab = run_ablation(uniform_noise(0.2), settings, variants=["CLFD"],
-                      datasets=("cert",))
-    md_ab = ablation_markdown(ab, paper_f1={"CLFD": {"cert": 62.8}})
-    assert "62.8" in md_ab
-
-    t3 = run_table3(settings)
-    md_t3 = table3_markdown(t3, title="T3")
-    assert "paper TPR" in md_t3
-    assert "cert" in md_t3
-
-    md_lat = latency_markdown({"CLFD": 10.0, "DeepLog": 2.0})
-    assert "5.0x" in md_lat
-
-
 # ----------------------------------------------------------------------
 # Parallel execution and the run cache
 # ----------------------------------------------------------------------
@@ -178,7 +146,7 @@ def test_run_comparison_parallel_is_bit_identical(settings):
     sequential = run_comparison(settings, [uniform_noise(0.2)], **kwargs)
     parallel = run_comparison(settings, [uniform_noise(0.2)], workers=2,
                               **kwargs)
-    # MetricSummary is a frozen dataclass of floats -> exact equality.
+    # SweepCell equality is bitwise, NaN equal to NaN.
     assert parallel == sequential
 
 
@@ -219,7 +187,7 @@ def test_integer_noise_rate_keys_match_analysis_labels(settings, tmp_path):
     records = load_sweep_records(cache)
     assert records
     assert {noise_label(r["noise"]) for r in records} == \
-        set(results["DeepLog"]["cert"])
+        {cell.noise for cell in results["f1"]}
 
 
 def test_failed_cells_raise_sweep_error_after_completion(settings,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.experiments import format_sweep, sweep_config_field, uniform_noise
+from repro.experiments import sweep_config_field, uniform_noise
 from tests.experiments.test_runner import TinySettings
 
 
@@ -14,33 +14,29 @@ def settings():
 
 
 def test_sweep_numeric_field(settings):
-    points = sweep_config_field("q", [0.3, 0.7], settings=settings,
-                                noise=uniform_noise(0.2))
-    assert [p.value for p in points] == [0.3, 0.7]
-    for point in points:
+    results = sweep_config_field("q", [0.3, 0.7], settings=settings,
+                                 noise=uniform_noise(0.2))
+    assert set(results) == {"f1", "fpr", "auc_roc", "tpr", "tnr"}
+    assert [cell.model for cell in results["f1"]] == ["q=0.3", "q=0.7"]
+    assert {(cell.dataset, cell.noise) for cell in results["f1"]} == \
+        {("cert", "eta=0.2")}
+    for cell in results["f1"]:
         # NaN marks an undefined metric (the tiny model may make no
         # positive predictions); anything else must be a percentage.
-        assert math.isnan(point.f1.mean) or 0 <= point.f1.mean <= 100
-        assert 0 <= point.corrector_tnr.mean <= 100
+        assert math.isnan(cell.mean) or 0 <= cell.mean <= 100
+    for cell in results["tnr"]:
+        assert 0 <= cell.mean <= 100
 
 
 def test_sweep_categorical_field(settings):
-    points = sweep_config_field("supcon_variant",
-                                ["weighted", "unweighted"],
-                                settings=settings,
-                                noise=uniform_noise(0.2))
-    assert len(points) == 2
+    results = sweep_config_field("supcon_variant",
+                                 ["weighted", "unweighted"],
+                                 settings=settings,
+                                 noise=uniform_noise(0.2))
+    assert [cell.model for cell in results["f1"]] == [
+        "supcon_variant=weighted", "supcon_variant=unweighted"]
 
 
 def test_sweep_rejects_unknown_field(settings):
     with pytest.raises(AttributeError):
         sweep_config_field("bogus_field", [1], settings=settings)
-
-
-def test_format_sweep(settings):
-    points = sweep_config_field("mixup_beta", [0.3], settings=settings,
-                                noise=uniform_noise(0.2))
-    text = format_sweep("mixup_beta", points)
-    assert "sweep over mixup_beta" in text
-    assert "corrTNR" in text
-    assert "0.3" in text

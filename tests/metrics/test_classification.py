@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
-    MetricSummary,
     UndefinedMetricWarning,
     auc_roc,
     confusion_matrix,
@@ -16,7 +15,6 @@ from repro.metrics import (
     false_positive_rate,
     precision_recall_f1,
     roc_curve,
-    summarize_runs,
     true_rates,
 )
 
@@ -126,16 +124,6 @@ def test_evaluate_detector_keys():
     assert set(out) == {"f1", "fpr", "auc_roc"}
     out_no_scores = evaluate_detector([0, 1], [0, 1])
     assert "auc_roc" not in out_no_scores
-
-
-def test_summarize_runs():
-    summary = summarize_runs([1.0, 2.0, 3.0])
-    assert summary.mean == pytest.approx(2.0)
-    assert summary.std == pytest.approx(np.std([1, 2, 3]))
-    assert str(summary) == "2.00±0.82"
-    assert f"{summary:.1f}" == "2.0±0.8"
-    with pytest.raises(ValueError):
-        summarize_runs([])
 
 
 @settings(max_examples=30, deadline=None)
