@@ -36,7 +36,8 @@ def sample_mixup(labels, rng: np.random.Generator, beta: float = 0.3,
     Partners are sampled uniformly from batch members with a different
     label; if a batch is single-class (possible under extreme imbalance),
     partners fall back to uniform sampling over the whole batch, which
-    degenerates to vanilla mixup for those rows.
+    degenerates to vanilla mixup for those rows.  Labels must lie in
+    ``[0, num_classes)``; anything else is a ValueError.
 
     ``anchor_dominant=True`` applies λ ← max(λ, 1-λ), the standard
     convention in noisy-label mixup implementations (e.g. DivideMix):
@@ -60,12 +61,20 @@ def sample_mixup(labels, rng: np.random.Generator, beta: float = 0.3,
     if n < 2:
         raise ValueError("mixup needs at least two samples")
 
+    # Classes in ascending order, as np.unique would give them, so the
+    # rng.choice draws come in the same order; one mask per class.
     partner = np.empty(n, dtype=np.int64)
-    for cls in np.unique(labels):
-        rows = np.flatnonzero(labels == cls)
-        opposite = np.flatnonzero(labels != cls)
-        pool = opposite if opposite.size else np.flatnonzero(labels == cls)
+    assigned = 0
+    for cls in range(num_classes):
+        member = labels == cls
+        rows = member.nonzero()[0]
+        if not rows.size:
+            continue
+        pool = rows if rows.size == n else (~member).nonzero()[0]
         partner[rows] = rng.choice(pool, size=rows.size)
+        assigned += rows.size
+    if assigned != n:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
 
     lam = rng.beta(beta, beta, size=n)
     if anchor_dominant:

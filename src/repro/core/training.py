@@ -1,8 +1,9 @@
-"""Shared training loops for CLFD's classifier heads.
+"""Shared training loop for CLFD's classifier heads.
 
 Both the label corrector and the fraud detector end with a classifier
 trained over *frozen* representations using the mixup-GCE loss
-(Algorithm 1, lines 13–19).  This module implements that loop once.
+(Algorithm 1, lines 13–19).  This module implements that loop once;
+Sel-CL and stream re-correction train their heads through it too.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import numpy as np
 
 from .. import nn
 from ..augment import sample_mixup
-from ..losses import cce_loss, gce_loss
 from ..train import TrainRun
 from .encoder import SoftmaxClassifier
 
@@ -77,10 +77,13 @@ def train_classifier_head(classifier: SoftmaxClassifier, features: np.ndarray,
         return (np.asarray(v, dtype=dtype), np.asarray(targets, dtype=dtype))
 
     def program(v, targets):
-        probs = classifier.probs(v)
-        if loss == "cce":
-            return cce_loss(probs, targets)
-        return gce_loss(probs, targets, q=q)
+        """Algorithm 1, lines 13–19: the head's forward and the GCE of
+        Eq. 1 over mixed targets (Eq. 2–3), or CCE, on frozen features.
+        The head is trained as one fused graph node."""
+        return nn.fused_head_loss(
+            v, classifier.fc1.weight, classifier.fc1.bias,
+            classifier.fc2.weight, classifier.fc2.bias, targets,
+            loss="cce" if loss == "cce" else "gce", q=q)
 
     trainer = (run or TrainRun()).trainer(scope, classifier, optimizer,
                                           grad_clip=grad_clip)

@@ -39,6 +39,7 @@ from .fused import (
     fused_gru_sequence,
     fused_gru_step,
     fused_gru_step_preproj,
+    fused_head_loss,
     fused_lstm_sequence,
     fused_lstm_step,
     fused_lstm_step_preproj,
@@ -87,6 +88,7 @@ __all__ = [
     "StepProgram", "CompiledStep", "compile_step", "TraceError",
     "fused_lstm_step", "fused_lstm_step_preproj", "fused_lstm_sequence",
     "fused_gru_step", "fused_gru_step_preproj", "fused_gru_sequence",
+    "fused_head_loss",
     "Profiler", "OpStats", "profile",
     "Module", "Parameter", "LoadReport",
     "Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",

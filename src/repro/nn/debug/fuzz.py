@@ -593,6 +593,36 @@ def _build_fused_gru_sequence(rng, dtype, extreme, size):
     return fn, [x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c]
 
 
+def _build_fused_head(loss):
+    """Trial builder for :func:`fused_head_loss` with ``loss``: frozen
+    features (no grad), the four head parameters, and mixup-style soft
+    targets.  Extreme trials feed adversarial features up to 1e4, whose
+    logits saturate the softmax to exact zeros and ones (the clip
+    floor's regime) and plant ties."""
+
+    def build(rng, dtype, extreme, size):
+        from ...nn.fused import fused_head_loss
+        n, d, h = size + 2, size + 1, size + 2
+        x = _const(_values(rng, (n, d), dtype, extreme, max_mag=1e4), dtype)
+        w1 = _t(rng, (d, h), dtype, extreme, scale=0.5, max_mag=10.0)
+        b1 = _t(rng, (h,), dtype, extreme, scale=0.5, max_mag=10.0)
+        w2 = _t(rng, (h, 2), dtype, extreme, scale=0.5, max_mag=10.0)
+        b2 = _t(rng, (2,), dtype, extreme, scale=0.5, max_mag=10.0)
+        lam = rng.uniform(size=(n, 1))
+        onehot = np.eye(2)[rng.integers(0, 2, size=n)]
+        targets = lam * onehot + (1.0 - lam) * onehot[rng.permutation(n)]
+        return (lambda: fused_head_loss(x, w1, b1, w2, b2, targets,
+                                        loss=loss, q=0.7),
+                [w1, b1, w2, b2])
+    return build
+
+
+_register("fused_head_gce", covers=("fused_head_loss",))(
+    _build_fused_head("gce"))
+_register("fused_head_cce", covers=("fused_head_loss",))(
+    _build_fused_head("cce"))
+
+
 # -- loss kernels ------------------------------------------------------
 def _probs_and_targets(rng, dtype, extreme, size):
     """(logits leaf, probs fn, targets) for the probability-space losses.

@@ -23,8 +23,8 @@ checks over the captured nodes:
 
 ``python -m repro lint-graph`` builds a representative CLFD training
 step (fused-LSTM encoder → projection → supervised-contrastive loss +
-GCE classifier head) and lints it, exiting 2 if any error-severity
-issue is found.
+fused GCE classifier head on the frozen encoding) and lints it,
+exiting 2 if any error-severity issue is found.
 """
 
 from __future__ import annotations
@@ -213,12 +213,12 @@ def lint_graph(root, parameters: Iterable[Tensor] = ()) -> list[LintIssue]:
 def _demo_training_step() -> tuple[Tensor, list[Tensor]]:
     """A miniature CLFD training step: fused-LSTM encoder over a synthetic
     session batch, L2-normalized projection into sup-con loss, plus a
-    GCE-trained classifier head — the same op mix the real Trainer runs.
+    GCE-trained classifier head on the frozen encoding — the same op
+    mix the real Trainer runs.
     """
     from ...losses.contrastive import sup_con_loss
-    from ...losses.robust import gce_loss
-    from ..functional import l2_normalize, one_hot, softmax
-    from ..fused import fused_lstm_sequence
+    from ..functional import l2_normalize, one_hot
+    from ..fused import fused_head_loss, fused_lstm_sequence
 
     rng = np.random.default_rng(0)
     n, t, d, h = 6, 4, 5, 4
@@ -240,13 +240,17 @@ def _demo_training_step() -> tuple[Tensor, list[Tensor]]:
     con = sup_con_loss(z, labels, temperature=0.5,
                        confidences=rng.uniform(0.5, 1.0, size=n))
 
-    w_clf = Tensor(rng.normal(size=(h, 2)) * 0.3, requires_grad=True,
-                   name="clf.w")
-    probs = softmax(h_last.matmul(w_clf))
-    gce = gce_loss(probs, one_hot(labels, 2), q=0.7)
+    # The classifier head trains on frozen representations (Algorithm 1,
+    # lines 13-19), through the same fused kernel the Trainer uses.
+    head = [Tensor(rng.normal(size=shape) * 0.3, requires_grad=True,
+                   name=f"clf.{name}")
+            for name, shape in (("w1", (h, h)), ("b1", (h,)),
+                                ("w2", (h, 2)), ("b2", (2,)))]
+    gce = fused_head_loss(h_last.detach(), *head, one_hot(labels, 2),
+                          loss="gce", q=0.7)
 
     loss = con + gce
-    return loss, [w_x, w_h, bias, w_proj, w_clf]
+    return loss, [w_x, w_h, bias, w_proj, *head]
 
 
 def lint_demo_graph(verbose: bool = False) -> list[LintIssue]:

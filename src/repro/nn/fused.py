@@ -26,6 +26,12 @@ Two tiers are provided:
   GEMM over all timesteps instead of one small GEMM per step.  These
   are what the ``LSTM``/``GRU`` layers use.
 
+``fused_head_loss`` does the same for the two-layer classifier head
+both CLFD stages train on frozen representations: Linear → LeakyReLU →
+Linear → softmax → GCE or CCE in one node, whose NumPy expressions
+repeat the composed graph's operation for operation, so its loss and
+gradients are bit-identical to it (DESIGN.md §7).
+
 Inference over a padded batch can skip dead cells: with grad disabled,
 the sequence kernels take ``live`` (from :func:`live_rows`), run the
 time loop only up to the longest row, and confine each step's
@@ -51,6 +57,7 @@ __all__ = [
     "fused_gru_step",
     "fused_gru_step_preproj",
     "fused_gru_sequence",
+    "fused_head_loss",
 ]
 
 
@@ -632,3 +639,124 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
         h_seq_data, (x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c),
         backward_seq, recompute_seq, "fused_gru_sequence")
     return h_seq, h_seq[:, -1, :]
+
+
+# ----------------------------------------------------------------------
+# Classifier head
+# ----------------------------------------------------------------------
+# ``Tensor.leaky_relu``'s default slope, the one ``SoftmaxClassifier`` uses.
+_HEAD_SLOPE = 0.01
+
+
+def _head_forward(x, w1, b1, w2, b2):
+    """The head's forward pass on payloads, expression for expression
+    as ``SoftmaxClassifier.probs`` builds it from composed ops.
+
+    Returns ``(act, scale, exps, sums, inv, probs)``: the hidden
+    activation, LeakyReLU's per-entry slope, and the max-shifted
+    softmax's exponentials, row sums, ``sums ** -1.0`` (the composed
+    division) and probabilities.  Reductions call the ufunc reductions
+    that ``ndarray.max``/``ndarray.sum`` run, without their Python
+    wrappers.
+    """
+    hidden = x @ w1 + b1
+    scale = np.where(hidden > 0, 1.0, _HEAD_SLOPE).astype(
+        hidden.dtype, copy=False)
+    act = hidden * scale
+    logits = act @ w2 + b2
+    shifted = logits + np.maximum.reduce(logits, -1, keepdims=True) * -1.0
+    exps = np.exp(shifted)
+    sums = np.add.reduce(exps, -1, keepdims=True)
+    inv = sums ** -1.0
+    return act, scale, exps, sums, inv, exps * inv
+
+
+def fused_head_loss(x, w1, b1, w2, b2, targets, loss: str = "gce",
+                    q: float = 0.7):
+    """Mean GCE or CCE loss of a two-layer classifier head, as one node.
+
+    ``x @ w1 + b1`` → LeakyReLU → ``@ w2 + b2`` → max-shifted softmax →
+    clip → ``loss`` against the soft ``targets`` (one-hot labels or
+    mixup interpolations), averaged over the batch: what
+    ``gce_loss(classifier.probs(x), targets, q)`` (Eq. 1–2, clip floor
+    1e-4) or ``cce_loss(...)`` (clip floor 1e-12) computes from ~20
+    composed nodes.  The single backward closure writes the four
+    parameter gradients directly.
+
+    Every NumPy expression repeats the composed graph's, operation for
+    operation (division is ``e * s ** -1.0``, ``1 - p**q`` is
+    ``p**q * -1.0 + 1.0``, the pow backward ``(g*q) * p**(q-1)``, the
+    clip backward ``g * mask``), so the loss and all four gradients are
+    bit-identical to the composed path in float32 and float64.
+
+    ``x`` holds frozen features: it may not require grad.
+    """
+    # The clip floors the composed losses use; a lazy import, because
+    # repro.losses imports repro.nn.
+    from ..losses.robust import _EPS, _PROB_FLOOR
+
+    if loss not in ("gce", "cce"):
+        raise ValueError(f"unknown head loss {loss!r}")
+    if loss == "gce" and not 0.0 < q <= 1.0:
+        raise ValueError(f"q must be in (0, 1], got {q}")
+    x = as_tensor(x)
+    if x.requires_grad:
+        raise ValueError("fused_head_loss trains a head on frozen features; "
+                         "x must not require grad")
+    dtype = x.data.dtype
+    if not (dtype == w1.data.dtype == b1.data.dtype == w2.data.dtype
+            == b2.data.dtype) or dtype not in (np.float32, np.float64):
+        raise ValueError("x and the head parameters must share one dtype, "
+                         "float32 or float64")
+    # A no-copy view when the dtype already matches, so a compiled tape
+    # refreshing its input buffer refreshes the targets here too.
+    targets = np.asarray(targets, dtype=dtype)
+    n = x.data.shape[0]
+    if x.data.ndim != 2 or targets.shape != (n, w2.data.shape[1]):
+        raise ValueError(f"x {x.data.shape} and targets {targets.shape} "
+                         f"do not fit a {w2.data.shape[1]}-class head")
+    floor = _PROB_FLOOR if loss == "gce" else _EPS
+
+    def forward():
+        act, scale, exps, sums, inv, probs = _head_forward(
+            x.data, w1.data, b1.data, w2.data, b2.data)
+        clipped = np.clip(probs, floor, 1.0)
+        keep = (probs >= floor) & (probs <= 1.0)
+        if loss == "gce":
+            per = np.add.reduce(
+                targets * (clipped ** q * -1.0 + 1.0) * (1.0 / q), -1)
+        else:
+            per = np.add.reduce(targets * np.log(clipped), -1) * -1.0
+        value = np.asarray(np.add.reduce(per, None) * (1.0 / n))
+        return act, scale, exps, sums, inv, clipped, keep, value
+
+    saved = forward()
+
+    def backward():
+        act, scale, exps, sums, inv, clipped, keep, _ = saved
+        g = out.grad * (1.0 / n)
+        if loss == "gce":
+            gp = (g * (1.0 / q) * targets * -1.0 * q) * clipped ** (q - 1.0)
+        else:
+            gp = g * -1.0 * targets / clipped
+        gp = gp * keep
+        g_inv = np.add.reduce(gp * exps, -1, keepdims=True)
+        g_logits = (gp * inv + g_inv * -1.0 * sums ** -2.0) * exps
+        if w2.requires_grad:
+            w2._accumulate(act.T @ g_logits)
+        if b2.requires_grad:
+            b2._accumulate(np.add.reduce(g_logits, 0))
+        if w1.requires_grad or b1.requires_grad:
+            g_hidden = (g_logits @ w2.data.T) * scale
+            if w1.requires_grad:
+                w1._accumulate(x.data.T @ g_hidden)
+            if b1.requires_grad:
+                b1._accumulate(np.add.reduce(g_hidden, 0))
+
+    def recompute():
+        for buffer, fresh in zip(saved, forward()):
+            np.copyto(buffer, fresh)
+
+    out = Tensor._make(saved[-1], (x, w1, b1, w2, b2), backward, recompute,
+                       "fused_head_loss")
+    return out

@@ -132,6 +132,60 @@ def test_mixup_validation(rng):
         sample_mixup(np.array([0]), rng)
 
 
+def _sample_mixup_before(labels, rng, beta=0.3, num_classes=2,
+                         anchor_dominant=True):
+    """``sample_mixup`` as it was before it dropped the ``np.unique``
+    sort: the reference its draws must keep matching."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.shape[0]
+    partner = np.empty(n, dtype=np.int64)
+    for cls in np.unique(labels):
+        rows = np.flatnonzero(labels == cls)
+        opposite = np.flatnonzero(labels != cls)
+        pool = opposite if opposite.size else np.flatnonzero(labels == cls)
+        partner[rows] = rng.choice(pool, size=rows.size)
+    lam = rng.beta(beta, beta, size=n)
+    if anchor_dominant:
+        lam = np.maximum(lam, 1.0 - lam)
+    targets = np.eye(num_classes)[labels]
+    mixed = lam[:, None] * targets + (1.0 - lam)[:, None] * targets[partner]
+    return partner, lam, mixed
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_mixup_draws_match_the_unique_based_sampler(num_classes):
+    """Same rng draws in the same order: partners, λ and mixed targets
+    stay bitwise equal, single-class batches included, and the rng is
+    left in the same state."""
+    for seed in range(300):
+        pick = np.random.default_rng([seed, num_classes])
+        n = int(pick.integers(2, 70))
+        if seed % 5 == 0:                      # single-class batch
+            labels = np.full(n, pick.integers(num_classes))
+        else:
+            labels = pick.integers(0, num_classes, size=n)
+        beta = float(pick.choice([0.3, 1.0, 16.0]))
+        anchor = bool(seed % 3)
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        got = sample_mixup(labels, rng_new, beta=beta,
+                           num_classes=num_classes, anchor_dominant=anchor)
+        partner, lam, mixed = _sample_mixup_before(
+            labels, rng_old, beta=beta, num_classes=num_classes,
+            anchor_dominant=anchor)
+        assert got.partner.tobytes() == partner.tobytes(), seed
+        assert got.lam.tobytes() == lam.tobytes(), seed
+        assert got.mixed_targets.tobytes() == mixed.tobytes(), seed
+        assert rng_new.random() == rng_old.random(), seed
+
+
+def test_mixup_rejects_labels_outside_the_classes(rng):
+    with pytest.raises(ValueError, match="labels must lie"):
+        sample_mixup(np.array([0, 1, 2]), rng)
+    with pytest.raises(ValueError, match="labels must lie"):
+        sample_mixup(np.array([0, -1, 1]), rng)
+
+
 def test_mix_representations_values_and_grads(rng):
     labels = np.array([0, 1, 0, 1])
     batch = sample_mixup(labels, rng)
