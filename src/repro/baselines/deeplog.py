@@ -57,9 +57,8 @@ class DeepLogModel(BaselineModel):
         def batches(batch_rng: np.random.Generator):
             return iter_batches(normal, config.batch_size, batch_rng)
 
-        step = nn.StepProgram(
-            lambda batch: self._lm_prepare(ids[batch], lengths[batch]),
-            self._lm_program)
+        def step(batch: np.ndarray):
+            return self._lm_loss(ids[batch], lengths[batch])
 
         trainer = run.trainer(
             "lm",
@@ -74,13 +73,8 @@ class DeepLogModel(BaselineModel):
             np.quantile(train_scores, self.threshold_quantile)
         )
 
-    def _lm_prepare(self, ids: np.ndarray, lengths: np.ndarray):
-        """Impure half of the LM step: transition mask + gather indices.
-
-        ``1/mask.sum()`` travels as a 0-d array input — as a Python
-        scalar it would be baked into the compiled tape at trace time,
-        silently mis-scaling every later batch's loss.
-        """
+    def _lm_loss(self, ids: np.ndarray, lengths: np.ndarray):
+        """Mean next-key cross-entropy over the valid transitions."""
         if ids.shape[1] < 2:
             return None
         inputs, targets = ids[:, :-1], ids[:, 1:]
@@ -91,26 +85,10 @@ class DeepLogModel(BaselineModel):
         total = mask.sum()
         if total == 0:
             return None
-        inv_total = np.asarray(1.0 / total)
-        return inputs, targets.ravel(), mask, inv_total
-
-    def _lm_program(self, inputs: np.ndarray, flat_targets: np.ndarray,
-                    mask: np.ndarray, inv_total: np.ndarray):
-        """Pure half: mean next-key cross-entropy over valid transitions."""
         logits = self.out(self.lstm(self.embedding(inputs))[0])
         log_probs = nn.log_softmax(logits, axis=-1)
-        batch, steps = inputs.shape
-        rows = np.repeat(np.arange(batch), steps)
-        cols = np.tile(np.arange(steps), batch)
-        picked = log_probs[rows, cols, flat_targets]
-        return -(picked * nn.Tensor(mask)).sum() * nn.Tensor(inv_total)
-
-    def _lm_loss(self, ids: np.ndarray, lengths: np.ndarray):
-        """Interpreted LM loss (kept for tests and ad-hoc evaluation)."""
-        arrays = self._lm_prepare(ids, lengths)
-        if arrays is None:
-            return None
-        return self._lm_program(*arrays)
+        picked = log_probs[rows, cols, targets.ravel()]
+        return -(picked * nn.Tensor(mask)).sum() * nn.Tensor(1.0 / total)
 
     def _miss_fractions(self, dataset: SessionDataset) -> np.ndarray:
         """Per-session fraction of transitions missing the top-k set."""

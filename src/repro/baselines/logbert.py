@@ -67,9 +67,8 @@ class LogBertModel(BaselineModel):
         def batches(batch_rng: np.random.Generator):
             return iter_batches(normal, config.batch_size, batch_rng)
 
-        step = nn.StepProgram(
-            lambda batch: self._mlm_prepare(ids[batch], lengths[batch], rng),
-            self._mlm_program)
+        def step(batch: np.ndarray):
+            return self._mlm_loss(ids[batch], lengths[batch], rng)
 
         trainer = run.trainer(
             "mlm",
@@ -104,40 +103,29 @@ class LogBertModel(BaselineModel):
         masked[mask] = self.mask_id
         return masked, mask
 
-    def _mlm_prepare(self, ids: np.ndarray, lengths: np.ndarray,
-                     rng: np.random.Generator):
-        """Impure half of the MLM step: masking draw, embedding lookup,
-        attention bias, and the masked-position weights.
+    def _mlm_loss(self, ids: np.ndarray, lengths: np.ndarray,
+                  rng: np.random.Generator):
+        """Masked-key cross-entropy at the masked positions.
 
-        The mask weights stay a dense (batch·time,) array rather than
-        ``np.nonzero`` indices: a per-batch number of masked positions
-        would change the input signature — and force a re-trace — every
-        step.  The embedding rows are gathered here in NumPy because the
-        step (inherited from the original loop) deliberately detaches
-        them; only the transformer and head receive gradients.
+        The embedding rows are gathered in NumPy because the step
+        (inherited from the original loop) deliberately detaches them;
+        only the transformer and head receive gradients.
         """
         masked, mask = self._mask(ids, lengths, rng)
         if not mask.any():
             return None
         steps = np.arange(ids.shape[1])[None, :]
         attn_mask = (steps < lengths[:, None]).astype(np.float64)
-        bias = nn.MultiHeadAttention.mask_bias(attn_mask)
         embedded = self.embedding.weight.data[masked]
-        weights = mask.astype(np.float64).ravel()
-        inv_count = np.asarray(1.0 / mask.sum())
-        return embedded, bias, weights, ids.ravel(), inv_count
-
-    def _mlm_program(self, embedded: np.ndarray, bias: np.ndarray,
-                     weights: np.ndarray, flat_ids: np.ndarray,
-                     inv_count: np.ndarray):
-        """Pure half: masked-key cross-entropy at the masked positions."""
-        hidden = self.encoder(nn.Tensor(embedded), bias=bias)
+        hidden = self.encoder(nn.Tensor(embedded), mask=attn_mask)
         log_probs = nn.log_softmax(self.out(hidden), axis=-1)
         batch, time = embedded.shape[:2]
         rows = np.repeat(np.arange(batch), time)
         cols = np.tile(np.arange(time), batch)
-        picked = log_probs[rows, cols, flat_ids]
-        return -(picked * nn.Tensor(weights)).sum() * nn.Tensor(inv_count)
+        picked = log_probs[rows, cols, ids.ravel()]
+        weights = mask.astype(np.float64).ravel()
+        return -(picked * nn.Tensor(weights)).sum() * nn.Tensor(
+            1.0 / mask.sum())
 
     def _miss_fractions(self, dataset: SessionDataset,
                         rng: np.random.Generator) -> np.ndarray:

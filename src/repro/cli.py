@@ -262,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(or '<scope>@N' after epoch N) checkpoints")
     tr.add_argument("--profile", action="store_true",
                     help="attach nn.profile op breakdowns to the journal")
-    tr.add_argument("--compile", action="store_true",
-                    help="run each phase through the trace-once/replay "
-                         "executor (bit-identical, faster steady state)")
     tr.add_argument("--metrics-out", default=None,
                     help="write deterministic JSON (metrics + parameter "
                          "fingerprint) here — bit-diffable across resumes")
@@ -527,8 +524,7 @@ def _run_train(args, settings: ExperimentSettings) -> int:
                                            "journal.jsonl")
     run = TrainRun(args.checkpoint_dir, journal=journal,
                    resume=args.resume, snapshot_every=args.snapshot_every,
-                   stop_after=args.stop_after, profile=args.profile,
-                   compile=args.compile)
+                   stop_after=args.stop_after, profile=args.profile)
     mode = "resuming" if args.resume else "training"
     print(f"{mode} CLFD on {args.dataset} (scale={settings.scale}, "
           f"eta={args.eta}, seed={args.seed}) ...")

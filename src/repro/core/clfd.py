@@ -87,10 +87,6 @@ class CLFD:
             # Config-level opt-in: every Trainer this run hands out wraps
             # its batches in nn.detect_anomaly().
             run.detect_anomaly = True
-        if config.compile:
-            # Config-level opt-in: every StepProgram-based phase runs
-            # through the trace-once/replay executor.
-            run.compile = True
 
         state = run.load_phase("vectorizer")
         if state is not None:

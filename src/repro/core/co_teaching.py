@@ -129,8 +129,6 @@ class CoTeachingCLFD:
         run = run or TrainRun()
         if self.config.detect_anomaly:
             run.detect_anomaly = True
-        if self.config.compile:
-            run.compile = True
 
         state = run.load_phase("vectorizer")
         if state is not None:

@@ -9,6 +9,8 @@ CPU-sized values; see EXPERIMENTS.md.
 from __future__ import annotations
 
 import dataclasses
+import types
+from typing import ClassVar, Mapping
 
 from ..data.word2vec import Word2VecConfig
 
@@ -56,11 +58,6 @@ class CLFDConfig:
     # creation site (and lands in the journal) instead of silently
     # corrupting the run.  Costs an np.isfinite scan per graph node.
     detect_anomaly: bool = False
-    # Performance: trace each training step once into a replayable tape
-    # (``repro.nn.compile``) and replay it on every subsequent batch of
-    # the same input signature.  Bit-identical to the interpreted path;
-    # falls back (and journals why) for steps the tracer cannot handle.
-    compile: bool = False
 
     # Batching: R sessions per batch, M auxiliary malicious sessions.
     batch_size: int = 100
@@ -95,6 +92,13 @@ class CLFDConfig:
     supcon_variant: str = "weighted"
     inference: str = "classifier"
 
+    # Fields this config no longer has, with the value every record
+    # written before their removal holds.  Archives still carry them in
+    # ``meta["config"]`` (:meth:`from_dict` drops them), and RunCache
+    # keys hashed them (``task_key`` hashes them back in).
+    RETIRED_FIELDS: ClassVar[Mapping[str, object]] = types.MappingProxyType(
+        {"compile": False})
+
     def __post_init__(self):
         if self.word2vec is None:
             self.word2vec = Word2VecConfig(dim=self.embedding_dim)
@@ -121,6 +125,15 @@ class CLFDConfig:
         for field in ("ssl_epochs", "supcon_epochs", "classifier_epochs"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "CLFDConfig":
+        """Rebuild a config from its ``dataclasses.asdict`` form (an
+        archive's ``meta["config"]``), ignoring retired fields."""
+        fields = {key: value for key, value in data.items()
+                  if key not in cls.RETIRED_FIELDS}
+        fields["word2vec"] = Word2VecConfig(**fields["word2vec"])
+        return cls(**fields)
 
     @classmethod
     def fast(cls, **overrides) -> "CLFDConfig":

@@ -64,42 +64,6 @@ class SessionEncoder(nn.Module):
             outputs = outputs[0]
         return self.attention(outputs, lengths)
 
-    def pooling_arrays(self, lengths: np.ndarray,
-                       time: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Mask/denominator pair consumed by :meth:`forward_pooled`.
-
-        This is the impure half of mean pooling, split out so a compiled
-        step's ``prepare`` stage can build the arrays and hand them to
-        the pure program as plain inputs.  Returns None for attention
-        pooling, which has no static pooling arrays — callers fall back
-        to the interpreted :meth:`forward` path.
-        """
-        if self.attention is not None:
-            return None
-        lengths = np.asarray(lengths, dtype=self._dtype)
-        mask = (np.arange(time)[None, :] < lengths[:, None]).astype(self._dtype)
-        return mask[:, :, None], np.maximum(lengths, 1.0)[:, None]
-
-    def forward_pooled(self, x, mask: np.ndarray, denom: np.ndarray) -> nn.Tensor:
-        """Mean-pooled encoding from precomputed pooling arrays.
-
-        Numerically identical to ``forward(x, lengths)`` with mean
-        pooling — the ops match ``rnn.mean_pool`` exactly — but every
-        data-dependent array (``mask``, ``denom``, and the pre-cast
-        ``x``) arrives as an input, so the whole call is traceable: a
-        replayed tape re-reads the refreshed buffers instead of baking
-        trace-time values.
-        """
-        if not isinstance(x, nn.Tensor):
-            x = nn.Tensor(x)
-        if x.data.dtype != self._dtype:
-            x = x.astype(self._dtype)
-        outputs = self.rnn(x)
-        if isinstance(outputs, tuple):  # LSTM/GRU return (outputs, state)
-            outputs = outputs[0]
-        masked = outputs * nn.Tensor(mask)
-        return masked.sum(axis=1) / nn.Tensor(denom)
-
     @property
     def dtype(self):
         """The parameter/activation dtype inputs must be pre-cast to."""

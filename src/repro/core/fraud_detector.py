@@ -20,7 +20,6 @@ from .. import nn
 from ..data.pipeline import SessionVectorizer
 from ..data.sessions import MALICIOUS, NORMAL, SessionDataset, iter_batches
 from ..losses import sup_con_loss
-from ..losses.contrastive import sup_con_from_weights, sup_con_pair_weights
 from ..train import TrainRun
 from .config import CLFDConfig
 from .encoder import SessionEncoder, SoftmaxClassifier
@@ -96,55 +95,26 @@ class FraudDetector:
         def batches(rng: np.random.Generator):
             return iter_batches(train, config.batch_size, rng)
 
-        dtype = self.encoder.dtype
-
-        def _draw_rows(batch: np.ndarray) -> np.ndarray:
-            if not malicious_pool.size:
-                return batch
-            aux = self._rng.choice(
-                malicious_pool,
-                size=min(config.aux_batch_size, malicious_pool.size),
-                replace=False,
-            )
-            return np.concatenate([batch, aux])
-
-        def prepare(batch: np.ndarray):
-            """Impure half: auxiliary-batch draw, embedding lookup, and
-            the label/confidence-driven pair-weight matrix."""
+        def step(batch: np.ndarray):
             if batch.size < 2:
                 return None
-            rows = _draw_rows(batch)
-            x, lengths = self.vectorizer.transform(train, indices=rows)
-            mask, denom = self.encoder.pooling_arrays(lengths, x.shape[1])
-            weights = sup_con_pair_weights(
-                labels[rows], confidences[rows], num_anchors=batch.size,
-                variant=config.supcon_variant,
-                threshold=config.filter_threshold, dtype=dtype)
-            inv_anchors = np.asarray(1.0 / batch.size, dtype=dtype)
-            return (np.asarray(x, dtype=dtype), mask, denom, weights,
-                    inv_anchors)
-
-        def program(x, mask, denom, weights, inv_anchors):
-            z = self.encoder.forward_pooled(x, mask, denom)
-            return sup_con_from_weights(z, weights, inv_anchors,
-                                        temperature=config.temperature)
-
-        if self.encoder.attention is None:
-            step = nn.StepProgram(prepare, program)
-        else:
-            def step(batch: np.ndarray):
-                if batch.size < 2:
-                    return None
-                rows = _draw_rows(batch)
-                x, lengths = self.vectorizer.transform(train, indices=rows)
-                z = self.encoder(x, lengths)
-                return sup_con_loss(
-                    z, labels[rows], temperature=config.temperature,
-                    confidences=confidences[rows],
-                    num_anchors=batch.size,
-                    variant=config.supcon_variant,
-                    threshold=config.filter_threshold,
+            rows = batch
+            if malicious_pool.size:
+                aux = self._rng.choice(
+                    malicious_pool,
+                    size=min(config.aux_batch_size, malicious_pool.size),
+                    replace=False,
                 )
+                rows = np.concatenate([batch, aux])
+            x, lengths = self.vectorizer.transform(train, indices=rows)
+            z = self.encoder(x, lengths)
+            return sup_con_loss(
+                z, labels[rows], temperature=config.temperature,
+                confidences=confidences[rows],
+                num_anchors=batch.size,
+                variant=config.supcon_variant,
+                threshold=config.filter_threshold,
+            )
 
         trainer = run.trainer("supcon", self.encoder, optimizer,
                               grad_clip=config.grad_clip)

@@ -88,39 +88,14 @@ class LabelCorrector:
         def batches(rng: np.random.Generator):
             return iter_batches(train, config.batch_size, rng)
 
-        dtype = self.encoder.dtype
-
-        def prepare(batch: np.ndarray):
-            """Impure half: RNG-driven augmentation + pooling arrays."""
+        def step(batch: np.ndarray):
             if batch.size < 2:
                 return None
             view_a = self._augmented_view(ids[batch], lengths[batch])
             view_b = self._augmented_view(ids[batch], lengths[batch])
-            mask, denom = self.encoder.pooling_arrays(
-                lengths[batch], view_a.shape[1])
-            return (np.asarray(view_a, dtype=dtype),
-                    np.asarray(view_b, dtype=dtype), mask, denom)
-
-        def program(view_a, view_b, mask, denom):
-            """Pure tensor half: two encodings + NT-Xent."""
-            z_a = self.encoder.forward_pooled(view_a, mask, denom)
-            z_b = self.encoder.forward_pooled(view_b, mask, denom)
+            z_a = self.encoder(view_a, lengths[batch])
+            z_b = self.encoder(view_b, lengths[batch])
             return nt_xent_loss(z_a, z_b, temperature=config.temperature)
-
-        if self.encoder.attention is None:
-            step = nn.StepProgram(prepare, program)
-        else:
-            # Attention pooling is data-dependent inside the module;
-            # keep the interpreted closure (Trainer journals
-            # "compile-unsupported" if compilation was requested).
-            def step(batch: np.ndarray):
-                if batch.size < 2:
-                    return None
-                view_a = self._augmented_view(ids[batch], lengths[batch])
-                view_b = self._augmented_view(ids[batch], lengths[batch])
-                z_a = self.encoder(view_a, lengths[batch])
-                z_b = self.encoder(view_b, lengths[batch])
-                return nt_xent_loss(z_a, z_b, temperature=config.temperature)
 
         trainer = run.trainer("ssl", self.encoder, optimizer,
                               grad_clip=config.grad_clip)

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..data.pipeline import SessionVectorizer
 from ..data.vocab import Vocabulary
-from ..data.word2vec import SkipGramModel, Word2VecConfig
+from ..data.word2vec import SkipGramModel
 from ..nn.serialize import save_arrays
 from .clfd import CLFD
 from .config import CLFDConfig
@@ -80,12 +80,10 @@ def save_clfd(model: CLFD, path: str | os.PathLike) -> pathlib.Path:
         raise ValueError("cannot save an unfitted CLFD model")
     payload: dict[str, np.ndarray] = {}
 
-    config_dict = dataclasses.asdict(model.config)
-    config_dict["word2vec"] = dataclasses.asdict(model.config.word2vec)
     vocab = model.vectorizer.vocab
     meta = {
         "format_version": _FORMAT_VERSION,
-        "config": config_dict,
+        "config": dataclasses.asdict(model.config),
         "max_len": model.vectorizer.max_len,
         "has_corrector": model.label_corrector is not None,
         "has_detector": model.fraud_detector is not None,
@@ -199,9 +197,7 @@ def build_clfd(meta: dict, arrays: dict[str, np.ndarray], *,
         from ..quant.runtime import build_quantized
 
         return build_quantized(meta, arrays, bind=bind)
-    config_dict = dict(meta["config"])
-    config_dict["word2vec"] = Word2VecConfig(**config_dict["word2vec"])
-    config = CLFDConfig(**config_dict)
+    config = CLFDConfig.from_dict(meta["config"])
 
     model = CLFD(config)
     vectors = arrays["word2vec/vectors"]

@@ -59,11 +59,11 @@ def train_classifier_head(classifier: SoftmaxClassifier, features: np.ndarray,
 
     dtype = classifier._dtype
 
-    def prepare(batch: np.ndarray):
-        """Impure half: mixup draws and interpolation over the frozen
-        features.  The features carry no gradient, so interpolating in
-        NumPy here is bit-identical to the former in-graph version
-        (``a - b == (-b) + a`` and scalar broadcasting are exact)."""
+    def step(batch: np.ndarray):
+        """Algorithm 1, lines 13–19: mixup over the frozen features (in
+        NumPy, since they carry no gradient), then the head's forward
+        and the GCE of Eq. 1 over mixed targets (Eq. 2–3), or CCE, as
+        one fused graph node."""
         if batch.size < 2:
             return None
         v = features[batch]
@@ -74,18 +74,12 @@ def train_classifier_head(classifier: SoftmaxClassifier, features: np.ndarray,
             targets = mixup.mixed_targets
         else:
             targets = onehot[batch]
-        return (np.asarray(v, dtype=dtype), np.asarray(targets, dtype=dtype))
-
-    def program(v, targets):
-        """Algorithm 1, lines 13–19: the head's forward and the GCE of
-        Eq. 1 over mixed targets (Eq. 2–3), or CCE, on frozen features.
-        The head is trained as one fused graph node."""
         return nn.fused_head_loss(
-            v, classifier.fc1.weight, classifier.fc1.bias,
-            classifier.fc2.weight, classifier.fc2.bias, targets,
+            np.asarray(v, dtype=dtype), classifier.fc1.weight,
+            classifier.fc1.bias, classifier.fc2.weight, classifier.fc2.bias,
+            np.asarray(targets, dtype=dtype),
             loss="cce" if loss == "cce" else "gce", q=q)
 
     trainer = (run or TrainRun()).trainer(scope, classifier, optimizer,
                                           grad_clip=grad_clip)
-    return trainer.fit(batches, nn.StepProgram(prepare, program),
-                       epochs=epochs, rng=rng)
+    return trainer.fit(batches, step, epochs=epochs, rng=rng)

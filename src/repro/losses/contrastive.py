@@ -19,10 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Tensor, cosine_similarity_matrix
-from ..nn.tensor import detached
 
-__all__ = ["nt_xent_loss", "sup_con_loss", "sup_con_pair_weights",
-           "sup_con_from_weights"]
+__all__ = ["nt_xent_loss", "sup_con_loss"]
 
 _NEG_INF = -1e9
 
@@ -118,30 +116,23 @@ def sup_con_loss(z: Tensor, labels, temperature: float = 1.0,
     if variant not in ("weighted", "unweighted", "filtered"):
         raise ValueError(f"unknown variant {variant!r}")
 
-    weights = sup_con_pair_weights(
-        labels, confidences, num_anchors=num_anchors, variant=variant,
-        threshold=threshold, dtype=z.data.dtype)
+    weights = _pair_weights(labels, confidences, num_anchors, variant,
+                            threshold, z.data.dtype)
     inv_anchors = np.asarray(1.0 / num_anchors, dtype=z.data.dtype)
-    return sup_con_from_weights(z, weights, inv_anchors,
-                                temperature=temperature)
+    sims = cosine_similarity_matrix(z) * (1.0 / temperature)
+    logits = sims + Tensor(_diag_mask(n, sims.data.dtype))
+    log_denom = _row_logsumexp(logits)                    # (n,)
+    # l_sup(i, p) = log_denom_i - logit_ip for each positive pair.
+    pair_loss = (log_denom.reshape(n, 1) - logits)
+    total = (pair_loss * Tensor(weights)).sum()
+    return total * Tensor(inv_anchors)
 
 
-def sup_con_pair_weights(labels, confidences=None, *,
-                         num_anchors: int | None = None,
-                         variant: str = "weighted", threshold: float = 0.7,
-                         dtype=np.float64) -> np.ndarray:
-    """The pure-NumPy half of :func:`sup_con_loss`: the (n, n) matrix of
-    per-pair coefficients ``mask(i,p) · w(i,p) / |B(x_i)|``.
-
-    Split out so a compiled training step can build it in the step's
-    ``prepare`` stage (it depends only on labels/confidences, not on the
-    representations) and feed it to :func:`sup_con_from_weights` as a
-    plain input array.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
+def _pair_weights(labels: np.ndarray, confidences, num_anchors: int,
+                  variant: str, threshold: float, dtype) -> np.ndarray:
+    """The (n, n) matrix of per-pair coefficients
+    ``mask(i,p) · w(i,p) / |B(x_i)|`` of :func:`sup_con_loss`."""
     n = labels.shape[0]
-    if num_anchors is None:
-        num_anchors = n
     if variant == "unweighted":
         pair_weights = np.ones((n, n))
     else:
@@ -167,25 +158,6 @@ def sup_con_pair_weights(labels, confidences=None, *,
             * inv_counts[:, None]).astype(dtype)
 
 
-def sup_con_from_weights(z: Tensor, weights, inv_anchors,
-                         temperature: float = 1.0) -> Tensor:
-    """Tensor half of :func:`sup_con_loss`, parameterised by the weight
-    matrix from :func:`sup_con_pair_weights`.
-
-    ``inv_anchors`` is ``1/R`` as a 0-d array (not a Python float): a
-    scalar would be baked into a compiled tape as a constant, and R
-    varies with the final partial batch.
-    """
-    n = z.shape[0]
-    sims = cosine_similarity_matrix(z) * (1.0 / temperature)
-    logits = sims + Tensor(_diag_mask(n, sims.data.dtype))
-    log_denom = _row_logsumexp(logits)                    # (n,)
-    # l_sup(i, p) = log_denom_i - logit_ip for each positive pair.
-    pair_loss = (log_denom.reshape(n, 1) - logits)
-    total = (pair_loss * Tensor(weights)).sum()
-    return total * Tensor(inv_anchors)
-
-
 def _row_logsumexp(logits: Tensor) -> Tensor:
     """Row-wise log-sum-exp, numerically stabilised with a detached max.
 
@@ -193,11 +165,8 @@ def _row_logsumexp(logits: Tensor) -> Tensor:
     would turn ``logits - row_max`` into NaN for the whole row; guarding
     the shift keeps the mask value itself as the result instead.
     """
-    def guarded_max(data: np.ndarray) -> np.ndarray:
-        row_max = data.max(axis=1, keepdims=True)
-        return np.where(np.isfinite(row_max), row_max,
-                        np.zeros((), dtype=row_max.dtype))
-
-    row_max = detached(logits, guarded_max)
+    row_max = logits.data.max(axis=1, keepdims=True)
+    row_max = Tensor(np.where(np.isfinite(row_max), row_max,
+                              np.zeros((), dtype=row_max.dtype)))
     shifted = logits - row_max
     return (shifted.exp().sum(axis=1).log() + row_max.reshape(-1))

@@ -63,7 +63,6 @@ from .tensor import (
     chunk,
     concat,
     default_dtype,
-    detached,
     get_default_dtype,
     is_grad_enabled,
     maximum,
@@ -74,7 +73,6 @@ from .tensor import (
     stack,
     where,
 )
-from .compile import CompiledStep, StepProgram, TraceError, compile_step
 
 # Imported last: debug pulls in losses/augment lazily and leans on the
 # modules above, so it must not participate in the import cycle.
@@ -83,9 +81,8 @@ from .debug import AnomalyError, detect_anomaly, is_anomaly_enabled
 
 __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "split", "chunk", "where",
-    "maximum", "minimum", "detached", "no_grad", "is_grad_enabled",
+    "maximum", "minimum", "no_grad", "is_grad_enabled",
     "set_default_dtype", "get_default_dtype", "default_dtype",
-    "StepProgram", "CompiledStep", "compile_step", "TraceError",
     "fused_lstm_step", "fused_lstm_step_preproj", "fused_lstm_sequence",
     "fused_gru_step", "fused_gru_step_preproj", "fused_gru_sequence",
     "fused_head_loss",

@@ -47,26 +47,11 @@ class MultiHeadAttention(Module):
         self.w_v = Linear(dim, dim, rng)
         self.w_o = Linear(dim, dim, rng)
 
-    @staticmethod
-    def mask_bias(mask: np.ndarray) -> np.ndarray:
-        """Additive attention bias for a (batch, time) key-validity mask.
-
-        Split out so a compiled step's ``prepare`` stage can build the
-        bias once per batch and feed it through ``bias=`` as a plain
-        input array — computing it inside ``forward`` would bake the
-        trace batch's lengths into the tape.
-        """
-        return np.where(np.asarray(mask, dtype=bool),
-                        0.0, -1e9)[:, None, None, :]
-
-    def forward(self, x: Tensor, mask: np.ndarray | None = None,
-                bias: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Self-attention over ``x`` of shape (batch, time, dim).
 
         ``mask`` is an optional (batch, time) array of 1/0 key-validity
-        flags; masked keys receive -inf attention scores.  ``bias`` is
-        the precomputed :meth:`mask_bias` equivalent — pass exactly one
-        of the two.
+        flags; masked keys receive -inf attention scores.
         """
         batch, time, _ = x.shape
         q = self._split_heads(self.w_q(x), batch, time)
@@ -74,10 +59,9 @@ class MultiHeadAttention(Module):
         v = self._split_heads(self.w_v(x), batch, time)
 
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        if bias is None and mask is not None:
-            bias = self.mask_bias(mask)
-        if bias is not None:
-            scores = scores + Tensor(bias)
+        if mask is not None:
+            bias = np.where(np.asarray(mask, dtype=bool), 0.0, -1e9)
+            scores = scores + Tensor(bias[:, None, None, :])
         attn = softmax(scores, axis=-1)
         context = attn @ v
         merged = context.transpose(0, 2, 1, 3).reshape(batch, time, self.dim)
@@ -100,9 +84,8 @@ class TransformerEncoderLayer(Module):
         self.ff2 = Linear(ff_dim, dim, rng)
         self.dropout = Dropout(dropout, rng) if dropout > 0 else None
 
-    def forward(self, x: Tensor, mask: np.ndarray | None = None,
-                bias: np.ndarray | None = None) -> Tensor:
-        attn_out = self.attn(self.norm1(x), mask=mask, bias=bias)
+    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        attn_out = self.attn(self.norm1(x), mask=mask)
         if self.dropout is not None:
             attn_out = self.dropout(attn_out)
         x = x + attn_out
@@ -126,12 +109,11 @@ class TransformerEncoder(Module):
         self.positions = sinusoidal_positions(max_len, dim)
         self.final_norm = LayerNorm(dim)
 
-    def forward(self, x: Tensor, mask: np.ndarray | None = None,
-                bias: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         _, time, _ = x.shape
         x = x + Tensor(self.positions[:time][None, :, :])
         for layer in self.layers:
-            x = layer(x, mask=mask, bias=bias)
+            x = layer(x, mask=mask)
         return self.final_norm(x)
 
     def mean_pool(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:

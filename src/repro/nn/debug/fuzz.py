@@ -453,30 +453,15 @@ def _build_chunk(rng, dtype, extreme, size):
     return fn, [x]
 
 
-# gradcheck=False by definition: detached() is a stop-gradient, so the
-# analytic gradient (which treats the detached value as a constant)
-# legitimately disagrees with finite differences (which perturb through
-# it).  Finiteness, dtype and backward checks still run.
-@_register("detached", covers=("detached", "__add__", "__mul__", "sum"),
-           gradcheck=False)
-def _build_detached(rng, dtype, extreme, size):
-    from ...nn.tensor import detached
-    x = _t(rng, (size + 1, size + 2), dtype, extreme)
-    return (lambda: _weighted_sum(
-        x - detached(x, lambda d: d.max(axis=1, keepdims=True))), [x])
-
-
 # -- functional.py -----------------------------------------------------
-@_register("softmax", covers=("__add__", "__mul__", "exp", "__pow__", "sum",
-                              "detached"))
+@_register("softmax", covers=("__add__", "__mul__", "exp", "__pow__", "sum"))
 def _build_softmax(rng, dtype, extreme, size):
     from ...nn.functional import softmax
     x = _t(rng, (size + 1, size + 2), dtype, extreme)
     return lambda: _weighted_sum(softmax(x)), [x]
 
 
-@_register("log_softmax", covers=("__add__", "__mul__", "exp", "log", "sum",
-                                  "detached"))
+@_register("log_softmax", covers=("__add__", "__mul__", "exp", "log", "sum"))
 def _build_log_softmax(rng, dtype, extreme, size):
     from ...nn.functional import log_softmax
     x = _t(rng, (size + 1, size + 2), dtype, extreme)
@@ -707,8 +692,7 @@ def _build_mixup_gce(rng, dtype, extreme, size):
 
 @_register("nt_xent_loss", covers=("__add__", "__mul__", "__pow__", "sum",
                                    "matmul", "transpose", "exp", "log",
-                                   "reshape", "__getitem__", "concat",
-                                   "detached"))
+                                   "reshape", "__getitem__", "concat"))
 def _build_nt_xent(rng, dtype, extreme, size):
     from ...losses.contrastive import nt_xent_loss
     n, d = size + 1, size + 2
@@ -724,7 +708,7 @@ def _build_nt_xent(rng, dtype, extreme, size):
 
 @_register("sup_con_loss", covers=("__add__", "__mul__", "__pow__", "sum",
                                    "matmul", "transpose", "exp", "log",
-                                   "reshape", "detached"))
+                                   "reshape"))
 def _build_sup_con(rng, dtype, extreme, size):
     from ...losses.contrastive import sup_con_loss
     n, d = size + 3, size + 2

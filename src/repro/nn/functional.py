@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, concat, detached
+from .tensor import Tensor, as_tensor, concat
 
 __all__ = [
     "softmax",
@@ -19,14 +19,8 @@ __all__ = [
 
 
 def _row_max(x: Tensor, axis: int) -> Tensor:
-    """Stop-gradient row maximum for the max-shift trick.
-
-    ``detached`` (rather than a constant ``Tensor(x.data.max(...))``)
-    keeps the shift fresh under a compiled tape — a frozen trace-time
-    maximum would leave the forward mathematically shift-invariant but
-    bitwise divergent from the interpreted path.
-    """
-    return detached(x, lambda data: data.max(axis=axis, keepdims=True))
+    """Stop-gradient row maximum for the max-shift trick."""
+    return Tensor(x.data.max(axis=axis, keepdims=True))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

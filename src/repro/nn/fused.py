@@ -118,11 +118,8 @@ def fused_lstm_step(x, h_prev, c_prev, w_x, w_h, bias):
     matching :class:`~repro.nn.lstm.LSTMCell`.
     """
     x, h_prev, c_prev = as_tensor(x), as_tensor(h_prev), as_tensor(c_prev)
-
-    def project():
-        return x.data @ w_x.data + h_prev.data @ w_h.data + bias.data
-
-    return _lstm_tail(project, x, h_prev, c_prev, w_x, w_h, bias)
+    gates = x.data @ w_x.data + h_prev.data @ w_h.data + bias.data
+    return _lstm_tail(gates, x, h_prev, c_prev, w_x, w_h, bias)
 
 
 def fused_lstm_step_preproj(x_proj, h_prev, c_prev, w_h):
@@ -133,25 +130,18 @@ def fused_lstm_step_preproj(x_proj, h_prev, c_prev, w_h):
     input projection (one big GEMM over all timesteps) receives them.
     """
     x_proj, h_prev, c_prev = as_tensor(x_proj), as_tensor(h_prev), as_tensor(c_prev)
-
-    def project():
-        return x_proj.data + h_prev.data @ w_h.data
-
-    return _lstm_tail(project, x_proj, h_prev, c_prev, None, w_h, None)
+    gates = x_proj.data + h_prev.data @ w_h.data
+    return _lstm_tail(gates, x_proj, h_prev, c_prev, None, w_h, None)
 
 
-def _lstm_tail(project, x_in, h_prev, c_prev, w_x, w_h, bias):
+def _lstm_tail(gates, x_in, h_prev, c_prev, w_x, w_h, bias):
     """Shared forward tail + backward closures for the LSTM kernels.
 
-    ``project()`` produces the gate pre-activations from the parents'
-    *current* payloads — called once here and again by the recompute
-    closures, so a compiled tape replays the step against fresh inputs.
-    ``w_x``/``bias`` are None in the pre-projected variant, in which
-    case ``x_in`` holds the projected gates and receives the
-    pre-activation gradient directly.
+    ``gates`` holds the gate pre-activations.  ``w_x``/``bias`` are None
+    in the pre-projected variant, in which case ``x_in`` holds the
+    projected gates and receives the pre-activation gradient directly.
     """
     hs = w_h.shape[0]
-    gates = project()
     i = _sigmoid(gates[:, 0 * hs:1 * hs])
     f = _sigmoid(gates[:, 1 * hs:2 * hs])
     g = np.tanh(gates[:, 2 * hs:3 * hs])
@@ -200,30 +190,15 @@ def _lstm_tail(project, x_in, h_prev, c_prev, w_x, w_h, bias):
         if c_prev.requires_grad:
             c_prev._accumulate(dc * f)
 
-    def recompute_c():
-        fresh = project()
-        np.copyto(i, _sigmoid(fresh[:, 0 * hs:1 * hs]))
-        np.copyto(f, _sigmoid(fresh[:, 1 * hs:2 * hs]))
-        np.copyto(g, np.tanh(fresh[:, 2 * hs:3 * hs]))
-        np.copyto(o, _sigmoid(fresh[:, 3 * hs:4 * hs]))
-        np.multiply(f, c_prev.data, out=c_data)
-        np.add(c_data, i * g, out=c_data)
-
-    def recompute_h():
-        np.tanh(c_data, out=t)
-        np.multiply(o, t, out=h_data)
-
     if preproj:
         c_parents = (x_in, h_prev, c_prev, w_h)
     else:
         c_parents = (x_in, h_prev, c_prev, w_x, w_h, bias)
-    c_out = Tensor._make(c_data, c_parents, backward_c, recompute_c,
-                         "fused_lstm_step")
+    c_out = Tensor._make(c_data, c_parents, backward_c)
     # h consumes c, so reverse-topological order runs backward_h before
     # backward_c: c_out.grad is complete when backward_c fires, and all
     # other inputs are reachable (and ordered after h) through c_out.
-    h_out = Tensor._make(h_data, (c_out,), backward_h, recompute_h,
-                         "fused_lstm_step")
+    h_out = Tensor._make(h_data, (c_out,), backward_h)
     return h_out, c_out
 
 
@@ -252,9 +227,8 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias, live=None):
     dtype = x.data.dtype
     # Time-major (T, B, .) buffers: every per-step slice [t] is
     # contiguous, so GEMMs and in-place ufuncs never touch strided
-    # memory inside the recurrence.  All buffers are allocated once and
-    # refilled by ``forward_pass`` so a compiled tape can replay the
-    # kernel in place (the backward closure reads these same buffers).
+    # memory inside the recurrence.  All buffers are allocated once; the
+    # backward closure reads the ones ``forward_pass`` fills.
     x_tb = np.empty((time, batch, feat), dtype=dtype)
     flat = x_tb.reshape(time * batch, feat)
     proj2d = np.empty((time * batch, four_hs), dtype=dtype)
@@ -372,25 +346,13 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias, live=None):
         if c0.requires_grad:
             c0._accumulate(dc)
 
-    h_seq_data = np.ascontiguousarray(h_all[1:].transpose(1, 0, 2))
-
-    def recompute_seq():
-        forward_pass()
-        np.copyto(h_seq_data, h_all[1:].transpose(1, 0, 2))
-
-    h_seq = Tensor._make(h_seq_data, (x, h0, c0, w_x, w_h, bias),
-                         backward_seq, recompute_seq, "fused_lstm_sequence")
+    h_seq = Tensor._make(np.ascontiguousarray(h_all[1:].transpose(1, 0, 2)),
+                         (x, h0, c0, w_x, w_h, bias), backward_seq)
 
     def backward_c_final():
         pending_c.append(c_final.grad)
 
-    c_final_data = c_all[-1].copy()
-
-    def recompute_c_final():
-        np.copyto(c_final_data, c_all[-1])
-
-    c_final = Tensor._make(c_final_data, (h_seq,), backward_c_final,
-                           recompute_c_final, "fused_lstm_sequence")
+    c_final = Tensor._make(c_all[-1].copy(), (h_seq,), backward_c_final)
     return h_seq, h_seq[:, -1, :], c_final
 
 
@@ -404,14 +366,9 @@ def fused_gru_step(x, h_prev, w_x, w_h, bias, w_xc, w_hc, bias_c):
     matching :class:`~repro.nn.gru.GRUCell`.
     """
     x, h_prev = as_tensor(x), as_tensor(h_prev)
-
-    def project_gates():
-        return x.data @ w_x.data + h_prev.data @ w_h.data + bias.data
-
-    def project_cand():
-        return x.data @ w_xc.data + bias_c.data
-
-    return _gru_tail(project_gates, project_cand, x, h_prev,
+    gates = x.data @ w_x.data + h_prev.data @ w_h.data + bias.data
+    cand = x.data @ w_xc.data + bias_c.data
+    return _gru_tail(gates, cand, x, h_prev,
                      w_x, w_h, bias, w_xc, w_hc, bias_c)
 
 
@@ -423,25 +380,20 @@ def fused_gru_step_preproj(x_proj, cand_proj, h_prev, w_h, w_hc):
     """
     x_proj, cand_proj, h_prev = (as_tensor(x_proj), as_tensor(cand_proj),
                                  as_tensor(h_prev))
-
-    def project_gates():
-        return x_proj.data + h_prev.data @ w_h.data
-
-    return _gru_tail(project_gates, lambda: cand_proj.data, x_proj, h_prev,
+    gates = x_proj.data + h_prev.data @ w_h.data
+    return _gru_tail(gates, cand_proj.data, x_proj, h_prev,
                      None, w_h, None, None, w_hc, None, cand_in=cand_proj)
 
 
-def _gru_tail(project_gates, project_cand, x_in, h_prev, w_x, w_h, bias,
+def _gru_tail(gates, cand, x_in, h_prev, w_x, w_h, bias,
               w_xc, w_hc, bias_c, cand_in=None):
-    """Shared GRU tail; the two ``project_*()`` closures rebuild the
-    gate and candidate pre-activations from current parent payloads, so
-    the recompute closure can replay the step under a compiled tape."""
+    """Shared GRU tail over the gate and candidate input pre-activations
+    (``cand`` lacks the recurrent ``(r * h) @ W_hc`` term)."""
     hs = w_h.shape[0]
-    gates = project_gates()
     r = _sigmoid(gates[:, 0 * hs:1 * hs])
     z = _sigmoid(gates[:, 1 * hs:2 * hs])
     rh = r * h_prev.data
-    n = np.tanh(project_cand() + rh @ w_hc.data)
+    n = np.tanh(cand + rh @ w_hc.data)
     h_data = z * h_prev.data + (1.0 - z) * n
     preproj = w_x is None
 
@@ -476,21 +428,11 @@ def _gru_tail(project_gates, project_cand, x_in, h_prev, w_x, w_h, bias,
         if w_hc.requires_grad:
             w_hc._accumulate(rh.T @ da)
 
-    def recompute():
-        fresh = project_gates()
-        np.copyto(r, _sigmoid(fresh[:, 0 * hs:1 * hs]))
-        np.copyto(z, _sigmoid(fresh[:, 1 * hs:2 * hs]))
-        np.multiply(r, h_prev.data, out=rh)
-        np.copyto(n, np.tanh(project_cand() + rh @ w_hc.data))
-        np.multiply(z, h_prev.data, out=h_data)
-        np.add(h_data, (1.0 - z) * n, out=h_data)
-
     if preproj:
         parents = (x_in, cand_in, h_prev, w_h, w_hc)
     else:
         parents = (x_in, h_prev, w_x, w_h, bias, w_xc, w_hc, bias_c)
-    h_out = Tensor._make(h_data, parents, backward, recompute,
-                         "fused_gru_step")
+    h_out = Tensor._make(h_data, parents, backward)
     return h_out
 
 
@@ -514,8 +456,6 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
     dtype = x.data.dtype
     # Time-major (T, B, .) layout, as in fused_lstm_sequence: per-step
     # slices are contiguous for the in-loop GEMMs and in-place ufuncs.
-    # Buffers are allocated once and refilled by ``forward_pass`` so a
-    # compiled tape can replay the kernel in place.
     x_tb = np.empty((time, batch, feat), dtype=dtype)
     flat = x_tb.reshape(time * batch, feat)
     proj_g2d = np.empty((time * batch, two_hs), dtype=dtype)
@@ -629,15 +569,9 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
         if h0.requires_grad:
             h0._accumulate(carry)
 
-    h_seq_data = np.ascontiguousarray(h_all[1:].transpose(1, 0, 2))
-
-    def recompute_seq():
-        forward_pass()
-        np.copyto(h_seq_data, h_all[1:].transpose(1, 0, 2))
-
-    h_seq = Tensor._make(
-        h_seq_data, (x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c),
-        backward_seq, recompute_seq, "fused_gru_sequence")
+    h_seq = Tensor._make(np.ascontiguousarray(h_all[1:].transpose(1, 0, 2)),
+                         (x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c),
+                         backward_seq)
     return h_seq, h_seq[:, -1, :]
 
 
@@ -708,8 +642,6 @@ def fused_head_loss(x, w1, b1, w2, b2, targets, loss: str = "gce",
             == b2.data.dtype) or dtype not in (np.float32, np.float64):
         raise ValueError("x and the head parameters must share one dtype, "
                          "float32 or float64")
-    # A no-copy view when the dtype already matches, so a compiled tape
-    # refreshing its input buffer refreshes the targets here too.
     targets = np.asarray(targets, dtype=dtype)
     n = x.data.shape[0]
     if x.data.ndim != 2 or targets.shape != (n, w2.data.shape[1]):
@@ -717,23 +649,18 @@ def fused_head_loss(x, w1, b1, w2, b2, targets, loss: str = "gce",
                          f"do not fit a {w2.data.shape[1]}-class head")
     floor = _PROB_FLOOR if loss == "gce" else _EPS
 
-    def forward():
-        act, scale, exps, sums, inv, probs = _head_forward(
-            x.data, w1.data, b1.data, w2.data, b2.data)
-        clipped = np.clip(probs, floor, 1.0)
-        keep = (probs >= floor) & (probs <= 1.0)
-        if loss == "gce":
-            per = np.add.reduce(
-                targets * (clipped ** q * -1.0 + 1.0) * (1.0 / q), -1)
-        else:
-            per = np.add.reduce(targets * np.log(clipped), -1) * -1.0
-        value = np.asarray(np.add.reduce(per, None) * (1.0 / n))
-        return act, scale, exps, sums, inv, clipped, keep, value
-
-    saved = forward()
+    act, scale, exps, sums, inv, probs = _head_forward(
+        x.data, w1.data, b1.data, w2.data, b2.data)
+    clipped = np.clip(probs, floor, 1.0)
+    keep = (probs >= floor) & (probs <= 1.0)
+    if loss == "gce":
+        per = np.add.reduce(
+            targets * (clipped ** q * -1.0 + 1.0) * (1.0 / q), -1)
+    else:
+        per = np.add.reduce(targets * np.log(clipped), -1) * -1.0
+    value = np.asarray(np.add.reduce(per, None) * (1.0 / n))
 
     def backward():
-        act, scale, exps, sums, inv, clipped, keep, _ = saved
         g = out.grad * (1.0 / n)
         if loss == "gce":
             gp = (g * (1.0 / q) * targets * -1.0 * q) * clipped ** (q - 1.0)
@@ -753,10 +680,5 @@ def fused_head_loss(x, w1, b1, w2, b2, targets, loss: str = "gce",
             if b1.requires_grad:
                 b1._accumulate(np.add.reduce(g_hidden, 0))
 
-    def recompute():
-        for buffer, fresh in zip(saved, forward()):
-            np.copyto(buffer, fresh)
-
-    out = Tensor._make(saved[-1], (x, w1, b1, w2, b2), backward, recompute,
-                       "fused_head_loss")
+    out = Tensor._make(value, (x, w1, b1, w2, b2), backward)
     return out

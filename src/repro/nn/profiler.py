@@ -5,7 +5,7 @@ that counts every graph node created and times every backward closure,
 keyed by the op that built it.  Forward-side regions (a whole layer, an
 epoch) can be timed with :meth:`Profiler.timer`.  The hooks cost a
 single ``is not None`` check per node when disabled, so they are safe to
-leave compiled into the hot path.
+leave in the hot path.
 
 Activation is thread-safe and re-entrant: any number of ``profile()``
 contexts may be live at once — nested in one thread, or concurrently

@@ -32,7 +32,6 @@ __all__ = [
     "where",
     "maximum",
     "minimum",
-    "detached",
     "set_default_dtype",
     "get_default_dtype",
     "default_dtype",
@@ -60,15 +59,6 @@ _PROFILE_HOOK = None
 # backward closure run is followed by a gradient check on its parents.
 _ANOMALY_HOOK = None
 
-# Optional tape tracer (see repro.nn.compile).  When set, every node
-# built by ``Tensor._make`` is reported together with its *full* parent
-# tuple (``_prev`` only exists on requires-grad nodes, so a tracer
-# cannot reconstruct data dependencies from the autograd graph alone)
-# and an optional ``recompute`` closure that refreshes the node's output
-# buffer — and any arrays its backward closure captured — in place from
-# its parents' current data.
-_TRACE_HOOK = None
-
 # Sentinel installed in ``_backward`` once a graph has been released by
 # ``backward(retain_graph=False)``; distinguishes "freed" from "leaf".
 _FREED_GRAPH = object()
@@ -82,11 +72,6 @@ def _set_profile_hook(hook) -> None:
 def _set_anomaly_hook(hook) -> None:
     global _ANOMALY_HOOK
     _ANOMALY_HOOK = hook
-
-
-def _set_trace_hook(hook) -> None:
-    global _TRACE_HOOK
-    _TRACE_HOOK = hook
 
 
 @contextlib.contextmanager
@@ -242,10 +227,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad.astype(self.data.dtype, copy=False))
 
-        def recompute():
-            np.copyto(out_data, self.data, casting="same_kind")
-
-        out = Tensor._make(out_data, (self,), backward, recompute, "astype")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -356,21 +338,8 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[], None] | None,
-              recompute: Callable[[], None] | None = None,
-              op: str = "", key=None) -> "Tensor":
-        """Build a graph node.
-
-        ``recompute``, ``op`` and ``key`` only matter under an active
-        trace (see :mod:`repro.nn.compile`): ``recompute`` refreshes the
-        node's output buffer in place from its parents' current data,
-        ``op`` names the primitive and ``key`` captures its static
-        parameters (scalar operand, reduction axis, ...) for
-        common-subexpression elimination.  A node created without a
-        ``recompute`` while a tracer is installed makes the tape
-        untraceable (unless it is a view of a parent), which the tracer
-        turns into a fallback to the interpreted path.
-        """
+              backward: Callable[[], None] | None) -> "Tensor":
+        """Build a graph node."""
         requires = is_grad_enabled() and any(p.requires_grad
                                              for p in parents)
         out = Tensor(data, requires_grad=requires)
@@ -379,9 +348,6 @@ class Tensor:
             out._backward = backward
             if _PROFILE_HOOK is not None:
                 _PROFILE_HOOK.record_node(backward)
-        if _TRACE_HOOK is not None:
-            _TRACE_HOOK.node_created(out, tuple(parents), backward,
-                                     recompute, op, key)
         if _ANOMALY_HOOK is not None:
             _ANOMALY_HOOK.node_created(out, backward, parents)
         return out
@@ -401,11 +367,7 @@ class Tensor:
                 if self.requires_grad:
                     self._accumulate(out.grad)
 
-            def recompute():
-                np.add(self.data, scalar, out=out_data)
-
-            out = Tensor._make(out_data, (self,), backward, recompute,
-                               "add", scalar)
+            out = Tensor._make(out_data, (self,), backward)
             return out
         other = as_tensor(other)
         out_data = np.asarray(self.data + other.data)
@@ -416,11 +378,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(out.grad, other.shape))
 
-        def recompute():
-            np.add(self.data, other.data, out=out_data)
-
-        out = Tensor._make(out_data, (self, other), backward, recompute,
-                           "add")
+        out = Tensor._make(out_data, (self, other), backward)
         return out
 
     __radd__ = __add__
@@ -434,11 +392,7 @@ class Tensor:
                 if self.requires_grad:
                     self._accumulate(out.grad * scalar)
 
-            def recompute():
-                np.multiply(self.data, scalar, out=out_data)
-
-            out = Tensor._make(out_data, (self,), backward, recompute,
-                               "mul", scalar)
+            out = Tensor._make(out_data, (self,), backward)
             return out
         other = as_tensor(other)
         out_data = np.asarray(self.data * other.data)
@@ -449,11 +403,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
 
-        def recompute():
-            np.multiply(self.data, other.data, out=out_data)
-
-        out = Tensor._make(out_data, (self, other), backward, recompute,
-                           "mul")
+        out = Tensor._make(out_data, (self, other), backward)
         return out
 
     __rmul__ = __mul__
@@ -490,11 +440,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * exponent * self.data ** (exponent - 1.0))
 
-        def recompute():
-            np.power(self.data, exponent, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute,
-                           "pow", exponent)
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     # ------------------------------------------------------------------
@@ -507,10 +453,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * out_data)
 
-        def recompute():
-            np.exp(self.data, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute, "exp")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def log(self) -> "Tensor":
@@ -520,10 +463,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad / self.data)
 
-        def recompute():
-            np.log(self.data, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute, "log")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def sqrt(self) -> "Tensor":
@@ -536,10 +476,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * (1.0 - out_data ** 2))
 
-        def recompute():
-            np.tanh(self.data, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute, "tanh")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def sigmoid(self) -> "Tensor":
@@ -549,15 +486,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * out_data * (1.0 - out_data))
 
-        def recompute():
-            # Same chain as the forward expression, fused in place:
-            # exp(-x), +1, then true division (bit-identical to 1.0/y).
-            np.negative(self.data, out=out_data)
-            np.exp(out_data, out=out_data)
-            np.add(out_data, 1.0, out=out_data)
-            np.divide(1.0, out_data, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute, "sigmoid")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def relu(self) -> "Tensor":
@@ -568,15 +497,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * mask)
 
-        def recompute():
-            # Refresh the captured mask too — backward reads it.  The
-            # fill-then-masked-copy matches np.where(mask, x, 0.0) bit
-            # for bit (x * mask would turn negatives into -0.0).
-            np.greater(self.data, 0, out=mask)
-            np.copyto(out_data, 0.0)
-            np.copyto(out_data, self.data, where=mask)
-
-        out = Tensor._make(out_data, (self,), backward, recompute, "relu")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
@@ -591,14 +512,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * scale)
 
-        def recompute():
-            np.greater(self.data, 0, out=mask)
-            np.copyto(scale, 1.0)
-            np.copyto(scale, negative_slope, where=~mask)
-            np.multiply(self.data, scale, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute,
-                           "leaky_relu", negative_slope)
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def gelu(self) -> "Tensor":
@@ -616,13 +530,7 @@ class Tensor:
                 dt = (1.0 - t ** 2) * c * (1.0 + 3 * 0.044715 * x ** 2)
                 self._accumulate(out.grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
 
-        def recompute():
-            # t is captured by backward; refresh it in place.  The final
-            # product keeps the forward's (0.5*x) * (1+t) pairing.
-            np.tanh(c * (x + 0.044715 * x ** 3), out=t)
-            np.multiply(0.5 * x, 1.0 + t, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute, "gelu")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def clip(self, lo: float, hi: float) -> "Tensor":
@@ -634,15 +542,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * mask)
 
-        def recompute():
-            # ``mask &= ...`` would rebind the closure-captured name and
-            # raise UnboundLocalError; write through ``out=`` instead.
-            np.greater_equal(self.data, lo, out=mask)
-            np.logical_and(mask, self.data <= hi, out=mask)
-            np.clip(self.data, lo, hi, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute,
-                           "clip", (lo, hi))
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def abs(self) -> "Tensor":
@@ -653,11 +553,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * sign)
 
-        def recompute():
-            np.sign(self.data, out=sign)
-            np.abs(self.data, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute, "abs")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     # ------------------------------------------------------------------
@@ -673,11 +569,7 @@ class Tensor:
                     grad = np.expand_dims(grad, axis)
                 self._accumulate(np.broadcast_to(grad, self.shape).copy())
 
-        def recompute():
-            self.data.sum(axis=axis, keepdims=keepdims, out=out_data)
-
-        out = Tensor._make(out_data, (self,), backward, recompute,
-                           "sum", (axis, keepdims))
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -692,9 +584,6 @@ class Tensor:
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = np.asarray(self.data.max(axis=axis, keepdims=keepdims))
 
-        def recompute():
-            self.data.max(axis=axis, keepdims=keepdims, out=out_data)
-
         def backward():
             if self.requires_grad:
                 grad = out.grad
@@ -708,8 +597,7 @@ class Tensor:
                     else mask.sum()
                 self._accumulate(grad * mask / counts)
 
-        out = Tensor._make(out_data, (self,), backward, recompute,
-                           "max", (axis, keepdims))
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     # ------------------------------------------------------------------
@@ -724,13 +612,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.shape))
 
-        def recompute():
-            # Usually a view (elided by the tracer); the copy branch only
-            # runs when reshape had to copy a non-contiguous payload.
-            np.copyto(out_data, self.data.reshape(shape))
-
-        out = Tensor._make(out_data, (self,), backward, recompute,
-                           "reshape", tuple(shape))
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     def transpose(self, *axes) -> "Tensor":
@@ -745,11 +627,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad.transpose(inverse))
 
-        def recompute():
-            np.copyto(out_data, self.data.transpose(axes))
-
-        out = Tensor._make(out_data, (self,), backward, recompute,
-                           "transpose", tuple(axes))
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     @property
@@ -771,15 +649,7 @@ class Tensor:
                 else:
                     np.add.at(self.grad, index, out.grad)
 
-        def recompute():
-            # Advanced indexing copies; ``index`` array operands are
-            # captured by reference, so callers refreshing them in place
-            # (compiled input buffers) re-gather the right rows.  Basic
-            # (view) indexing is elided by the tracer.
-            out_data[...] = self.data[index]
-
-        out = Tensor._make(out_data, (self,), backward, recompute,
-                           "getitem")
+        out = Tensor._make(out_data, (self,), backward)
         return out
 
     # ------------------------------------------------------------------
@@ -808,14 +678,7 @@ class Tensor:
                     grad = np.swapaxes(self.data, -1, -2) @ out.grad
                 other._accumulate(_unbroadcast(grad, other.shape))
 
-        def recompute():
-            if out_data.ndim == 0:
-                out_data[...] = self.data @ other.data
-            else:
-                np.matmul(self.data, other.data, out=out_data)
-
-        out = Tensor._make(out_data, (self, other), backward, recompute,
-                           "matmul")
+        out = Tensor._make(out_data, (self, other), backward)
         return out
 
     def __matmul__(self, other) -> "Tensor":
@@ -858,11 +721,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 slicer[axis] = slice(start, stop)
                 tensor._accumulate(out.grad[tuple(slicer)])
 
-    def recompute():
-        np.concatenate([t.data for t in tensors], axis=axis, out=out_data)
-
-    out = Tensor._make(out_data, tuple(tensors), backward, recompute,
-                       "concat", axis)
+    out = Tensor._make(out_data, tuple(tensors), backward)
     return out
 
 
@@ -876,11 +735,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             if tensor.requires_grad:
                 tensor._accumulate(np.take(out.grad, i, axis=axis))
 
-    def recompute():
-        np.stack([t.data for t in tensors], axis=axis, out=out_data)
-
-    out = Tensor._make(out_data, tuple(tensors), backward, recompute,
-                       "stack", axis)
+    out = Tensor._make(out_data, tuple(tensors), backward)
     return out
 
 
@@ -894,14 +749,7 @@ def _split_piece(tensor: Tensor, slicer: tuple) -> Tensor:
             tensor._init_grad()
             tensor.grad[slicer] += out.grad
 
-    out_data = tensor.data[slicer]
-
-    def recompute():
-        # A view of the parent — the tracer elides this, but keep the
-        # self-copy so a non-view (never the case today) stays correct.
-        out_data[...] = tensor.data[slicer]
-
-    out = Tensor._make(out_data, (tensor,), backward, recompute, "split")
+    out = Tensor._make(tensor.data[slicer], (tensor,), backward)
     return out
 
 
@@ -948,14 +796,7 @@ def chunk(tensor: Tensor, chunks: int, axis: int = -1) -> list[Tensor]:
 
 
 def where(condition, a, b) -> Tensor:
-    """Elementwise select: gradient flows to the chosen branch.
-
-    The condition is captured as a static array: under a compiled tape
-    it is **not** refreshed on replay, so traced programs must only pass
-    conditions that are constant per tape (input-buffer masks, shape-
-    derived masks).  :func:`maximum`/:func:`minimum` derive their
-    condition from tensor *values* and re-evaluate it on every replay.
-    """
+    """Elementwise select: gradient flows to the chosen branch."""
     if isinstance(condition, Tensor):
         condition = condition.data
     cond = np.asarray(condition, dtype=bool)
@@ -968,75 +809,17 @@ def where(condition, a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(out.grad * ~cond, b.shape))
 
-    def recompute():
-        out_data[...] = np.where(cond, a.data, b.data)
-
-    out = Tensor._make(out_data, (a, b), backward, recompute, "where")
-    return out
-
-
-def _value_dependent_where(compare: Callable[[], np.ndarray], a: Tensor,
-                           b: Tensor) -> Tensor:
-    """``where`` whose condition derives from tensor *values*.
-
-    The condition buffer is refreshed inside the recompute closure, so a
-    replayed tape re-evaluates ``compare()`` against the parents'
-    current payloads instead of freezing the trace-time mask — the
-    backward closure reads the same (mutated-in-place) buffer and stays
-    consistent with whichever forward ran last.
-    """
-    cond = np.asarray(compare())
-    out_data = np.asarray(np.where(cond, a.data, b.data))
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * cond, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * ~cond, b.shape))
-
-    def recompute():
-        cond[...] = compare()
-        out_data[...] = np.where(cond, a.data, b.data)
-
-    # Same primitive as ``where`` for the profiler / lint / fuzz registry
-    # (op names derive from the closure's qualname).
-    backward.__qualname__ = "where.<locals>.backward"
-    out = Tensor._make(out_data, (a, b), backward, recompute, "where")
+    out = Tensor._make(out_data, (a, b), backward)
     return out
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max of two tensors (ties send gradient to ``a``)."""
     a, b = as_tensor(a), as_tensor(b)
-    return _value_dependent_where(lambda: a.data >= b.data, a, b)
+    return where(a.data >= b.data, a, b)
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min of two tensors (ties send gradient to ``a``)."""
     a, b = as_tensor(a), as_tensor(b)
-    return _value_dependent_where(lambda: a.data <= b.data, a, b)
-
-
-def detached(x, fn: Callable[[np.ndarray], np.ndarray]) -> Tensor:
-    """A traced stop-gradient node: ``fn(x.data)`` with no gradient.
-
-    Numerically identical to the ``Tensor(fn(x.data))`` constant idiom
-    (softmax's max-shift, logsumexp guards), but recorded as a graph
-    node whose forward re-runs ``fn`` — so a compiled tape refreshes the
-    value on every replay instead of freezing the trace-time constant.
-    ``fn`` must be a pure function of the payload.  Inside
-    :func:`no_grad` this degrades to a plain constant.
-    """
-    x = as_tensor(x)
-    out_data = np.asarray(fn(x.data))
-
-    def backward():
-        # Stop-gradient: consumers may accumulate into this node, but
-        # nothing flows to ``x``.
-        pass
-
-    def recompute():
-        np.copyto(out_data, fn(x.data))
-
-    out = Tensor._make(out_data, (x,), backward, recompute, "detached")
-    return out
+    return where(a.data <= b.data, a, b)

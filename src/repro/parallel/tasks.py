@@ -109,11 +109,15 @@ class TaskSpec:
 
 def task_key(spec: TaskSpec) -> str:
     """Stable content hash of a spec (plus format fingerprint)."""
+    config = dataclasses.asdict(spec.config)
+    # A config's retired fields still feed the key, so caches written
+    # before their removal keep hitting.
+    config.update(getattr(spec.config, "RETIRED_FIELDS", {}))
     payload = {
         "format": CACHE_FORMAT,
         "estimator": spec.estimator,
         "config_type": type(spec.config).__name__,
-        "config": dataclasses.asdict(spec.config),
+        "config": config,
         "dataset": spec.dataset,
         "noise": [spec.noise_kind, list(spec.noise_params)],
         "seed": int(spec.seed),

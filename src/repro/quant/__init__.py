@@ -1,6 +1,6 @@
 """Low-precision inference: archive quantization + distillation.
 
-The production path for cheap serving (DESIGN.md §14):
+The production path for cheap serving (DESIGN.md §13):
 
 1. :func:`distill_student` — optionally shrink a fitted CLFD teacher
    into a 1-layer student trained on its soft scores.

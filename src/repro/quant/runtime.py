@@ -40,7 +40,6 @@ from ..core.config import CLFDConfig
 from ..data.pipeline import SessionVectorizer
 from ..data.sessions import SessionDataset, iter_batches
 from ..data.vocab import Vocabulary
-from ..data.word2vec import Word2VecConfig
 from ..nn.fused import live_rows
 from ..nn.quant import dequantize_np, fp16_embed_np, quant_matmul_np
 from .quantize import SCALE_SUFFIX
@@ -346,9 +345,7 @@ class QuantizedCLFD:
         self.precision: str = quant["precision"]
         kinds: dict[str, str] = quant["arrays"]
 
-        config_dict = dict(meta["config"])
-        config_dict["word2vec"] = Word2VecConfig(**config_dict["word2vec"])
-        self.config = CLFDConfig(**config_dict)
+        self.config = CLFDConfig.from_dict(meta["config"])
 
         if not bind:
             arrays = {key: np.array(value) for key, value in arrays.items()}

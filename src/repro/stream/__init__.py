@@ -9,7 +9,7 @@ reference window, and :func:`recorrect_model` refreshes the label
 corrector + detector head on recent windows for a rolling hot swap.
 :class:`StreamProcessor` composes the whole loop with atomic
 checkpoints and bit-identical kill-and-resume replay.  See DESIGN.md
-§15.
+§14.
 """
 
 from .drift import DriftMonitor, DriftReading, ks_statistic

@@ -52,18 +52,13 @@ class TrainRun:
     detect_anomaly: run every Trainer batch under ``nn.detect_anomaly()``
         so a NaN/inf is pinned to its creating op (and journaled) instead
         of corrupting the parameters.
-    compile: run every ``StepProgram`` step through the
-        trace-once/replay executor (``nn.compile_step``); plain-closure
-        steps keep the interpreted path and journal
-        ``compile-unsupported``.
     """
 
     def __init__(self, checkpoint_dir: str | os.PathLike | None = None,
                  journal: MetricJournal | str | os.PathLike | None = None,
                  *, resume: bool = False, snapshot_every: int = 1,
                  stop_after: str | None = None, profile: bool = False,
-                 detect_anomaly: bool = False, compile: bool = False,
-                 prefix: str = ""):
+                 detect_anomaly: bool = False, prefix: str = ""):
         self.checkpoints = (CheckpointManager(checkpoint_dir)
                             if checkpoint_dir is not None else None)
         if journal is None or isinstance(journal, MetricJournal):
@@ -75,7 +70,6 @@ class TrainRun:
         self.stop_after = stop_after
         self.profile = profile
         self.detect_anomaly = detect_anomaly
-        self.compile = compile
         self.prefix = prefix
 
     # ------------------------------------------------------------------
@@ -89,7 +83,6 @@ class TrainRun:
         view.stop_after = self.stop_after
         view.profile = self.profile
         view.detect_anomaly = self.detect_anomaly
-        view.compile = self.compile
         view.prefix = self.prefix + prefix
         return view
 
@@ -102,7 +95,6 @@ class TrainRun:
         kwargs.setdefault("stop_after", self.stop_after)
         kwargs.setdefault("profile", self.profile)
         kwargs.setdefault("detect_anomaly", self.detect_anomaly)
-        kwargs.setdefault("compile", self.compile)
         return Trainer(modules, optimizer, scope=self.prefix + scope,
                        **kwargs)
 

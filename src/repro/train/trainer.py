@@ -124,12 +124,6 @@ class Trainer:
     grad_clip: global-norm clip threshold (None = record the norm but
         never scale).
     scope: checkpoint tag and journal ``phase`` for this loop.
-    compile: when True and ``fit`` receives an ``nn.StepProgram``, the
-        step runs through the trace-once/replay executor
-        (:func:`nn.compile_step`) — bit-identical to the interpreted
-        path, with per-step Python/graph overhead paid once per input
-        signature.  Plain-closure steps stay interpreted and journal a
-        ``compile-unsupported`` event.
     checkpoints/journal/resume/snapshot_every/stop_after/profile: see
         :class:`~repro.train.TrainRun`, which wires them consistently.
     """
@@ -145,8 +139,7 @@ class Trainer:
                  snapshot_every: int = 1,
                  stop_after: str | None = None,
                  profile: bool = False,
-                 detect_anomaly: bool = False,
-                 compile: bool = False):
+                 detect_anomaly: bool = False):
         if isinstance(modules, nn.Module):
             modules = {"model": modules}
         if not modules:
@@ -166,10 +159,8 @@ class Trainer:
         self.stop_after = stop_after
         self.profile = profile
         self.detect_anomaly = detect_anomaly
-        self.compile = compile
         self.should_stop = False
         self.history: list[float] = []
-        self._compiled: "nn.CompiledStep | None" = None
 
     # ------------------------------------------------------------------
     def fit(self, batches: Callable[[np.random.Generator], Iterable],
@@ -185,16 +176,6 @@ class Trainer:
         """
         self.should_stop = False
         self.history = []
-        self._compiled = None
-        if self.compile:
-            if isinstance(step, nn.StepProgram):
-                self._compiled = nn.compile_step(
-                    step, journal=self.journal, scope=self.scope)
-            elif self.journal is not None:
-                # The step is a plain closure (attention pooling, ad-hoc
-                # loops): record that compilation was requested but this
-                # loop stays interpreted, rather than failing the fit.
-                self.journal.log_event("compile-unsupported", self.scope)
         start = self._restore(rng)
         if start is None:  # scope already ran to completion
             return self.history
@@ -281,8 +262,6 @@ class Trainer:
             return self._step_and_backward(step, batch)
 
     def _step_and_backward(self, step, batch) -> "nn.Tensor | None":
-        if self._compiled is not None:
-            return self._compiled.step_and_backward(batch, self.optimizer)
         loss = step(batch)
         if loss is None:
             return None

@@ -18,7 +18,6 @@ from repro.core.encoder import SoftmaxClassifier
 from repro.core.training import train_classifier_head
 from repro.losses import cce_loss, gce_loss
 from repro.nn.fused import _head_forward
-from repro.train import TrainRun, read_journal
 
 DIM = 24
 
@@ -135,21 +134,6 @@ def test_training_sha_equal_composed_program(loss, dtype, monkeypatch):
         composed.append(_fingerprint(*_train(loss, dtype, seed, head=head)))
     assert calls, "the composed reference never ran"
     assert fused == composed
-
-
-@pytest.mark.parametrize("loss", ["mixup_gce", "cce"])
-def test_compiled_replay_equals_interpreted(loss, tmp_path):
-    interpreted = _fingerprint(*_train(loss, np.float32, 3))
-    journal = tmp_path / "journal.jsonl"
-    compiled = _fingerprint(*_train(loss, np.float32, 3,
-                                    run=TrainRun(journal=journal,
-                                                 compile=True)))
-    assert compiled == interpreted
-    events = [e for e in read_journal(journal) if "event" in e]
-    traces = [e for e in events if e["event"] == "compile-trace"]
-    # One tape per batch shape (full and tail batch), one node each.
-    assert traces and all(e["nodes"] == 1 for e in traces)
-    assert not [e for e in events if e["event"] == "compile-fallback"]
 
 
 def test_one_graph_node_per_head_step():

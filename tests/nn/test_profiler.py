@@ -98,37 +98,3 @@ def test_nested_profilers_agree_exactly_on_fused_kernels():
     assert inner.total_backward_seconds == outer.total_backward_seconds
     # Each fused node's backward is one call under the fused op name.
     assert inner.ops["fused_lstm_sequence"].backward_calls > 0
-
-
-def test_profile_sees_through_replayed_tapes():
-    """A replayed compiled step must report the same per-op node counts
-    and backward calls as the interpreted step — including nodes the
-    tape pruned as dead (the interpreter records them at creation)."""
-    lstm = nn.LSTM(8, 8, np.random.default_rng(0), fused=True)
-    optimizer = nn.Adam(lstm.parameters(), lr=1e-3)
-    data = np.random.default_rng(1).normal(size=(3, 4, 6, 8))
-
-    def program(x):
-        outputs, state = lstm(nn.Tensor(x))  # state is dead weight
-        return outputs.sum()
-
-    step = nn.StepProgram(lambda i: (data[i],), program)
-    compiled = nn.compile_step(step)
-    compiled.step_and_backward(0, optimizer)  # trace
-    optimizer.step()
-
-    with nn.profile() as replayed:
-        compiled.step_and_backward(1, optimizer)
-    optimizer.step()
-    assert compiled.replays == 1 and not compiled.disabled
-
-    with nn.profile() as interpreted:
-        loss = step(1)
-        optimizer.zero_grad()
-        loss.backward()
-
-    want = {name: (s.nodes, s.backward_calls)
-            for name, s in interpreted.ops.items()}
-    got = {name: (s.nodes, s.backward_calls)
-           for name, s in replayed.ops.items()}
-    assert got == want
