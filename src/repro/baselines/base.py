@@ -169,21 +169,17 @@ class EncoderClassifier(nn.Module):
                         vectorizer: SessionVectorizer,
                         batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
         """Label + malicious-score inference over a whole dataset."""
-        all_probs = []
-        for batch in iter_batches(dataset, batch_size):
-            x, lengths = vectorizer.transform(dataset, indices=batch)
-            with nn.no_grad():
-                all_probs.append(self.probs(x, lengths).data)
-        probs = np.concatenate(all_probs, axis=0)
+        probs = self.probs_dataset(dataset, vectorizer, batch_size)
         return probs.argmax(axis=1), probs[:, 1]
 
     def probs_dataset(self, dataset: SessionDataset,
                       vectorizer: SessionVectorizer,
                       batch_size: int = 256) -> np.ndarray:
-        """Softmax probabilities for every session (no grad)."""
+        """Softmax probabilities for every session, through the
+        Tensor-free inference forward (the same bits as :meth:`probs`)."""
         all_probs = []
         for batch in iter_batches(dataset, batch_size):
             x, lengths = vectorizer.transform(dataset, indices=batch)
-            with nn.no_grad():
-                all_probs.append(self.probs(x, lengths).data)
+            all_probs.append(self.head.probs_numpy(
+                self.encoder.encode_numpy(x, lengths)))
         return np.concatenate(all_probs, axis=0)

@@ -158,6 +158,4 @@ class SelCLModel(BaselineModel):
         return labels, scores
 
     def _predict_proba(self, dataset: SessionDataset) -> np.ndarray:
-        features = self._encode(dataset)
-        with nn.no_grad():
-            return self.head.probs(features).data
+        return self.head.probs_numpy(self._encode(dataset))

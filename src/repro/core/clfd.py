@@ -182,20 +182,24 @@ class CLFD:
         (fraud detector, or label corrector under the "w/o FD"
         ablation), at zero extra forward cost.
         """
+        return self._inference_component().predict(
+            dataset, return_embeddings=return_embeddings)
+
+    def inference_forward(self):
+        """The NumPy inference forward :meth:`predict` scores with (see
+        :class:`~repro.core.encoder.InferenceForward`); the serving
+        engine scores its micro-batches through it."""
+        return self._inference_component().inference_forward()
+
+    def _inference_component(self):
         if not self._fitted:
             raise RuntimeError("CLFD.fit must be called first")
-        component = (self.fraud_detector if self.config.use_fraud_detector
-                     else self.label_corrector)
-        return component.predict(dataset,
-                                 return_embeddings=return_embeddings)
+        return (self.fraud_detector if self.config.use_fraud_detector
+                else self.label_corrector)
 
     def predict_proba(self, dataset: SessionDataset) -> np.ndarray:
         """Class probabilities ``[p(normal), p(malicious)]`` per session."""
-        if not self._fitted:
-            raise RuntimeError("CLFD.fit must be called first")
-        if self.config.use_fraud_detector:
-            return self.fraud_detector.predict_proba(dataset)
-        return self.label_corrector.predict_proba(dataset)
+        return self._inference_component().predict_proba(dataset)
 
     def correction_quality(self, train: SessionDataset) -> dict[str, float]:
         """Table III metrics: TPR/TNR of corrected labels vs ground truth."""

@@ -22,7 +22,7 @@ from ..data.sessions import MALICIOUS, NORMAL, SessionDataset, iter_batches
 from ..losses import sup_con_loss
 from ..train import TrainRun
 from .config import CLFDConfig
-from .encoder import SessionEncoder, SoftmaxClassifier
+from .encoder import InferenceForward, SessionEncoder, SoftmaxClassifier
 from .training import train_classifier_head
 
 __all__ = ["FraudDetector"]
@@ -132,33 +132,36 @@ class FraudDetector:
         self.centroids = centroids
 
     def _encode_dataset(self, dataset: SessionDataset) -> np.ndarray:
-        outputs = []
-        for batch in iter_batches(dataset, self.config.batch_size):
-            x, lengths = self.vectorizer.transform(dataset, indices=batch)
-            outputs.append(self.encoder.encode_numpy(x, lengths))
-        return np.concatenate(outputs, axis=0)
+        return self.inference_forward().encode_dataset(dataset)
 
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
+    def inference_forward(self) -> InferenceForward:
+        """The encoder and the FCNN head (or, for ``inference="centroid"``,
+        the "w/o classifier" ablation's class centroids) as the NumPy
+        inference forward every prediction runs."""
+        dtype = self.encoder.dtype
+        return self.encoder.inference_forward(
+            head=self.classifier.head(),
+            centroid=self.config.inference == "centroid",
+            centroids=self.centroids,
+            table=self.vectorizer.embedding_table(dtype),
+            max_len=self.vectorizer.max_len,
+            batch_size=self.config.batch_size)
+
     def predict(self, dataset: SessionDataset, *,
                 return_embeddings: bool = False):
         """Classify test sessions: returns (labels, malicious scores).
 
         ``return_embeddings=True`` appends the encoded representations
         (the same array classification ran on) as a third element.
+        Centroid inference scores by the softmin over the two centroid
+        distances (:func:`~repro.core.encoder.centroid_scores`).
         """
         self._require_fitted()
-        features = self._encode_dataset(dataset)
-        if self.config.inference == "centroid":
-            labels, scores = self._predict_centroid(features)
-        else:
-            with nn.no_grad():
-                probs = self.classifier.probs(features).data
-            labels, scores = probs.argmax(axis=1), probs[:, 1]
-        if return_embeddings:
-            return labels, scores, features
-        return labels, scores
+        return self.inference_forward().predict(
+            dataset, return_embeddings=return_embeddings)
 
     def predict_proba(self, dataset: SessionDataset) -> np.ndarray:
         """Class probabilities per session.
@@ -168,29 +171,8 @@ class FraudDetector:
         into a two-column distribution.
         """
         self._require_fitted()
-        features = self._encode_dataset(dataset)
-        if self.config.inference == "centroid":
-            _, scores = self._predict_centroid(features)
-            return np.stack([1.0 - scores, scores], axis=1)
-        with nn.no_grad():
-            return self.classifier.probs(features).data
-
-    def _predict_centroid(self, features: np.ndarray,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-centroid inference ([4], "w/o classifier" ablation).
-
-        The malicious score is the softmin over the two centroid
-        distances, so it behaves like a probability for AUC purposes.
-        """
-        if self.centroids is None:
-            raise RuntimeError("centroids unavailable; call fit first")
-        dists = np.linalg.norm(
-            features[:, None, :] - self.centroids[None, :, :], axis=2
-        )
-        labels = dists.argmin(axis=1)
-        gap = dists[:, 0] - dists[:, 1]  # >0 when closer to malicious
-        scores = 1.0 / (1.0 + np.exp(-gap))
-        return labels, scores
+        forward = self.inference_forward()
+        return forward.probs(forward.encode_dataset(dataset))
 
     def encode(self, dataset: SessionDataset) -> np.ndarray:
         """Expose encoded representations (used by analyses/examples)."""

@@ -26,7 +26,7 @@ from ..data.sessions import SessionDataset, iter_batches
 from ..losses import nt_xent_loss
 from ..train import TrainRun
 from .config import CLFDConfig
-from .encoder import SessionEncoder, SoftmaxClassifier
+from .encoder import InferenceForward, SessionEncoder, SoftmaxClassifier
 from .training import train_classifier_head
 
 __all__ = ["LabelCorrector"]
@@ -59,15 +59,8 @@ class LabelCorrector:
             run: TrainRun | None = None) -> "LabelCorrector":
         """Run both training stages on the noisy training set."""
         run = run or TrainRun()
-        # SSL pre-training embeds augmented views on the fly, but the
-        # per-batch unaugmented lookups and the post-hoc encoding pass
-        # hit the cache.
-        self.vectorizer.precompute(train)
-        try:
-            self._pretrain_ssl(train, run)
-            features = self._encode_dataset(train)
-        finally:
-            self.vectorizer.evict(train)
+        self._pretrain_ssl(train, run)
+        features = self._encode_dataset(train)
         self.classifier_loss_history = train_classifier_head(
             self.classifier, features, train.noisy_labels(), self._rng,
             loss=self.config.classifier_loss, q=self.config.q,
@@ -115,21 +108,25 @@ class LabelCorrector:
 
     def _encode_dataset(self, dataset: SessionDataset) -> np.ndarray:
         """Frozen-encoder representations v_i for every session."""
-        outputs = []
-        for batch in iter_batches(dataset, self.config.batch_size):
-            x, lengths = self.vectorizer.transform(dataset, indices=batch)
-            outputs.append(self.encoder.encode_numpy(x, lengths))
-        return np.concatenate(outputs, axis=0)
+        return self.inference_forward().encode_dataset(dataset)
 
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
+    def inference_forward(self) -> InferenceForward:
+        """The encoder and head as the NumPy inference forward."""
+        dtype = self.encoder.dtype
+        return self.encoder.inference_forward(
+            head=self.classifier.head(),
+            table=self.vectorizer.embedding_table(dtype),
+            max_len=self.vectorizer.max_len,
+            batch_size=self.config.batch_size)
+
     def correct(self, dataset: SessionDataset) -> tuple[np.ndarray, np.ndarray]:
         """Return (corrected labels ŷ, confidences c) for every session."""
         self._require_fitted()
-        features = self._encode_dataset(dataset)
-        with nn.no_grad():
-            probs = self.classifier.probs(features).data
+        forward = self.inference_forward()
+        probs = forward.probs(forward.encode_dataset(dataset))
         return probs.argmax(axis=1), probs.max(axis=1)
 
     def predict(self, dataset: SessionDataset, *,
@@ -141,13 +138,8 @@ class LabelCorrector:
         ride along as a third element.
         """
         self._require_fitted()
-        features = self._encode_dataset(dataset)
-        with nn.no_grad():
-            probs = self.classifier.probs(features).data
-        labels, scores = probs.argmax(axis=1), probs[:, 1]
-        if return_embeddings:
-            return labels, scores, features
-        return labels, scores
+        return self.inference_forward().predict(
+            dataset, return_embeddings=return_embeddings)
 
     def predict_proba(self, dataset: SessionDataset) -> np.ndarray:
         """Full softmax outputs [f₀(v), f₁(v)] for every session.
@@ -156,9 +148,8 @@ class LabelCorrector:
         flip posteriors.
         """
         self._require_fitted()
-        features = self._encode_dataset(dataset)
-        with nn.no_grad():
-            return self.classifier.probs(features).data
+        forward = self.inference_forward()
+        return forward.probs(forward.encode_dataset(dataset))
 
     def _require_fitted(self) -> None:
         if not self._fitted:

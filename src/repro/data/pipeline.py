@@ -59,6 +59,12 @@ class SessionVectorizer:
     def dim(self) -> int:
         return self.model.dim
 
+    def embedding_table(self, dtype) -> np.ndarray:
+        """Every embedding row, in vocabulary-id order, cast to ``dtype``:
+        the table the inference forward gathers activity ids from."""
+        ids = np.arange(self.model.vocab_size)
+        return self.model.embed_ids(ids).astype(dtype, copy=False)
+
     def precompute(self, dataset: SessionDataset) -> None:
         """Embed every session of ``dataset`` once and cache the result.
 

@@ -32,12 +32,16 @@ Linear → softmax → GCE or CCE in one node, whose NumPy expressions
 repeat the composed graph's operation for operation, so its loss and
 gradients are bit-identical to it (DESIGN.md §7).
 
-Inference over a padded batch can skip dead cells: with grad disabled,
-the sequence kernels take ``live`` (from :func:`live_rows`), run the
-time loop only up to the longest row, and confine each step's
-elementwise work to the row prefix that still holds a live row.  Every
-GEMM keeps its full shape, so live cells are bit-identical to the full
-grid (DESIGN.md §7); the cells skipped are left at zero.
+The sequence kernels' time loops are the plain-NumPy functions
+:func:`lstm_recurrence` and :func:`gru_recurrence`: they take the
+time-major input projection and write into buffers the caller owns.
+Training runs them with every row live; the inference forward
+(:class:`repro.core.encoder.InferenceForward`) runs them over a padded
+batch with ``live`` (from :func:`live_rows`), stopping at the longest
+row and confining each step's elementwise work to the row prefix that
+still holds a live row.  Every GEMM keeps its full shape, so live cells
+are bit-identical to the full grid (DESIGN.md §7); the cells skipped
+are left at zero.
 
 All kernels follow the engine's dtype: float32 inputs stay float32
 throughout forward and backward.
@@ -47,10 +51,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, is_grad_enabled
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "live_rows",
+    "lstm_recurrence",
+    "gru_recurrence",
     "fused_lstm_step",
     "fused_lstm_step_preproj",
     "fused_lstm_sequence",
@@ -58,6 +64,7 @@ __all__ = [
     "fused_gru_step_preproj",
     "fused_gru_sequence",
     "fused_head_loss",
+    "head_forward",
 ]
 
 
@@ -87,16 +94,6 @@ def live_rows(lengths, time: int) -> tuple[int, ...]:
     alive = lengths[None, :] > np.arange(steps)[:, None]
     rank = np.arange(1, len(lengths) + 1)
     return tuple(int(n) for n in (alive * rank).max(axis=1, initial=0))
-
-
-def _steps(live, time: int) -> int:
-    """Time steps a sequence kernel runs: all, or the ``live`` ones."""
-    if live is None:
-        return time
-    if is_grad_enabled():
-        raise ValueError("live rows skip cells the backward pass reads; "
-                         "pass them only under nn.no_grad()")
-    return len(live)
 
 
 def _add_grad_slice(param: Tensor, cols: slice, grad: np.ndarray) -> None:
@@ -202,7 +199,56 @@ def _lstm_tail(gates, x_in, h_prev, c_prev, w_x, w_h, bias):
     return h_out, c_out
 
 
-def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias, live=None):
+def lstm_recurrence(proj, w_h, h_all, c_all, act, tc_all, scratch, *,
+                    h0_zero: bool, live=None) -> None:
+    """The LSTM time loop over a precomputed input projection, in NumPy.
+
+    ``proj`` is the time-major ``(T, B, 4*hidden)`` input projection
+    ``x @ W_x + b``; ``w_h`` the ``(hidden, 4*hidden)`` recurrent matrix.
+    The caller owns every output buffer: ``h_all``/``c_all`` are
+    ``(T + 1, B, hidden)`` with the initial states in slot 0 (step
+    ``t`` writes slot ``t + 1``), ``act`` ``(T, B, 4*hidden)`` receives
+    the gate activations ``[i, f, g, o]``, ``tc_all`` ``(T, B, hidden)``
+    ``tanh(c)`` (what the backward pass reads), and ``scratch`` is a
+    ``(B, hidden)`` temporary.  ``h0_zero`` says the initial hidden
+    state is all zero, which skips step 0's recurrent GEMM.
+
+    ``live`` (from :func:`live_rows`) runs ``len(live)`` steps, step
+    ``t`` updating rows ``[:live[t]]``; every state cell it skips is
+    zero.  Only the GEMM sees every row: its output rows do not depend
+    on each other, so a live row gets the full-grid bits.
+    """
+    batch, hs = scratch.shape
+    steps = len(proj) if live is None else len(live)
+    if live is not None:
+        c_all[1:], h_all[1:] = 0.0, 0.0
+    h, c = h_all[0], c_all[0]
+    for t in range(steps):
+        rows = batch if live is None else live[t]
+        if t == 0 and h0_zero:
+            np.copyto(act[t], proj[t])
+        else:
+            np.dot(h, w_h, out=act[t])
+            act[t, :rows] += proj[t, :rows]
+        gates = act[t, :rows]
+        _sigmoid_inplace(gates[:, 0 * hs:2 * hs])   # input + forget
+        np.tanh(gates[:, 2 * hs:3 * hs], out=gates[:, 2 * hs:3 * hs])
+        _sigmoid_inplace(gates[:, 3 * hs:4 * hs])   # output
+        i = gates[:, 0 * hs:1 * hs]
+        f = gates[:, 1 * hs:2 * hs]
+        g = gates[:, 2 * hs:3 * hs]
+        o = gates[:, 3 * hs:4 * hs]
+        c_new, tc = c_all[t + 1, :rows], tc_all[t, :rows]
+        h_new, s = h_all[t + 1, :rows], scratch[:rows]
+        np.multiply(f, c[:rows], out=c_new)
+        np.multiply(i, g, out=s)
+        c_new += s
+        np.tanh(c_new, out=tc)
+        np.multiply(o, tc, out=h_new)
+        h, c = h_all[t + 1], c_all[t + 1]
+
+
+def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias):
     """Run a whole LSTM layer over time as one graph node.
 
     ``x`` is the layer input ``(batch, time, features)``.  The input
@@ -213,15 +259,11 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias, live=None):
     final states.  The single backward closure walks the sequence in
     reverse, filling one ``(batch, time, 4*hidden)`` pre-activation
     gradient buffer; every weight gradient is then one batched GEMM over
-    all timesteps rather than ``time`` small per-step GEMMs.
-
-    ``live`` (inference only, from :func:`live_rows`) runs ``len(live)``
-    steps, step ``t`` updating rows ``[:live[t]]``; the states of the
-    skipped cells are zero.
+    all timesteps rather than ``time`` small per-step GEMMs.  The time
+    loop is :func:`lstm_recurrence` with every row live.
     """
     x, h0, c0 = as_tensor(x), as_tensor(h0), as_tensor(c0)
     batch, time, feat = x.data.shape
-    steps = _steps(live, time)
     hs = w_h.shape[0]
     four_hs = 4 * hs
     dtype = x.data.dtype
@@ -246,35 +288,8 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias, live=None):
         np.dot(flat, w_x.data, out=proj2d)
         np.add(proj2d, bias.data, out=proj2d)
         c_all[0], h_all[0] = c0.data, h0.data
-        if live is not None:
-            c_all[1:], h_all[1:] = 0.0, 0.0
-        h0_zero = not (h0.requires_grad or h0.data.any())
-        h, c = h0.data, c0.data
-        for t in range(steps):
-            # Only the GEMM sees every row: its output rows do not depend
-            # on each other, so a live row gets the full-grid bits.
-            rows = batch if live is None else live[t]
-            if t == 0 and h0_zero:  # h0 all-zero: skip the recurrent GEMM
-                np.copyto(act[t], proj[t])
-            else:
-                np.dot(h, w_h.data, out=act[t])
-                act[t, :rows] += proj[t, :rows]
-            gates = act[t, :rows]
-            _sigmoid_inplace(gates[:, 0 * hs:2 * hs])   # input + forget
-            np.tanh(gates[:, 2 * hs:3 * hs], out=gates[:, 2 * hs:3 * hs])
-            _sigmoid_inplace(gates[:, 3 * hs:4 * hs])   # output
-            i = gates[:, 0 * hs:1 * hs]
-            f = gates[:, 1 * hs:2 * hs]
-            g = gates[:, 2 * hs:3 * hs]
-            o = gates[:, 3 * hs:4 * hs]
-            c_new, tc = c_all[t + 1, :rows], tc_all[t, :rows]
-            h_new, s = h_all[t + 1, :rows], scratch[:rows]
-            np.multiply(f, c[:rows], out=c_new)
-            np.multiply(i, g, out=s)
-            c_new += s
-            np.tanh(c_new, out=tc)
-            np.multiply(o, tc, out=h_new)
-            h, c = h_all[t + 1], c_all[t + 1]
+        lstm_recurrence(proj, w_h.data, h_all, c_all, act, tc_all, scratch,
+                        h0_zero=not (h0.requires_grad or h0.data.any()))
 
     forward_pass()
 
@@ -436,8 +451,48 @@ def _gru_tail(gates, cand, x_in, h_prev, w_x, w_h, bias,
     return h_out
 
 
-def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
-                       live=None):
+def gru_recurrence(proj_g, proj_c, w_h, w_hc, h_all, gate_all, n_all,
+                   scratch, *, live=None) -> None:
+    """The GRU time loop over precomputed input projections, in NumPy.
+
+    ``proj_g`` is the time-major ``(T, B, 2*hidden)`` gate projection
+    ``x @ W_x + b`` and ``proj_c`` the ``(T, B, hidden)`` candidate
+    projection ``x @ W_xc + b_c``.  The caller owns every output
+    buffer: ``h_all`` is ``(T + 1, B, hidden)`` with the initial state
+    in slot 0, ``gate_all`` ``(T, B, 2*hidden)`` receives the reset and
+    update gates, ``n_all`` ``(T, B, hidden)`` the candidates, and
+    ``scratch`` is a ``(B, hidden)`` temporary.  ``live`` skips dead
+    cells exactly as in :func:`lstm_recurrence`.
+    """
+    batch, hs = scratch.shape
+    steps = len(proj_g) if live is None else len(live)
+    if live is not None:
+        h_all[1:] = 0.0
+    # Zeroed: the candidate GEMM reads every row, dead ones included.
+    scratch[...] = 0.0
+    h = h_all[0]
+    for t in range(steps):
+        rows = batch if live is None else live[t]
+        np.dot(h, w_h, out=gate_all[t])
+        gates = gate_all[t, :rows]
+        gates += proj_g[t, :rows]
+        _sigmoid_inplace(gates)                  # reset + update
+        r = gates[:, 0 * hs:1 * hs]
+        z = gates[:, 1 * hs:2 * hs]
+        s = scratch[:rows]
+        np.multiply(r, h[:rows], out=s)
+        np.dot(scratch, w_hc, out=n_all[t])
+        n, h_new = n_all[t, :rows], h_all[t + 1, :rows]
+        n += proj_c[t, :rows]
+        np.tanh(n, out=n)
+        np.multiply(z, h[:rows], out=h_new)
+        np.subtract(1.0, z, out=s)
+        np.multiply(s, n, out=s)
+        h_new += s
+        h = h_all[t + 1]
+
+
+def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c):
     """Run a whole GRU layer over time as one graph node.
 
     ``x`` is the layer input ``(batch, time, features)``.  Both input
@@ -446,11 +501,10 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
     Returns ``(h_seq, h_T)``.  Like :func:`fused_lstm_sequence`, the
     single backward closure fills per-sequence gradient buffers and
     computes every weight gradient with batched GEMMs over all
-    timesteps, and ``live`` skips dead cells at inference.
+    timesteps.  The time loop is :func:`gru_recurrence`.
     """
     x, h0 = as_tensor(x), as_tensor(h0)
     batch, time, feat = x.data.shape
-    steps = _steps(live, time)
     hs = w_h.shape[0]
     two_hs = 2 * hs
     dtype = x.data.dtype
@@ -466,8 +520,7 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
     n_all = np.empty((time, batch, hs), dtype=dtype)
     # Extra leading slot holds h0 so backward reads h_prev as a slice.
     h_all = np.empty((time + 1, batch, hs), dtype=dtype)
-    # Zeroed: the candidate GEMM reads every row, dead ones included.
-    scratch = np.zeros((batch, hs), dtype=dtype)
+    scratch = np.empty((batch, hs), dtype=dtype)
 
     def forward_pass():
         np.copyto(x_tb, x.data.transpose(1, 0, 2))
@@ -476,30 +529,8 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
         np.dot(flat, w_xc.data, out=proj_c2d)
         np.add(proj_c2d, bias_c.data, out=proj_c2d)
         h_all[0] = h0.data
-        if live is not None:
-            h_all[1:] = 0.0
-        h = h0.data
-        for t in range(steps):
-            # As in fused_lstm_sequence: full-shape GEMMs, live-row
-            # prefix for everything elementwise.
-            rows = batch if live is None else live[t]
-            np.dot(h, w_h.data, out=gate_all[t])
-            gates = gate_all[t, :rows]
-            gates += proj_g[t, :rows]
-            _sigmoid_inplace(gates)                  # reset + update
-            r = gates[:, 0 * hs:1 * hs]
-            z = gates[:, 1 * hs:2 * hs]
-            s = scratch[:rows]
-            np.multiply(r, h[:rows], out=s)
-            np.dot(scratch, w_hc.data, out=n_all[t])
-            n, h_new = n_all[t, :rows], h_all[t + 1, :rows]
-            n += proj_c[t, :rows]
-            np.tanh(n, out=n)
-            np.multiply(z, h[:rows], out=h_new)
-            np.subtract(1.0, z, out=s)
-            np.multiply(s, n, out=s)
-            h_new += s
-            h = h_all[t + 1]
+        gru_recurrence(proj_g, proj_c, w_h.data, w_hc.data, h_all, gate_all,
+                       n_all, scratch)
 
     forward_pass()
 
@@ -582,22 +613,24 @@ def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c,
 _HEAD_SLOPE = 0.01
 
 
-def _head_forward(x, w1, b1, w2, b2):
+def head_forward(x, fc1, fc2):
     """The head's forward pass on payloads, expression for expression
     as ``SoftmaxClassifier.probs`` builds it from composed ops.
 
+    ``fc1``/``fc2`` map an array to its affine image ``x @ w + b``.
     Returns ``(act, scale, exps, sums, inv, probs)``: the hidden
     activation, LeakyReLU's per-entry slope, and the max-shifted
     softmax's exponentials, row sums, ``sums ** -1.0`` (the composed
     division) and probabilities.  Reductions call the ufunc reductions
     that ``ndarray.max``/``ndarray.sum`` run, without their Python
-    wrappers.
+    wrappers.  Training (:func:`fused_head_loss`) and every inference
+    path (:class:`repro.core.encoder.InferenceForward`) run it.
     """
-    hidden = x @ w1 + b1
+    hidden = fc1(x)
     scale = np.where(hidden > 0, 1.0, _HEAD_SLOPE).astype(
         hidden.dtype, copy=False)
     act = hidden * scale
-    logits = act @ w2 + b2
+    logits = fc2(act)
     shifted = logits + np.maximum.reduce(logits, -1, keepdims=True) * -1.0
     exps = np.exp(shifted)
     sums = np.add.reduce(exps, -1, keepdims=True)
@@ -649,8 +682,9 @@ def fused_head_loss(x, w1, b1, w2, b2, targets, loss: str = "gce",
                          f"do not fit a {w2.data.shape[1]}-class head")
     floor = _PROB_FLOOR if loss == "gce" else _EPS
 
-    act, scale, exps, sums, inv, probs = _head_forward(
-        x.data, w1.data, b1.data, w2.data, b2.data)
+    act, scale, exps, sums, inv, probs = head_forward(
+        x.data, lambda v: v @ w1.data + b1.data,
+        lambda v: v @ w2.data + b2.data)
     clipped = np.clip(probs, floor, 1.0)
     keep = (probs >= floor) & (probs <= 1.0)
     if loss == "gce":

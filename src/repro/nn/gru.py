@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .fused import fused_gru_sequence, fused_gru_step, live_rows
+from .fused import fused_gru_sequence, fused_gru_step
 from .module import Module, Parameter
-from .tensor import Tensor, is_grad_enabled, split, stack
+from .tensor import Tensor, split, stack
 
 __all__ = ["GRUCell", "GRU"]
 
@@ -81,20 +81,12 @@ class GRU(Module):
             for layer in range(num_layers)
         ]
 
-    def forward(self, x: Tensor, lengths: np.ndarray | None = None
-                ) -> tuple[Tensor, Tensor]:
-        """Run the sequence; returns (outputs, final hidden state).
-
-        ``lengths`` skips dead cells at inference, as in
-        :meth:`repro.nn.LSTM.forward`.
-        """
+    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """Run the sequence; returns (outputs, final hidden state)."""
         if x.ndim != 3:
             raise ValueError(f"GRU expects (batch, time, features), got {x.shape}")
         if self.fused:
-            live = None
-            if lengths is not None and not is_grad_enabled():
-                live = live_rows(lengths, x.shape[1])
-            return self._forward_fused(x, live)
+            return self._forward_fused(x)
         batch, time, _ = x.shape
         layer_input = [x[:, t, :] for t in range(time)]
         h = None
@@ -107,8 +99,7 @@ class GRU(Module):
             layer_input = outputs
         return stack(layer_input, axis=1), h
 
-    def _forward_fused(self, x: Tensor, live: tuple[int, ...] | None
-                       ) -> tuple[Tensor, Tensor]:
+    def _forward_fused(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Fused path: two input-projection GEMMs per layer, then the
         whole recurrence runs inside a single sequence kernel."""
         batch, _, _ = x.shape
@@ -118,12 +109,12 @@ class GRU(Module):
             h0 = cell.initial_state(batch)
             layer_input, h = fused_gru_sequence(
                 layer_input, h0, cell.w_x, cell.w_h, cell.bias,
-                cell.w_xc, cell.w_hc, cell.bias_c, live)
+                cell.w_xc, cell.w_hc, cell.bias_c)
         return layer_input, h
 
     def mean_pool(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
         """Masked mean over the final layer's hidden states."""
-        outputs, _ = self.forward(x, lengths)
+        outputs, _ = self.forward(x)
         if lengths is None:
             return outputs.mean(axis=1)
         dtype = outputs.data.dtype

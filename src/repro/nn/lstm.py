@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .fused import fused_lstm_sequence, fused_lstm_step, live_rows
+from .fused import fused_lstm_sequence, fused_lstm_step
 from .module import Module, Parameter
-from .tensor import Tensor, get_default_dtype, is_grad_enabled, split, stack
+from .tensor import Tensor, get_default_dtype, split, stack
 
 __all__ = ["LSTMCell", "LSTM"]
 
@@ -99,26 +99,17 @@ class LSTM(Module):
             for layer in range(num_layers)
         ]
 
-    def forward(self, x: Tensor, lengths: np.ndarray | None = None
-                ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    def forward(self, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Run the full sequence.
 
         ``x`` is (batch, time, input_size). Returns ``(outputs, (h_n, c_n))``
         where ``outputs`` is (batch, time, hidden_size) from the last layer
         and ``h_n``/``c_n`` are the final states of the last layer.
-
-        ``lengths`` (the rows' unpadded lengths) lets the fused path skip
-        dead cells when grad is disabled: outputs at live cells are
-        unchanged, the final states are those of the last time slot, and
-        every cell past a row's length is unspecified (zero where skipped).
         """
         if x.ndim != 3:
             raise ValueError(f"LSTM expects (batch, time, features), got {x.shape}")
         if self.fused:
-            live = None
-            if lengths is not None and not is_grad_enabled():
-                live = live_rows(lengths, x.shape[1])
-            return self._forward_fused(x, live)
+            return self._forward_fused(x)
         batch, time, _ = x.shape
         layer_input = [x[:, t, :] for t in range(time)]
         h = c = None
@@ -131,29 +122,27 @@ class LSTM(Module):
             layer_input = outputs
         return stack(layer_input, axis=1), (h, c)
 
-    def _forward_fused(self, x: Tensor, live: tuple[int, ...] | None
-                       ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    def _forward_fused(self, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Fused path: one input-projection GEMM per layer, then the whole
         recurrence (forward and backward) runs inside a single sequence
         kernel — a handful of graph nodes per layer instead of ~15 per
-        timestep.  Every layer shares the batch's ``live`` rows."""
+        timestep."""
         batch, _, _ = x.shape
         layer_input = x
         h = c = None
         for cell in self.cells:
             h0, c0 = cell.initial_state(batch)
             layer_input, h, c = fused_lstm_sequence(
-                layer_input, h0, c0, cell.w_x, cell.w_h, cell.bias, live)
+                layer_input, h0, c0, cell.w_x, cell.w_h, cell.bias)
         return layer_input, (h, c)
 
     def mean_pool(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
         """Encode sessions by averaging final-layer hidden states over time.
 
         ``lengths`` marks the true (unpadded) length of each sequence; when
-        provided, padding positions are excluded from the average (and,
-        at inference, never computed).
+        provided, padding positions are excluded from the average.
         """
-        outputs, _ = self.forward(x, lengths)
+        outputs, _ = self.forward(x)
         if lengths is None:
             return outputs.mean(axis=1)
         dtype = outputs.data.dtype

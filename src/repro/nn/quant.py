@@ -80,15 +80,18 @@ def dequantize_np(q: np.ndarray, scales: np.ndarray,
 
 
 def quant_matmul_np(x: np.ndarray, q: np.ndarray, scales: np.ndarray,
-                    bias: np.ndarray | None = None) -> np.ndarray:
-    """Fused int8 GEMM: ``(x @ q) * scale (+ bias)`` in ``x``'s dtype.
+                    bias: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Fused int8 GEMM: ``(x @ q) * scale (+ bias)`` in ``x``'s dtype,
+    written into ``out`` when given.
 
     The one numerical definition of the quantized projection — the
     serving runtime and every test call this, because
     ``(x @ q) * s`` and ``x @ (q * s)`` differ in ULPs and a score must
     be a function of the session alone.
     """
-    out = (x @ q.astype(x.dtype)) * np.asarray(scales, dtype=x.dtype)
+    out = np.matmul(x, q.astype(x.dtype), out=out)
+    out *= np.asarray(scales, dtype=x.dtype)
     if bias is not None:
         out += np.asarray(bias, dtype=x.dtype)
     return out

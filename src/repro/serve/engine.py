@@ -12,12 +12,14 @@ one.
 :class:`~repro.serve.batcher.MicroBatcher`.  Callers (HTTP handler
 threads, or library users) submit one raw session at a time; the
 batcher coalesces them and the engine scores each batch with a single
-padded forward pass through the standard
-:meth:`CLFD.predict(..., return_embeddings=...) <repro.core.CLFD.predict>`
-path — the engine never touches encoder internals.
+padded pass through the model's
+:class:`~repro.core.encoder.InferenceForward` — the NumPy forward
+``CLFD.predict`` runs, so a served score equals the model's own.
 
-The model + its encoding tables live in an immutable ``_ModelRuntime``
-bound to the batcher that scores with it, so a **rolling reload**
+The model, its encoding tables, its inference forward and the
+forward's :class:`~repro.core.encoder.Workspace` live in a
+``_ModelRuntime`` bound to the batcher that scores with it, so a
+**rolling reload**
 (:meth:`InferenceEngine.reload_model`) can build and warm the next
 generation, flip new submissions over atomically, and drain the old
 batcher — no dropped requests and no batch ever mixes generations.
@@ -50,7 +52,6 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..core.clfd import CLFD
-from ..data.sessions import Session, SessionDataset
 from ..data.vocab import Vocabulary
 from ..nn.profiler import Profiler
 from .batcher import MicroBatcher, QueueFullError, submit_windowed
@@ -75,14 +76,18 @@ _WARMUP = _Encoded(ids=(0,), session_id="warmup", oov_count=0)
 
 
 class _ModelRuntime:
-    """One model generation: the model, its encoding tables, its tag.
+    """One model generation: the model, its encoding tables, its tag,
+    and the workspace its micro-batches are scored in.
 
     A batcher is bound to exactly one runtime (via ``partial``), which
     is what makes reloads batch-atomic: an old batcher can only ever
-    score with the generation it was created for.
+    score with the generation it was created for.  The workspace —
+    ids, lengths and every grid buffer of a ``max_batch``-row forward —
+    is allocated here, once per generation, and only this runtime's
+    batcher thread (or the warm-up before it starts) writes it.
     """
 
-    def __init__(self, model: CLFD, generation: int):
+    def __init__(self, model: CLFD, generation: int, max_batch: int):
         if model.vectorizer is None:
             raise ValueError("InferenceEngine requires a fitted CLFD")
         self.model = model
@@ -91,6 +96,9 @@ class _ModelRuntime:
         self.vocab = self.vectorizer.vocab
         self.vocab_size = self.vectorizer.model.vocab_size
         self.dataset_vocab = self.vocab or Vocabulary()
+        self.forward = model.inference_forward()
+        self.workspace = self.forward.workspace(
+            max_batch, self.dataset_vocab.pad_id)
 
     def encode(self, raw: RawSession) -> _Encoded:
         """Map tokens/ids into embedding rows, with OOV degradation."""
@@ -251,7 +259,7 @@ class InferenceEngine(_EngineFront):
                  generation: int = 0, worker_id: int | None = None):
         super().__init__(config, metrics, rate_limiter)
         self.worker_id = worker_id
-        runtime = _ModelRuntime(model, generation)
+        runtime = _ModelRuntime(model, generation, self.config.max_batch)
         if self.config.warmup:
             self._score_batch(runtime, [_WARMUP])
         self._active: tuple[_ModelRuntime, MicroBatcher] = (
@@ -349,7 +357,7 @@ class InferenceEngine(_EngineFront):
             old_runtime, old_batcher = self._active
             gen = (int(generation) if generation is not None
                    else old_runtime.generation + 1)
-            runtime = _ModelRuntime(model, gen)
+            runtime = _ModelRuntime(model, gen, self.config.max_batch)
             if self.config.warmup:
                 self._score_batch(runtime, [_WARMUP])
             self._active = (runtime, self._make_batcher(runtime))
@@ -387,21 +395,17 @@ class InferenceEngine(_EngineFront):
         Padding costs little beyond the GEMM rows: LSTM and GRU
         encoders with mean pooling skip dead cells (DESIGN.md §7), so a
         tail pad row of length 1 is computed at step 0 only and no step
-        runs past the longest real session.
+        runs past the longest real session.  The ids go straight into
+        the runtime's workspace, and the forward allocates no grid-sized
+        array (DESIGN.md §8).
         """
-        rows = items + [_WARMUP] * (self.config.max_batch - len(items))
-        dataset = SessionDataset(
-            [Session(activities=list(item.ids), label=0,
-                     session_id=item.session_id) for item in rows],
-            runtime.dataset_vocab, name="serve-batch",
-        )
+        forward, ws = runtime.forward, runtime.workspace
+        ws.load((item.ids for item in items), fill=_WARMUP.ids)
         with self.profiler.timer("batch_forward"):
-            if self.config.include_embeddings:
-                labels, scores, embeddings = runtime.model.predict(
-                    dataset, return_embeddings=True)
-            else:
-                labels, scores = runtime.model.predict(dataset)
-                embeddings = None
+            embeddings = forward.encode(ws)
+            labels, scores = forward.classify(embeddings)
+        if not self.config.include_embeddings:
+            embeddings = None
         results = []
         for row, item in enumerate(items):
             score = float(scores[row])

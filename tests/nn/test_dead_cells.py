@@ -1,17 +1,20 @@
 """Inference skips dead cells of a padded batch without changing a bit.
 
-With grad disabled and ``lengths`` given, the fused LSTM/GRU kernels
-stop at the longest row and run each step's elementwise work on the
-live-row prefix only (``nn.fused.live_rows``).  Every cell they do
-compute must carry the full-grid bits, every cell they skip must be
-exactly zero, and the masked mean-pool must not move.
+Given ``lengths``, the NumPy inference forward's LSTM/GRU stacks
+(``InferenceForward``, over ``nn.fused.lstm_recurrence`` /
+``gru_recurrence``) stop at the longest row and run each step's
+elementwise work on the live-row prefix only (``nn.fused.live_rows``).
+Every cell they do compute must carry the full-grid bits of the Tensor
+kernels, every cell they skip must be exactly zero, and the masked
+mean-pool must not move.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.encoder import SessionEncoder
+from repro.core.encoder import (InferenceForward, SessionEncoder, _Grid,
+                                recurrent_stacks)
 from repro.nn import Tensor
 from repro.nn.fused import live_rows
 
@@ -44,6 +47,23 @@ def _input(batch, dtype):
                   dtype=dtype)
 
 
+def _inference_states(forward, x, lengths=None):
+    """The top layer's per-step states of the NumPy inference stack,
+    batch-major; ``lengths`` skips dead cells."""
+    batch, time, feat = x.shape
+    grid = _Grid(forward, batch, time, feat)
+    np.copyto(grid.emb, x.transpose(1, 0, 2))
+    live = None if lengths is None else live_rows(lengths, time)
+    states = grid.stacks[0].run(forward.stacks[0],
+                                grid.emb.reshape(time * batch, feat), live)
+    return states.transpose(1, 0, 2)
+
+
+def _inference_forward(model):
+    return InferenceForward(recurrent_stacks(model),
+                            dtype=model.cells[0].w_h.data.dtype)
+
+
 @pytest.mark.parametrize("lengths", [MIXED, SHORT], ids=["mixed", "short"])
 @pytest.mark.parametrize("hidden", [5, 50])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64],
@@ -54,10 +74,11 @@ def test_length_aware_forward_matches_full_grid(cell, layers, dtype, hidden,
                                                 lengths):
     model = _model(cell, layers, dtype, hidden)
     x = _input(len(lengths), dtype)
+    forward = _inference_forward(model)
     with nn.no_grad():
         full = model(x)[0].data
-        aware = model(x, lengths)[0].data
-        pooled = model.mean_pool(x, lengths).data
+        aware = _inference_states(forward, x.data, lengths)
+        pooled = forward.encode_array(x.data, lengths)
     reference = model.mean_pool(x, lengths).data   # grad on: full grid
     live = live_rows(lengths, TIME)
     assert aware.dtype == full.dtype == dtype
@@ -70,20 +91,13 @@ def test_length_aware_forward_matches_full_grid(cell, layers, dtype, hidden,
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
 def test_lengths_are_ignored_while_grad_is_on(cell):
+    """Training (grad on) runs the Tensor kernels over the full grid;
+    without lengths the NumPy stack runs that same grid, bit for bit."""
     model = _model(cell, 2, np.float64, 5)
     x = _input(len(MIXED), np.float64)
-    full, aware = model(x)[0].data, model(x, MIXED)[0].data
+    full = model(x)[0].data
+    aware = _inference_states(_inference_forward(model), x.data)
     assert aware.tobytes() == full.tobytes()
-
-
-def test_live_rows_under_grad_are_refused():
-    lstm = nn.LSTM(6, 5, np.random.default_rng(0), num_layers=1)
-    cell = lstm.cells[0]
-    x = _input(2, np.float64)
-    h0, c0 = cell.initial_state(2)
-    with pytest.raises(ValueError, match="no_grad"):
-        nn.fused_lstm_sequence(x, h0, c0, cell.w_x, cell.w_h, cell.bias,
-                               live=(2, 1))
 
 
 @pytest.mark.parametrize("cell,pooling", [("bilstm", "mean"),

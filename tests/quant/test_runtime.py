@@ -109,12 +109,14 @@ def _persist_in_memory(model):
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
 def test_mean_pool_skips_dead_cells_bit_for_bit(cell):
-    """The quant stacks under mean pooling compute only live-row
+    """The quantized stacks under mean pooling compute only live-row
     prefixes; every computed cell keeps the full-grid bits, skipped ones
     are zero, and the pooled encoding does not move."""
+    import functools
+
+    from repro.core.encoder import InferenceForward, RecurrentLayer, _Grid
     from repro.nn.fused import live_rows
-    from repro.quant.runtime import (QuantWeight, _QuantEncoder,
-                                     _QuantGRUStack, _QuantLSTMStack)
+    from repro.quant.runtime import QuantWeight
 
     rng = np.random.default_rng(0)
     gates = 4 if cell == "lstm" else 2
@@ -135,17 +137,42 @@ def test_mean_pool_skips_dead_cells_bit_for_bit(cell):
             entry.update(w_xc=int8(width, hidden), w_hc=int8(hidden, hidden),
                          bias_c=rng.normal(size=hidden).astype(np.float32))
         cells.append(entry)
-    stack = (_QuantLSTMStack if cell == "lstm" else _QuantGRUStack)(cells)
+    forward = InferenceForward([[RecurrentLayer(
+        functools.partial(c["w_x"].project, bias=c["bias"]), c["w_h"].dense(),
+        *((functools.partial(c["w_xc"].project, bias=c["bias_c"]),
+           c["w_hc"].dense()) if cell == "gru" else ()))
+        for c in cells]], dtype=np.float32)
     lengths = np.array([9, 3, 9, 2, 1, 1, 1, 1])
     x = rng.normal(size=(len(lengths), 9, feat)).astype(np.float32)
 
-    full = stack.forward(x)
+    def stack_forward(x, live=None):
+        grid = _Grid(forward, len(x), 9, feat)
+        np.copyto(grid.emb, x.transpose(1, 0, 2))
+        states = grid.stacks[0].run(forward.stacks[0],
+                                    grid.emb.reshape(-1, feat), live)
+        return states.transpose(1, 0, 2).copy(), grid
+
+    full, grid = stack_forward(x)
     live = live_rows(lengths, 9)
-    aware = stack.forward(x, live)
+    aware, _ = stack_forward(x, live)
     for t in range(9):
         rows = live[t] if t < len(live) else 0
         assert aware[:rows, t].tobytes() == full[:rows, t].tobytes(), t
         assert not aware[rows:, t].any(), t
-    pooled = _QuantEncoder(stack, "mean").encode(x, lengths)
-    assert pooled.tobytes() == _QuantEncoder._mean_pool(full,
-                                                        lengths).tobytes()
+    pooled = forward.encode_array(x, lengths)
+    assert pooled.tobytes() == forward._mean_pool(
+        grid, [full.transpose(1, 0, 2)], lengths).tobytes()
+
+
+@pytest.mark.parametrize("precision", [None, "int8"])
+def test_empty_dataset_predicts_empty_arrays(teacher_archive, quant_split,
+                                             precision):
+    from repro.core import load_clfd
+
+    model = load_clfd(teacher_archive, precision=precision)
+    empty = quant_split[1][[]]
+    labels, scores = model.predict(empty)
+    assert labels.shape == scores.shape == (0,)
+    _, _, embeddings = model.predict(empty, return_embeddings=True)
+    assert embeddings.shape == (0, model.config.hidden_size)
+    assert model.predict_proba(empty).shape == (0, 2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.encoder import InferenceForward
 from repro.serve import (InferenceEngine, RequestError, ServeConfig,
                          ServingMetrics)
 
@@ -170,12 +171,12 @@ def test_non_finite_score_carries_structured_warning(served_model,
     eng = InferenceEngine(served_model,
                           ServeConfig(max_batch=4, max_wait_ms=1.0))
     try:
-        def broken_predict(dataset, return_embeddings=False):
-            n = len(dataset)
+        def broken_classify(self, features):
+            n = len(features)
             scores = np.full(n, np.nan)
             return np.zeros(n, dtype=int), scores
 
-        monkeypatch.setattr(eng.model, "predict", broken_predict)
+        monkeypatch.setattr(InferenceForward, "classify", broken_classify)
         result = eng.score(_payload(test, 0))
         assert result.warnings and "not finite" in result.warnings[0]
         body = result.to_dict()
@@ -253,3 +254,60 @@ def test_config_and_legacy_kwargs_together_is_type_error(served_model):
 def test_unknown_legacy_kwarg_is_type_error(served_model):
     with pytest.raises(TypeError):
         InferenceEngine(served_model, max_btach=8)
+
+
+def _buffers(workspace):
+    """Every array of a workspace: ids, lengths and each grid's buffers."""
+    arrays = [workspace.ids, workspace.lengths]
+    for grid in workspace.grids.values():
+        arrays += [a for a in vars(grid).values() if isinstance(a, np.ndarray)]
+        for stack in grid.stacks:
+            arrays += [a for a in vars(stack).values()
+                       if isinstance(a, np.ndarray)]
+    return arrays
+
+
+def test_score_batch_reuses_one_workspace_per_generation(served_model,
+                                                         serve_split):
+    """After warm-up a single-session batch allocates less than one
+    ``(max_batch, max_len, 4*hidden)`` buffer of the compute dtype;
+    consecutive batches write the same workspace arrays, and a reload
+    brings a workspace of its own."""
+    import tracemalloc
+
+    from repro.serve.schemas import parse_session
+
+    _, test = serve_split
+    config = ServeConfig()
+    eng = InferenceEngine(served_model, config)
+    try:
+        runtime = eng._active[0]
+        items = [runtime.encode(parse_session(_payload(test, row)))
+                 for row in range(3)]
+        workspace = runtime.workspace
+        addresses = [a.ctypes.data for a in _buffers(workspace)]
+        model_config = served_model.config
+        grid_bytes = (config.max_batch * served_model.vectorizer.max_len
+                      * 4 * model_config.hidden_size
+                      * np.dtype(model_config.compute_dtype).itemsize)
+        eng._score_batch(runtime, [items[0]])
+        tracemalloc.start()
+        try:
+            eng._score_batch(runtime, [items[1]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes, (peak, grid_bytes)
+        eng._score_batch(runtime, [items[2]])
+        assert runtime.workspace is workspace
+        assert [a.ctypes.data for a in _buffers(workspace)] == addresses
+
+        eng.reload_model(served_model)
+        fresh = eng._active[0]
+        assert fresh is not runtime and fresh.workspace is not workspace
+        assert not any(np.shares_memory(a, b)
+                       for a in _buffers(fresh.workspace)
+                       for b in _buffers(workspace))
+        assert eng.score(_payload(test, 0)).generation == 1
+    finally:
+        eng.close()

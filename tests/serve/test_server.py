@@ -11,6 +11,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.encoder import InferenceForward
 from repro.serve import InferenceEngine, ServeConfig, ServingServer
 from repro.serve import server as server_module
 
@@ -403,13 +404,13 @@ def test_shutdown_drains_in_flight_futures(served_model, monkeypatch):
     srv = ServingServer(engine, model_name="drain-test")
     srv.start_background()
 
-    real_predict = engine.model.predict
+    real_classify = InferenceForward.classify
 
-    def slow_predict(dataset, **kwargs):
+    def slow_classify(self, features):
         time.sleep(0.05)
-        return real_predict(dataset, **kwargs)
+        return real_classify(self, features)
 
-    monkeypatch.setattr(engine.model, "predict", slow_predict)
+    monkeypatch.setattr(InferenceForward, "classify", slow_classify)
     futures = [engine.submit({"activities": [1, 2], "session_id": f"d{i}"})
                for i in range(8)]
     srv.shutdown()
