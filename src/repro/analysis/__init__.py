@@ -3,9 +3,8 @@
 from .calibration import (
     confidence_threshold_sweep,
     expected_calibration_error,
-    reliability_curve,
 )
-from .plots import ascii_bars, ascii_curve, ascii_roc
+from .plots import ascii_curve
 from .stats import (
     PairedTest,
     holm_correction,
@@ -30,7 +29,6 @@ from .representation import (
     centroid_separability,
     cosine_separation_gap,
     knn_label_purity,
-    pca_project,
     representation_report,
     silhouette_score,
 )
@@ -38,10 +36,9 @@ from .representation import (
 __all__ = [
     "RepresentationReport", "representation_report",
     "cosine_separation_gap", "silhouette_score", "knn_label_purity",
-    "centroid_separability", "pca_project",
-    "reliability_curve", "expected_calibration_error",
-    "confidence_threshold_sweep",
-    "ascii_curve", "ascii_bars", "ascii_roc",
+    "centroid_separability",
+    "expected_calibration_error", "confidence_threshold_sweep",
+    "ascii_curve",
     "PairedTest", "paired_t_test", "wilcoxon_signed_rank",
     "holm_correction", "t_sf",
     "SweepCell", "SignificanceRow", "load_sweep_records",

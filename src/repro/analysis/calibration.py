@@ -5,8 +5,8 @@ confidence cᵢ tracks the probability its corrected label is right —
 Theorem 5's analysis partitions sessions by exactly that.  These tools
 measure how well that assumption holds:
 
-* **reliability curve** — empirical accuracy per confidence bin;
-* **expected calibration error (ECE)**;
+* **expected calibration error (ECE)** — count-weighted gap between
+  confidence and empirical accuracy per confidence bin;
 * **threshold sweep** — precision/recall of the corrections when only
   corrections above a confidence threshold are accepted (the τ analysis
   of §VII's filtered loss, measured rather than theorised).
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["reliability_curve", "expected_calibration_error",
-           "confidence_threshold_sweep"]
+__all__ = ["expected_calibration_error", "confidence_threshold_sweep"]
 
 
 def _validate(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
@@ -30,26 +29,6 @@ def _validate(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
     if (confidences < 0).any() or (confidences > 1).any():
         raise ValueError("confidences must lie in [0, 1]")
     return confidences, correct
-
-
-def reliability_curve(confidences, correct, bins: int = 10
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (bin_centers, bin_accuracy, bin_counts).
-
-    Bins with no members get accuracy NaN.
-    """
-    confidences, correct = _validate(confidences, correct)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    accuracy = np.full(bins, np.nan)
-    counts = np.zeros(bins, dtype=np.int64)
-    which = np.clip(np.digitize(confidences, edges[1:-1]), 0, bins - 1)
-    for b in range(bins):
-        members = which == b
-        counts[b] = members.sum()
-        if counts[b]:
-            accuracy[b] = correct[members].mean()
-    return centers, accuracy, counts
 
 
 def expected_calibration_error(confidences, correct, bins: int = 10) -> float:

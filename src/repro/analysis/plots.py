@@ -1,15 +1,15 @@
-"""Terminal plots: render curves and bars as ASCII.
+"""Terminal plots: render curves as ASCII.
 
 The experiment harness targets headless/CI environments, so quick
-visual checks (noise-decay curves, ROC curves, loss histories) are
-rendered as text rather than through a plotting stack.
+visual checks (noise-decay curves, loss histories) are rendered as text
+rather than through a plotting stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ascii_curve", "ascii_bars", "ascii_roc"]
+__all__ = ["ascii_curve"]
 
 
 def ascii_curve(xs, ys, width: int = 60, height: int = 12,
@@ -49,31 +49,3 @@ def ascii_curve(xs, ys, width: int = 60, height: int = 12,
     if y_label:
         lines.append(f"({y_label})")
     return "\n".join(lines)
-
-
-def ascii_bars(labels, values, width: int = 40, title: str = "") -> str:
-    """Horizontal bar chart: one row per (label, value)."""
-    values = np.asarray(list(values), dtype=np.float64)
-    labels = [str(label) for label in labels]
-    if len(labels) != values.size or values.size == 0:
-        raise ValueError("labels and values must be equal-length, non-empty")
-    if (values < 0).any():
-        raise ValueError("bar values must be non-negative")
-    peak = values.max() if values.max() > 0 else 1.0
-    name_width = max(len(label) for label in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = "#" * int(round(value / peak * width))
-        lines.append(f"{label:>{name_width}s} |{bar} {value:.1f}")
-    return "\n".join(lines)
-
-
-def ascii_roc(y_true, scores, width: int = 40, height: int = 12) -> str:
-    """Render the ROC curve of a scored detector as ASCII."""
-    from ..metrics import auc_roc, roc_curve
-
-    fpr, tpr = roc_curve(y_true, scores)
-    plot = ascii_curve(fpr, tpr, width=width, height=height,
-                       title=f"ROC (AUC = {auc_roc(y_true, scores):.1f}%)",
-                       y_label="TPR over FPR")
-    return plot

@@ -11,8 +11,7 @@ it on their own data:
 * **kNN label purity** — how often a session's neighbours share its
   label (the quantity Sel-CL's correction implicitly relies on);
 * **centroid geometry** — class-centroid distance vs within-class
-  spread (a Fisher-style separability ratio);
-* 2-D **PCA projection** for plotting.
+  spread (a Fisher-style separability ratio).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "silhouette_score",
     "knn_label_purity",
     "centroid_separability",
-    "pca_project",
     "representation_report",
 ]
 
@@ -109,18 +107,6 @@ def centroid_separability(features: np.ndarray, labels) -> float:
         for cls in classes
     ])
     return float(between / (within + 1e-12))
-
-
-def pca_project(features: np.ndarray, dims: int = 2) -> np.ndarray:
-    """Project features onto their top principal components."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be a 2-D array")
-    if not 1 <= dims <= features.shape[1]:
-        raise ValueError(f"dims must be in [1, {features.shape[1]}]")
-    centered = features - features.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    return centered @ vt[:dims].T
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,9 +1,6 @@
 """Data augmentation: session reordering (SimCLR views) and mixup."""
 
-from .mixup import MixupBatch, mix_representations, sample_mixup
-from .reorder import reorder_ids, reorder_session
+from .mixup import MixupBatch, sample_mixup
+from .reorder import reorder_ids
 
-__all__ = [
-    "reorder_session", "reorder_ids",
-    "MixupBatch", "sample_mixup", "mix_representations",
-]
+__all__ = ["reorder_ids", "MixupBatch", "sample_mixup"]

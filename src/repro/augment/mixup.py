@@ -14,9 +14,9 @@ import dataclasses
 
 import numpy as np
 
-from ..nn import Tensor, one_hot
+from ..nn import one_hot
 
-__all__ = ["MixupBatch", "sample_mixup", "mix_representations"]
+__all__ = ["MixupBatch", "sample_mixup"]
 
 
 @dataclasses.dataclass
@@ -83,13 +83,3 @@ def sample_mixup(labels, rng: np.random.Generator, beta: float = 0.3,
     mixed = lam[:, None] * targets + (1.0 - lam)[:, None] * targets[partner]
     return MixupBatch(partner=partner, lam=lam, mixed_targets=mixed)
 
-
-def mix_representations(z: Tensor, batch: MixupBatch) -> Tensor:
-    """Interpolate representations: ``z^λ = λ z + (1-λ) z[partner]``.
-
-    Differentiable: gradients flow to both endpoints, as in the paper's
-    Algorithm 1 (line 17) where mixup is applied to encoded session
-    representations.
-    """
-    lam = Tensor(batch.lam[:, None].astype(z.data.dtype))
-    return z * lam + z[batch.partner] * (1.0 - lam)

@@ -10,22 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.sessions import Session
-
-__all__ = ["reorder_session", "reorder_ids"]
-
-
-def reorder_session(session: Session, rng: np.random.Generator,
-                    sub_len: int = 3) -> Session:
-    """Return an augmented copy of ``session`` with one shuffled window."""
-    augmented = Session(
-        activities=reorder_ids(np.asarray(session.activities), rng, sub_len).tolist(),
-        label=session.label,
-        noisy_label=session.noisy_label,
-        session_id=f"{session.session_id}+aug",
-        user=session.user,
-    )
-    return augmented
+__all__ = ["reorder_ids"]
 
 
 def reorder_ids(ids: np.ndarray, rng: np.random.Generator,

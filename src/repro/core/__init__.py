@@ -10,7 +10,6 @@ from .noise_rates import (
     NoiseRateEstimate,
     estimate_noise_rates,
     recommend_inversion,
-    session_flip_posterior,
 )
 from .persistence import (build_clfd, load_clfd, model_fingerprint,
                           read_archive, save_clfd)
@@ -22,8 +21,7 @@ __all__ = [
     "SessionEncoder", "SoftmaxClassifier",
     "train_classifier_head",
     "CoTeachingCorrector", "CoTeachingCLFD",
-    "NoiseRateEstimate", "estimate_noise_rates", "session_flip_posterior",
-    "recommend_inversion",
+    "NoiseRateEstimate", "estimate_noise_rates", "recommend_inversion",
     "save_clfd", "load_clfd", "model_fingerprint", "read_archive",
     "build_clfd",
 ]

@@ -7,9 +7,7 @@ This module estimates
   label corrector and the given noisy labels, corrected for the
   corrector's own error rate;
 * **class-dependent rates** η̂₁₀ / η̂₀₁ — the same disagreement split by
-  the corrected class;
-* a **per-session flip posterior** — P(ỹᵢ ≠ yᵢ | xᵢ), derived from the
-  corrector's softmax output for the *given* noisy label.
+  the corrected class.
 
 §IV-A2 motivates the global estimate: when η̂ > 0.5, the noisy labels
 should be inverted before training; :func:`recommend_inversion`
@@ -27,7 +25,6 @@ from ..data.sessions import MALICIOUS, NORMAL, SessionDataset
 __all__ = [
     "NoiseRateEstimate",
     "estimate_noise_rates",
-    "session_flip_posterior",
     "recommend_inversion",
 ]
 
@@ -79,23 +76,6 @@ def estimate_noise_rates(dataset: SessionDataset, corrected_labels,
     eta_01 = weighted_rate(corrected == NORMAL)
     return NoiseRateEstimate(eta=eta, eta_10=eta_10, eta_01=eta_01,
                              disagreement=float(disagree.mean()))
-
-
-def session_flip_posterior(dataset: SessionDataset,
-                           label_probs: np.ndarray) -> np.ndarray:
-    """Per-session flip probability P(ỹᵢ ≠ yᵢ | xᵢ).
-
-    ``label_probs`` is the corrector's softmax output, shape (n, 2).
-    The posterior that session i's *given* label is wrong is one minus
-    the probability the corrector assigns to that given label.
-    """
-    probs = np.asarray(label_probs, dtype=np.float64)
-    noisy = dataset.noisy_labels()
-    if probs.shape != (len(dataset), 2):
-        raise ValueError(f"label_probs must be ({len(dataset)}, 2)")
-    if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("label_probs rows must sum to 1")
-    return 1.0 - probs[np.arange(len(dataset)), noisy]
 
 
 def recommend_inversion(estimate: NoiseRateEstimate,

@@ -10,16 +10,8 @@ from .generators import (
     WikiLikeGenerator,
     make_dataset,
 )
-from .logparse import (
-    LogRecord,
-    LogTemplateMiner,
-    parse_log_records,
-    read_csv_events,
-    sessions_from_records,
-)
 from .noise import (
     apply_class_dependent_noise,
-    apply_instance_dependent_noise,
     apply_uniform_noise,
     empirical_noise_rates,
     invert_noisy_labels,
@@ -38,10 +30,7 @@ __all__ = [
     "DATASET_GENERATORS", "make_dataset",
     "cached_splits", "clear_split_cache", "split_cache_info",
     "apply_uniform_noise", "apply_class_dependent_noise",
-    "apply_instance_dependent_noise",
     "invert_noisy_labels", "empirical_noise_rates",
     "Word2VecConfig", "SkipGramModel", "train_word2vec",
     "SessionVectorizer",
-    "LogRecord", "LogTemplateMiner", "parse_log_records",
-    "sessions_from_records", "read_csv_events",
 ]

@@ -25,7 +25,6 @@ from .sessions import MALICIOUS, NORMAL, SessionDataset
 __all__ = [
     "apply_uniform_noise",
     "apply_class_dependent_noise",
-    "apply_instance_dependent_noise",
     "invert_noisy_labels",
     "empirical_noise_rates",
     "NOISE_PROCESSES",
@@ -66,42 +65,6 @@ def apply_class_dependent_noise(dataset: SessionDataset, eta_10: float,
     draws = rng.random(len(dataset))
     flips = np.where(truth == MALICIOUS, draws < eta_10, draws < eta_01)
     noisy = truth.copy()
-    noisy[flips] = 1 - noisy[flips]
-    dataset.set_noisy_labels(noisy)
-    return flips
-
-
-def apply_instance_dependent_noise(dataset: SessionDataset, base_rate: float,
-                                   rng: np.random.Generator,
-                                   difficulty=None) -> np.ndarray:
-    """Flip labels with a per-session probability (future-work setting).
-
-    Real heuristic annotators err most on *ambiguous* sessions, not
-    uniformly: a velocity rule misses slow attackers and false-alarms on
-    unusual-but-benign users.  Each session's flip probability is
-    ``base_rate * difficulty(session)``, clipped to [0, 1].
-
-    ``difficulty`` maps a :class:`~repro.data.sessions.Session` to a
-    non-negative multiplier; the default uses session length as a proxy
-    (short sessions give heuristics little evidence): difficulty is
-    highest for the shortest sessions and decays toward 0.5 for long
-    ones.
-
-    Returns the boolean flip mask.
-    """
-    _validate_rate(base_rate, "base_rate")
-    if difficulty is None:
-        max_len = max(len(s) for s in dataset.sessions) or 1
-
-        def difficulty(session):
-            return 1.5 - len(session) / max_len  # in [0.5, 1.5)
-
-    probs = np.clip(
-        [base_rate * float(difficulty(s)) for s in dataset.sessions],
-        0.0, 1.0,
-    )
-    flips = rng.random(len(dataset)) < probs
-    noisy = dataset.labels().copy()
     noisy[flips] = 1 - noisy[flips]
     dataset.set_noisy_labels(noisy)
     return flips

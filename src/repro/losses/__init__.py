@@ -1,11 +1,9 @@
 """Loss functions for the CLFD reproduction."""
 
 from .contrastive import nt_xent_loss, sup_con_loss
-from .extensions import LOSS_REGISTRY, make_mixup_loss, mixup_loss_value, sce_loss
 from .robust import cce_loss, gce_loss, mae_loss
 
 __all__ = [
-    "gce_loss", "cce_loss", "mae_loss", "sce_loss",
+    "gce_loss", "cce_loss", "mae_loss",
     "nt_xent_loss", "sup_con_loss",
-    "make_mixup_loss", "mixup_loss_value", "LOSS_REGISTRY",
 ]

@@ -29,33 +29,22 @@ from .layers import (
     LayerNorm,
     LeakyReLU,
     Linear,
-    ReLU,
     Sequential,
-    Sigmoid,
     Tanh,
 )
 from .bilstm import AttentionPooling, BiLSTM
 from .fused import (
     fused_gru_sequence,
     fused_gru_step,
-    fused_gru_step_preproj,
     fused_head_loss,
     fused_lstm_sequence,
     fused_lstm_step,
-    fused_lstm_step_preproj,
 )
 from .gru import GRU, GRUCell
 from .lstm import LSTM, LSTMCell
 from .module import LoadReport, Module, Parameter
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .profiler import OpStats, Profiler, profile
-from .schedulers import (
-    CosineAnnealingLR,
-    EarlyStopping,
-    LinearDecayLR,
-    LRScheduler,
-    StepLR,
-)
 from .serialize import load_module, save_module
 from .tensor import (
     Tensor,
@@ -83,16 +72,14 @@ __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "split", "chunk", "where",
     "maximum", "minimum", "no_grad", "is_grad_enabled",
     "set_default_dtype", "get_default_dtype", "default_dtype",
-    "fused_lstm_step", "fused_lstm_step_preproj", "fused_lstm_sequence",
-    "fused_gru_step", "fused_gru_step_preproj", "fused_gru_sequence",
+    "fused_lstm_step", "fused_lstm_sequence",
+    "fused_gru_step", "fused_gru_sequence",
     "fused_head_loss",
     "Profiler", "OpStats", "profile",
     "Module", "Parameter", "LoadReport",
     "Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",
-    "ReLU", "LeakyReLU", "Tanh", "GELU", "Sigmoid",
+    "LeakyReLU", "Tanh", "GELU",
     "LSTM", "LSTMCell", "GRU", "GRUCell", "BiLSTM", "AttentionPooling",
-    "LRScheduler", "StepLR", "CosineAnnealingLR", "LinearDecayLR",
-    "EarlyStopping",
     "MultiHeadAttention", "TransformerEncoder", "TransformerEncoderLayer",
     "sinusoidal_positions",
     "softmax", "log_softmax", "cross_entropy", "nll_loss", "one_hot",

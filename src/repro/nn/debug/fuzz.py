@@ -501,7 +501,7 @@ def _build_cosine_similarity(rng, dtype, extreme, size):
 
 
 # -- fused recurrent kernels -------------------------------------------
-@_register("fused_lstm_step", covers=("_lstm_tail",), smooth_trials=1)
+@_register("fused_lstm_step", covers=("fused_lstm_step",), smooth_trials=1)
 def _build_fused_lstm_step(rng, dtype, extreme, size):
     from ...nn.fused import fused_lstm_step
     b, d, h = 2, size + 1, size + 2
@@ -518,7 +518,7 @@ def _build_fused_lstm_step(rng, dtype, extreme, size):
     return fn, [x, h0, c0, w_x, w_h, bias]
 
 
-@_register("fused_gru_step", covers=("_gru_tail",), smooth_trials=1)
+@_register("fused_gru_step", covers=("fused_gru_step",), smooth_trials=1)
 def _build_fused_gru_step(rng, dtype, extreme, size):
     from ...nn.fused import fused_gru_step
     b, d, h = 2, size + 1, size + 2
@@ -656,19 +656,10 @@ def _build_mae(rng, dtype, extreme, size):
     return lambda: mae_loss(probs(), targets), [logits]
 
 
-@_register("sce_loss", covers=("clip", "log", "__mul__", "__add__",
-                               "sum", "exp"))
-def _build_sce(rng, dtype, extreme, size):
-    from ...losses.extensions import sce_loss
-    logits, probs, targets = _probs_and_targets(rng, dtype, extreme, size)
-    return lambda: sce_loss(probs(), targets), [logits]
-
-
 @_register("mixup_gce", covers=("clip", "__pow__", "__mul__", "__add__",
                                 "sum", "exp", "__getitem__"))
 def _build_mixup_gce(rng, dtype, extreme, size):
     from ...augment.mixup import sample_mixup
-    from ...losses.extensions import mixup_loss_value
     from ...losses.robust import gce_loss
     from ...nn.functional import softmax
     n, c = size + 2, 2
@@ -686,8 +677,13 @@ def _build_mixup_gce(rng, dtype, extreme, size):
                                * targets[batch.partner])
     features = _t(rng, (n, c), dtype, extreme=False,
                   scale=50.0 if extreme else 1.0)
-    return (lambda: mixup_loss_value(gce_loss, lambda f: softmax(f),
-                                     features, batch, q=0.7), [features])
+
+    def fn():
+        # λ adopts the feature dtype so a float32 graph stays float32.
+        lam = Tensor(batch.lam[:, None].astype(features.data.dtype))
+        mixed = features * lam + features[batch.partner] * (1.0 - lam)
+        return gce_loss(softmax(mixed), batch.mixed_targets, q=0.7)
+    return fn, [features]
 
 
 @_register("nt_xent_loss", covers=("__add__", "__mul__", "__pow__", "sum",

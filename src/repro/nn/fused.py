@@ -14,10 +14,6 @@ Two tiers are provided:
 * ``fused_lstm_step`` / ``fused_gru_step`` — drop-in cell steps taking
   the raw input ``x_t`` (used by :class:`~repro.nn.lstm.LSTMCell` and
   :class:`~repro.nn.gru.GRUCell`, and by gradcheck).
-* ``fused_lstm_step_preproj`` / ``fused_gru_step_preproj`` — step
-  variants consuming a precomputed input projection
-  (``x_t @ W_x + b``), letting the layer batch all timesteps' input
-  GEMMs into one large matmul outside the recurrence.
 * ``fused_lstm_sequence`` / ``fused_gru_sequence`` — whole-layer
   kernels: the entire time loop runs inside one forward and registers a
   **single** backward closure that walks the sequence in reverse,
@@ -58,10 +54,8 @@ __all__ = [
     "lstm_recurrence",
     "gru_recurrence",
     "fused_lstm_step",
-    "fused_lstm_step_preproj",
     "fused_lstm_sequence",
     "fused_gru_step",
-    "fused_gru_step_preproj",
     "fused_gru_sequence",
     "fused_head_loss",
     "head_forward",
@@ -116,28 +110,6 @@ def fused_lstm_step(x, h_prev, c_prev, w_x, w_h, bias):
     """
     x, h_prev, c_prev = as_tensor(x), as_tensor(h_prev), as_tensor(c_prev)
     gates = x.data @ w_x.data + h_prev.data @ w_h.data + bias.data
-    return _lstm_tail(gates, x, h_prev, c_prev, w_x, w_h, bias)
-
-
-def fused_lstm_step_preproj(x_proj, h_prev, c_prev, w_h):
-    """LSTM step given ``x_proj = x @ W_x + b`` precomputed for the step.
-
-    ``x_proj`` participates in the graph: gate pre-activation gradients
-    are scattered back into its shared grad buffer, so the layer-level
-    input projection (one big GEMM over all timesteps) receives them.
-    """
-    x_proj, h_prev, c_prev = as_tensor(x_proj), as_tensor(h_prev), as_tensor(c_prev)
-    gates = x_proj.data + h_prev.data @ w_h.data
-    return _lstm_tail(gates, x_proj, h_prev, c_prev, None, w_h, None)
-
-
-def _lstm_tail(gates, x_in, h_prev, c_prev, w_x, w_h, bias):
-    """Shared forward tail + backward closures for the LSTM kernels.
-
-    ``gates`` holds the gate pre-activations.  ``w_x``/``bias`` are None
-    in the pre-projected variant, in which case ``x_in`` holds the
-    projected gates and receives the pre-activation gradient directly.
-    """
     hs = w_h.shape[0]
     i = _sigmoid(gates[:, 0 * hs:1 * hs])
     f = _sigmoid(gates[:, 1 * hs:2 * hs])
@@ -146,7 +118,6 @@ def _lstm_tail(gates, x_in, h_prev, c_prev, w_x, w_h, bias):
     c_data = f * c_prev.data + i * g
     t = np.tanh(c_data)
     h_data = o * t
-    preproj = w_x is None
     # backward_h stashes the output gate's pre-activation grad here so
     # backward_c can route all four gates in one full-width GEMM with
     # the contiguous weight matrices (no column-sliced copies).
@@ -170,16 +141,12 @@ def _lstm_tail(gates, x_in, h_prev, c_prev, w_x, w_h, bias):
             d_pre[:, 3 * hs:4 * hs] = pending_o.pop()
         else:  # h was never consumed downstream
             d_pre[:, 3 * hs:4 * hs] = 0.0
-        if preproj:
-            if x_in.requires_grad:
-                x_in._accumulate(d_pre)
-        else:
-            if x_in.requires_grad:
-                x_in._accumulate(d_pre @ w_x.data.T)
-            if w_x.requires_grad:
-                w_x._accumulate(x_in.data.T @ d_pre)
-            if bias.requires_grad:
-                bias._accumulate(d_pre.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(d_pre @ w_x.data.T)
+        if w_x.requires_grad:
+            w_x._accumulate(x.data.T @ d_pre)
+        if bias.requires_grad:
+            bias._accumulate(d_pre.sum(axis=0))
         if h_prev.requires_grad:
             h_prev._accumulate(d_pre @ w_h.data.T)
         if w_h.requires_grad:
@@ -187,11 +154,8 @@ def _lstm_tail(gates, x_in, h_prev, c_prev, w_x, w_h, bias):
         if c_prev.requires_grad:
             c_prev._accumulate(dc * f)
 
-    if preproj:
-        c_parents = (x_in, h_prev, c_prev, w_h)
-    else:
-        c_parents = (x_in, h_prev, c_prev, w_x, w_h, bias)
-    c_out = Tensor._make(c_data, c_parents, backward_c)
+    c_out = Tensor._make(c_data, (x, h_prev, c_prev, w_x, w_h, bias),
+                         backward_c)
     # h consumes c, so reverse-topological order runs backward_h before
     # backward_c: c_out.grad is complete when backward_c fires, and all
     # other inputs are reachable (and ordered after h) through c_out.
@@ -383,34 +347,12 @@ def fused_gru_step(x, h_prev, w_x, w_h, bias, w_xc, w_hc, bias_c):
     x, h_prev = as_tensor(x), as_tensor(h_prev)
     gates = x.data @ w_x.data + h_prev.data @ w_h.data + bias.data
     cand = x.data @ w_xc.data + bias_c.data
-    return _gru_tail(gates, cand, x, h_prev,
-                     w_x, w_h, bias, w_xc, w_hc, bias_c)
-
-
-def fused_gru_step_preproj(x_proj, cand_proj, h_prev, w_h, w_hc):
-    """GRU step given precomputed ``x @ W_x + b`` and ``x @ W_xc + b_c``.
-
-    Pre-activation gradients scatter into the two projection tensors'
-    shared grad buffers.
-    """
-    x_proj, cand_proj, h_prev = (as_tensor(x_proj), as_tensor(cand_proj),
-                                 as_tensor(h_prev))
-    gates = x_proj.data + h_prev.data @ w_h.data
-    return _gru_tail(gates, cand_proj.data, x_proj, h_prev,
-                     None, w_h, None, None, w_hc, None, cand_in=cand_proj)
-
-
-def _gru_tail(gates, cand, x_in, h_prev, w_x, w_h, bias,
-              w_xc, w_hc, bias_c, cand_in=None):
-    """Shared GRU tail over the gate and candidate input pre-activations
-    (``cand`` lacks the recurrent ``(r * h) @ W_hc`` term)."""
     hs = w_h.shape[0]
     r = _sigmoid(gates[:, 0 * hs:1 * hs])
     z = _sigmoid(gates[:, 1 * hs:2 * hs])
     rh = r * h_prev.data
     n = np.tanh(cand + rh @ w_hc.data)
     h_data = z * h_prev.data + (1.0 - z) * n
-    preproj = w_x is None
 
     def backward():
         dh = h_out.grad
@@ -420,22 +362,16 @@ def _gru_tail(gates, cand, x_in, h_prev, w_x, w_h, bias,
         d_pre = np.empty_like(gates)
         d_pre[:, 0 * hs:1 * hs] = d_rh * h_prev.data * r * (1.0 - r)
         d_pre[:, 1 * hs:2 * hs] = dh * (h_prev.data - n) * z * (1.0 - z)
-        if preproj:
-            if x_in.requires_grad:
-                x_in._accumulate(d_pre)
-            if cand_in.requires_grad:
-                cand_in._accumulate(da)
-        else:
-            if x_in.requires_grad:
-                x_in._accumulate(d_pre @ w_x.data.T + da @ w_xc.data.T)
-            if w_x.requires_grad:
-                w_x._accumulate(x_in.data.T @ d_pre)
-            if bias.requires_grad:
-                bias._accumulate(d_pre.sum(axis=0))
-            if w_xc.requires_grad:
-                w_xc._accumulate(x_in.data.T @ da)
-            if bias_c.requires_grad:
-                bias_c._accumulate(da.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(d_pre @ w_x.data.T + da @ w_xc.data.T)
+        if w_x.requires_grad:
+            w_x._accumulate(x.data.T @ d_pre)
+        if bias.requires_grad:
+            bias._accumulate(d_pre.sum(axis=0))
+        if w_xc.requires_grad:
+            w_xc._accumulate(x.data.T @ da)
+        if bias_c.requires_grad:
+            bias_c._accumulate(da.sum(axis=0))
         if h_prev.requires_grad:
             h_prev._accumulate(dh * z + d_rh * r + d_pre @ w_h.data.T)
         if w_h.requires_grad:
@@ -443,11 +379,9 @@ def _gru_tail(gates, cand, x_in, h_prev, w_x, w_h, bias,
         if w_hc.requires_grad:
             w_hc._accumulate(rh.T @ da)
 
-    if preproj:
-        parents = (x_in, cand_in, h_prev, w_h, w_hc)
-    else:
-        parents = (x_in, h_prev, w_x, w_h, bias, w_xc, w_hc, bias_c)
-    h_out = Tensor._make(h_data, parents, backward)
+    h_out = Tensor._make(h_data,
+                         (x, h_prev, w_x, w_h, bias, w_xc, w_hc, bias_c),
+                         backward)
     return h_out
 
 

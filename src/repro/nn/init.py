@@ -14,7 +14,7 @@ import numpy as np
 
 from .tensor import get_default_dtype
 
-__all__ = ["xavier_uniform", "xavier_normal", "uniform", "normal", "zeros", "orthogonal"]
+__all__ = ["xavier_uniform", "uniform", "normal", "zeros", "orthogonal"]
 
 
 def _cast(arr: np.ndarray, dtype) -> np.ndarray:
@@ -28,14 +28,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator,
     fan_in, fan_out = _fans(shape)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return _cast(rng.uniform(-bound, bound, size=shape), dtype)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator,
-                  dtype=None) -> np.ndarray:
-    """Glorot/Xavier normal: N(0, 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return _cast(rng.normal(0.0, std, size=shape), dtype)
 
 
 def uniform(shape: tuple[int, ...], rng: np.random.Generator,

@@ -15,11 +15,9 @@ __all__ = [
     "LayerNorm",
     "Dropout",
     "Sequential",
-    "ReLU",
     "LeakyReLU",
     "Tanh",
     "GELU",
-    "Sigmoid",
 ]
 
 
@@ -128,11 +126,6 @@ class Sequential(Module):
         return self
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
 class LeakyReLU(Module):
     def __init__(self, negative_slope: float = 0.01):
         super().__init__()
@@ -150,8 +143,3 @@ class Tanh(Module):
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.gelu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()

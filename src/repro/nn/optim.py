@@ -31,8 +31,8 @@ class Optimizer:
     """Base optimizer: holds parameters, exposes step() and zero_grad().
 
     Optimizers are checkpointable: :meth:`state_dict` captures every
-    hyper-parameter and moment buffer (``lr`` included, since schedulers
-    mutate it mid-training) and :meth:`load_state_dict` restores them
+    hyper-parameter and moment buffer (``lr`` included, since a caller
+    may change it mid-training) and :meth:`load_state_dict` restores them
     bit for bit, so an interrupted run resumed from a snapshot takes
     exactly the update steps the uninterrupted run would have.
     """

@@ -3,7 +3,7 @@
 The ``repro.train`` package is the single substrate every epoch loop in
 the repo runs on:
 
-* :class:`Trainer` — the event loop (callbacks, snapshots, journal);
+* :class:`Trainer` — the event loop (snapshots, journal);
 * :class:`TrainRun` — per-run wiring of checkpoints + journal + resume,
   threaded through ``fit(..., run=...)`` on CLFD, co-teaching and the
   sequence-LM baselines;
@@ -32,16 +32,10 @@ from .seeding import (
     seed_everything,
     set_generator_state,
 )
-from .trainer import (
-    EarlyStoppingCallback,
-    Trainer,
-    TrainerCallback,
-    TrainingInterrupted,
-)
+from .trainer import Trainer, TrainingInterrupted
 
 __all__ = [
-    "Trainer", "TrainerCallback", "EarlyStoppingCallback",
-    "TrainingInterrupted", "TrainRun", "CheckpointManager",
+    "Trainer", "TrainingInterrupted", "TrainRun", "CheckpointManager",
     "MetricJournal", "read_journal", "deterministic_entries",
     "format_entry", "tail_journal", "DETERMINISTIC_FIELDS",
     "seed_everything", "generator_state", "set_generator_state",

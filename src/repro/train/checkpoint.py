@@ -3,8 +3,8 @@
 A checkpoint is one ``.npz`` archive per *tag* (``"corrector/ssl"``,
 ``"detector"``, ...) holding an arbitrary nested structure of NumPy
 arrays, scalars, strings, lists and dicts — module state dicts,
-optimizer moments, scheduler position, RNG state, epoch counters and
-loss histories all snapshot through the same two calls:
+optimizer moments, RNG state, epoch counters and loss histories all
+snapshot through the same two calls:
 
     manager.save("corrector/ssl", {"model": module.state_dict(),
                                    "optimizer": optimizer.state_dict(),

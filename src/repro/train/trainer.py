@@ -4,15 +4,12 @@ Every hand-rolled ``for epoch ... for batch ...`` loop (CLFD's four
 training stages, co-teaching, the sequence-LM baselines) reduces to the
 same skeleton: draw batches from an rng, compute a loss, backprop, clip,
 step, record.  :class:`Trainer` owns that skeleton once and adds the
-three things none of the hand-rolled loops had:
+two things none of the hand-rolled loops had:
 
-* **callbacks** — ``on_fit_start`` / ``on_batch_end`` / ``on_epoch_end``
-  hooks (:class:`TrainerCallback`), including
-  :class:`EarlyStoppingCallback`;
 * **checkpointing** — atomic per-epoch snapshots of module parameters,
-  full optimizer state (Adam ``m``/``v``/``t``), scheduler position,
-  callback state, the training ``Generator``'s exact RNG state, and the
-  loss history, through a :class:`~repro.train.CheckpointManager`;
+  full optimizer state (Adam ``m``/``v``/``t`` and ``lr``), the
+  training ``Generator``'s exact RNG state, and the loss history,
+  through a :class:`~repro.train.CheckpointManager`;
 * **observability** — one :class:`~repro.train.MetricJournal` line per
   epoch (loss, pre-clip grad norm, lr, wall-clock, optional
   ``nn.profile`` op breakdown).
@@ -28,7 +25,7 @@ optimizer state and journal entries to an uninterrupted run.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -37,8 +34,7 @@ from .checkpoint import CheckpointManager
 from .journal import MetricJournal
 from .seeding import generator_state, set_generator_state
 
-__all__ = ["Trainer", "TrainerCallback", "EarlyStoppingCallback",
-           "TrainingInterrupted"]
+__all__ = ["Trainer", "TrainingInterrupted"]
 
 
 class TrainingInterrupted(RuntimeError):
@@ -55,60 +51,6 @@ class TrainingInterrupted(RuntimeError):
             f"resume to continue)")
 
 
-class TrainerCallback:
-    """Base callback: override any subset of the hooks.
-
-    Stateful callbacks should implement ``state_dict`` /
-    ``load_state_dict`` so their state rides inside snapshots — e.g.
-    early-stopping patience counters must survive a resume or the
-    resumed run would stop at a different epoch.
-    """
-
-    def on_fit_start(self, trainer: "Trainer") -> None:
-        pass
-
-    def on_batch_end(self, trainer: "Trainer", batch_index: int,
-                     loss: float) -> None:
-        pass
-
-    def on_epoch_end(self, trainer: "Trainer", epoch: int,
-                     logs: dict) -> None:
-        pass
-
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        pass
-
-
-class EarlyStoppingCallback(TrainerCallback):
-    """Stop the fit when the epoch loss plateaus (``nn.EarlyStopping``)."""
-
-    def __init__(self, patience: int = 10, min_delta: float = 0.0,
-                 monitor: str = "loss"):
-        self.stopper = nn.EarlyStopping(patience=patience,
-                                        min_delta=min_delta)
-        self.monitor = monitor
-        self.stopped_epoch: int | None = None
-
-    def on_epoch_end(self, trainer: "Trainer", epoch: int,
-                     logs: dict) -> None:
-        if self.stopper.update(float(logs[self.monitor])):
-            self.stopped_epoch = epoch
-            trainer.should_stop = True
-
-    def state_dict(self) -> dict:
-        state = self.stopper.state_dict()
-        state["stopped_epoch"] = self.stopped_epoch
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.stopper.load_state_dict(state)
-        stopped = state.get("stopped_epoch")
-        self.stopped_epoch = None if stopped is None else int(stopped)
-
-
 class Trainer:
     """Checkpointed, observable epoch loop; see module docstring.
 
@@ -120,7 +62,6 @@ class Trainer:
         LSTM + head together).
     optimizer: the optimizer driving ``modules``; snapshots capture its
         full state via ``state_dict``.
-    scheduler: optional LR scheduler, stepped once per epoch.
     grad_clip: global-norm clip threshold (None = record the norm but
         never scale).
     scope: checkpoint tag and journal ``phase`` for this loop.
@@ -129,9 +70,7 @@ class Trainer:
     """
 
     def __init__(self, modules, optimizer: nn.Optimizer, *,
-                 scheduler: nn.LRScheduler | None = None,
                  grad_clip: float | None = None,
-                 callbacks: Sequence[TrainerCallback] = (),
                  scope: str = "train",
                  checkpoints: CheckpointManager | None = None,
                  journal: MetricJournal | None = None,
@@ -148,9 +87,7 @@ class Trainer:
             raise ValueError("snapshot_every must be >= 1")
         self.modules: dict[str, nn.Module] = dict(modules)
         self.optimizer = optimizer
-        self.scheduler = scheduler
         self.grad_clip = grad_clip
-        self.callbacks = list(callbacks)
         self.scope = scope
         self.checkpoints = checkpoints
         self.journal = journal
@@ -159,7 +96,6 @@ class Trainer:
         self.stop_after = stop_after
         self.profile = profile
         self.detect_anomaly = detect_anomaly
-        self.should_stop = False
         self.history: list[float] = []
 
     # ------------------------------------------------------------------
@@ -174,13 +110,10 @@ class Trainer:
         to skip the batch.  Both may draw from the *same* ``rng`` —
         snapshots capture its state, so resumed draws line up exactly.
         """
-        self.should_stop = False
         self.history = []
         start = self._restore(rng)
         if start is None:  # scope already ran to completion
             return self.history
-        for callback in self.callbacks:
-            callback.on_fit_start(self)
 
         for epoch in range(start, epochs):
             epoch_start = time.perf_counter()
@@ -197,21 +130,16 @@ class Trainer:
             mean_loss = float(np.mean(losses)) if losses else 0.0
             mean_norm = float(np.mean(norms)) if norms else 0.0
             self.history.append(mean_loss)
-            lr = float(self.optimizer.lr)
-            logs = {"loss": mean_loss, "grad_norm": mean_norm, "lr": lr}
-            for callback in self.callbacks:
-                callback.on_epoch_end(self, epoch, logs)
             if self.journal is not None:
                 self.journal.log_epoch(
                     phase=self.scope, epoch=epoch, loss=mean_loss,
-                    grad_norm=mean_norm, lr=lr, batches=len(losses),
+                    grad_norm=mean_norm, lr=float(self.optimizer.lr),
+                    batches=len(losses),
                     wall_s=time.perf_counter() - epoch_start,
                     profile=profile)
-            if self.scheduler is not None:
-                self.scheduler.step()
 
             completed = epoch + 1
-            done = completed >= epochs or self.should_stop
+            done = completed >= epochs
             interrupt = self._interrupt_tag(completed, done)
             if self.checkpoints is not None and (
                     done or interrupt
@@ -219,8 +147,6 @@ class Trainer:
                 self._snapshot(rng, completed, done)
             if interrupt:
                 raise TrainingInterrupted(interrupt)
-            if self.should_stop:
-                break
         return self.history
 
     # ------------------------------------------------------------------
@@ -242,11 +168,8 @@ class Trainer:
                 self.grad_clip if self.grad_clip is not None
                 else float("inf"))
             self.optimizer.step()
-            value = loss.item()
-            losses.append(value)
+            losses.append(loss.item())
             norms.append(norm)
-            for callback in self.callbacks:
-                callback.on_batch_end(self, len(losses) - 1, value)
 
     def _forward_backward(self, step, batch) -> "nn.Tensor | None":
         """One forward + backward, under anomaly detection when enabled.
@@ -295,9 +218,6 @@ class Trainer:
             "modules": {name: module.state_dict()
                         for name, module in self.modules.items()},
             "optimizer": self.optimizer.state_dict(),
-            "scheduler": (self.scheduler.state_dict()
-                          if self.scheduler is not None else None),
-            "callbacks": [cb.state_dict() for cb in self.callbacks],
             "rng": generator_state(rng),
             "epoch": int(completed),
             "history": [float(x) for x in self.history],
@@ -309,6 +229,8 @@ class Trainer:
 
         Returns None when the scope already completed — modules, rng and
         history are restored so downstream phases proceed identically.
+        Older snapshots also carry ``"scheduler"``/``"callbacks"`` keys
+        (always ``None``/``[]``); they are ignored.
         """
         if not self.resume or self.checkpoints is None:
             return 0
@@ -318,10 +240,6 @@ class Trainer:
         for name, module in self.modules.items():
             module.load_state_dict(state["modules"][name])
         self.optimizer.load_state_dict(state["optimizer"])
-        if self.scheduler is not None and state["scheduler"] is not None:
-            self.scheduler.load_state_dict(state["scheduler"])
-        for callback, cb_state in zip(self.callbacks, state["callbacks"]):
-            callback.load_state_dict(cb_state)
         set_generator_state(rng, state["rng"])
         self.history = [float(x) for x in state["history"]]
         start = int(state["epoch"])

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     confidence_threshold_sweep,
     expected_calibration_error,
-    reliability_curve,
 )
 
 
@@ -17,23 +16,6 @@ def perfectly_calibrated():
     conf = rng.uniform(0.5, 1.0, size=5000)
     correct = rng.random(5000) < conf
     return conf, correct
-
-
-def test_reliability_curve_tracks_confidence(perfectly_calibrated):
-    conf, correct = perfectly_calibrated
-    centers, accuracy, counts = reliability_curve(conf, correct, bins=10)
-    populated = counts > 100
-    np.testing.assert_allclose(accuracy[populated], centers[populated],
-                               atol=0.08)
-
-
-def test_reliability_curve_empty_bins_are_nan():
-    conf = np.array([0.95, 0.96, 0.97])
-    correct = np.array([True, True, False])
-    _, accuracy, counts = reliability_curve(conf, correct, bins=10)
-    assert counts[0] == 0
-    assert np.isnan(accuracy[0])
-    assert counts[-1] == 3
 
 
 def test_ece_low_when_calibrated(perfectly_calibrated):
@@ -66,8 +48,8 @@ def test_threshold_sweep_empty_tail():
 
 def test_validation():
     with pytest.raises(ValueError):
-        reliability_curve([], [])
+        expected_calibration_error([], [])
     with pytest.raises(ValueError):
-        reliability_curve([0.5], [True, False])
+        expected_calibration_error([0.5], [True, False])
     with pytest.raises(ValueError):
         expected_calibration_error([1.5], [True])

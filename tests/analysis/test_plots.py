@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import ascii_bars, ascii_curve, ascii_roc
+from repro.analysis import ascii_curve
 
 
 def test_curve_contains_extremes_and_axes():
@@ -36,35 +36,3 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         ascii_curve([1, 2], [1, 2], width=4)
 
-
-def test_bars_rendering():
-    plot = ascii_bars(["CLFD", "DeepLog"], [75.7, 56.0], title="F1")
-    lines = plot.split("\n")
-    assert lines[0] == "F1"
-    assert "CLFD" in plot and "75.7" in plot
-    clfd_line = next(l for l in lines if "CLFD" in l)
-    deeplog_line = next(l for l in lines if "DeepLog" in l)
-    assert clfd_line.count("#") > deeplog_line.count("#")
-
-
-def test_bars_validation():
-    with pytest.raises(ValueError):
-        ascii_bars([], [])
-    with pytest.raises(ValueError):
-        ascii_bars(["a"], [-1.0])
-    with pytest.raises(ValueError):
-        ascii_bars(["a", "b"], [1.0])
-
-
-def test_bars_all_zero():
-    plot = ascii_bars(["a", "b"], [0.0, 0.0])
-    assert "0.0" in plot
-
-
-def test_roc_plot():
-    rng = np.random.default_rng(0)
-    y = np.r_[np.zeros(50, dtype=int), np.ones(50, dtype=int)]
-    scores = np.r_[rng.normal(0, 1, 50), rng.normal(2, 1, 50)]
-    plot = ascii_roc(y, scores)
-    assert "ROC (AUC =" in plot
-    assert "*" in plot

@@ -8,7 +8,6 @@ from repro.analysis import (
     centroid_separability,
     cosine_separation_gap,
     knn_label_purity,
-    pca_project,
     representation_report,
     silhouette_score,
 )
@@ -54,24 +53,6 @@ def test_knn_purity_k_larger_than_n(clustered):
 def test_centroid_separability(clustered, mixed):
     assert centroid_separability(*clustered) > 5.0
     assert centroid_separability(*mixed) < 1.0
-
-
-def test_pca_shapes_and_variance_order(clustered):
-    features, _ = clustered
-    projected = pca_project(features, dims=2)
-    assert projected.shape == (40, 2)
-    # First component carries the class split (variance dominates).
-    assert projected[:, 0].var() >= projected[:, 1].var()
-
-
-def test_pca_validation(clustered):
-    features, _ = clustered
-    with pytest.raises(ValueError):
-        pca_project(features, dims=0)
-    with pytest.raises(ValueError):
-        pca_project(features, dims=99)
-    with pytest.raises(ValueError):
-        pca_project(features[0])
 
 
 def test_report_aggregates(clustered):

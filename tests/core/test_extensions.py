@@ -13,7 +13,6 @@ from repro.core import (
     load_clfd,
     recommend_inversion,
     save_clfd,
-    session_flip_posterior,
 )
 from repro.data import (
     SessionVectorizer,
@@ -62,27 +61,6 @@ def test_recommend_inversion_rule():
                              disagreement=0.7)
     assert not recommend_inversion(low)
     assert recommend_inversion(high)
-
-
-def test_session_flip_posterior_values(tiny_data):
-    train, _ = tiny_data
-    n = len(train)
-    probs = np.full((n, 2), 0.5)
-    posterior = session_flip_posterior(train, probs)
-    np.testing.assert_allclose(posterior, 0.5)
-
-    confident = np.zeros((n, 2))
-    confident[np.arange(n), train.noisy_labels()] = 1.0
-    np.testing.assert_allclose(session_flip_posterior(train, confident), 0.0)
-
-
-def test_session_flip_posterior_validation(tiny_data):
-    train, _ = tiny_data
-    with pytest.raises(ValueError):
-        session_flip_posterior(train, np.ones((3, 2)))
-    bad = np.full((len(train), 2), 0.9)
-    with pytest.raises(ValueError):
-        session_flip_posterior(train, bad)
 
 
 def test_noise_estimation_end_to_end():

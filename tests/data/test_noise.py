@@ -122,39 +122,3 @@ def test_double_inversion_is_identity():
     invert_noisy_labels(ds)
     np.testing.assert_array_equal(ds.noisy_labels(), before)
 
-
-def test_instance_dependent_noise_short_sessions_flip_more():
-    """Default difficulty: short sessions are mislabeled more often."""
-    from repro.data import apply_instance_dependent_noise
-
-    vocab = Vocabulary(["a"])
-    short = [Session([1] * 2, NORMAL) for _ in range(600)]
-    long = [Session([1] * 20, NORMAL) for _ in range(600)]
-    ds = SessionDataset(short + long, vocab)
-    flips = apply_instance_dependent_noise(ds, 0.3,
-                                           np.random.default_rng(0))
-    short_rate = flips[:600].mean()
-    long_rate = flips[600:].mean()
-    assert short_rate > long_rate
-
-
-def test_instance_dependent_noise_custom_difficulty():
-    from repro.data import apply_instance_dependent_noise
-
-    ds = _dataset(200, 100)
-    flips = apply_instance_dependent_noise(
-        ds, 0.5, np.random.default_rng(1),
-        difficulty=lambda s: 2.0 if s.label == MALICIOUS else 0.0,
-    )
-    rates = empirical_noise_rates(ds)
-    assert rates["eta_01"] == 0.0
-    assert rates["eta_10"] > 0.8  # prob clipped to 1.0
-    np.testing.assert_array_equal(flips, ds.labels() != ds.noisy_labels())
-
-
-def test_instance_dependent_noise_validates_rate():
-    from repro.data import apply_instance_dependent_noise
-
-    with pytest.raises(ValueError):
-        apply_instance_dependent_noise(_dataset(5, 5), 1.5,
-                                       np.random.default_rng(0))

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.augment import (
-    mix_representations,
-    reorder_ids,
-    reorder_session,
-    sample_mixup,
-)
-from repro.data import MALICIOUS, NORMAL, Session
-from repro.nn import Tensor
+from repro.augment import reorder_ids, sample_mixup
 
 
 @pytest.fixture
@@ -55,18 +48,6 @@ def test_reorder_short_sequences(rng):
 def test_reorder_rejects_sub_len_one(rng):
     with pytest.raises(ValueError):
         reorder_ids(np.arange(5), rng, sub_len=1)
-
-
-def test_reorder_session_copies_metadata(rng):
-    s = Session([1, 2, 3, 4], MALICIOUS, noisy_label=NORMAL,
-                session_id="sess", user="u1")
-    aug = reorder_session(s, rng)
-    assert aug.label == MALICIOUS
-    assert aug.noisy_label == NORMAL
-    assert aug.user == "u1"
-    assert aug.session_id == "sess+aug"
-    assert sorted(aug.activities) == [1, 2, 3, 4]
-    assert s.activities == [1, 2, 3, 4]  # original untouched
 
 
 def test_reorder_eventually_produces_change(rng):
@@ -184,18 +165,6 @@ def test_mixup_rejects_labels_outside_the_classes(rng):
         sample_mixup(np.array([0, 1, 2]), rng)
     with pytest.raises(ValueError, match="labels must lie"):
         sample_mixup(np.array([0, -1, 1]), rng)
-
-
-def test_mix_representations_values_and_grads(rng):
-    labels = np.array([0, 1, 0, 1])
-    batch = sample_mixup(labels, rng)
-    z = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    mixed = mix_representations(z, batch)
-    expected = (batch.lam[:, None] * z.data
-                + (1 - batch.lam)[:, None] * z.data[batch.partner])
-    np.testing.assert_allclose(mixed.data, expected)
-    mixed.sum().backward()
-    assert z.grad is not None and np.isfinite(z.grad).all()
 
 
 @settings(max_examples=30, deadline=None)

@@ -172,9 +172,3 @@ def test_gce_tiny_q_gradients_are_bounded():
     # The floor caps |dL/dp| at q * floor^(q-1) ~ 10 for q=1e-3.
     assert np.abs(probs.grad).max() < 100.0
 
-
-def test_gce_and_sce_share_probability_floor():
-    from repro.losses.extensions import _PROB_FLOOR as sce_floor
-    from repro.losses.robust import _PROB_FLOOR as gce_floor
-
-    assert gce_floor == sce_floor == 1e-4

@@ -1,4 +1,4 @@
-"""Tests for the GRU layers and training-loop utilities."""
+"""Tests for the GRU layers."""
 
 import numpy as np
 import pytest
@@ -87,73 +87,3 @@ def test_gru_trains_on_toy_task(rng):
     preds = np.argmax(head(gru.mean_pool(Tensor(x))).data, axis=1)
     assert (preds == labels).mean() >= 0.9
 
-
-# ----------------------------------------------------------------------
-# Schedulers
-# ----------------------------------------------------------------------
-def _opt():
-    p = nn.Parameter(np.zeros(1))
-    return nn.SGD([p], lr=1.0)
-
-
-def test_step_lr_decays_in_steps():
-    sched = nn.StepLR(_opt(), step_size=2, gamma=0.5)
-    rates = [sched.step() for _ in range(5)]
-    assert rates == [1.0, 0.5, 0.5, 0.25, 0.25]
-
-
-def test_cosine_lr_endpoints():
-    sched = nn.CosineAnnealingLR(_opt(), total_epochs=10, min_lr=0.1)
-    rates = [sched.step() for _ in range(12)]
-    assert rates[0] < 1.0
-    assert rates[9] == pytest.approx(0.1)
-    assert rates[11] == pytest.approx(0.1)  # clamped past the horizon
-    assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
-
-
-def test_linear_decay_lr():
-    sched = nn.LinearDecayLR(_opt(), total_epochs=4, final_fraction=0.0)
-    rates = [sched.step() for _ in range(4)]
-    np.testing.assert_allclose(rates, [0.75, 0.5, 0.25, 0.0])
-
-
-def test_scheduler_mutates_optimizer():
-    opt = _opt()
-    sched = nn.StepLR(opt, step_size=1, gamma=0.1)
-    sched.step()
-    assert opt.lr == pytest.approx(0.1)
-
-
-def test_scheduler_validation():
-    with pytest.raises(ValueError):
-        nn.StepLR(_opt(), step_size=0)
-    with pytest.raises(ValueError):
-        nn.StepLR(_opt(), step_size=1, gamma=0.0)
-    with pytest.raises(ValueError):
-        nn.CosineAnnealingLR(_opt(), total_epochs=0)
-    with pytest.raises(ValueError):
-        nn.LinearDecayLR(_opt(), total_epochs=1, final_fraction=2.0)
-
-
-# ----------------------------------------------------------------------
-# Early stopping
-# ----------------------------------------------------------------------
-def test_early_stopping_triggers_after_patience():
-    stopper = nn.EarlyStopping(patience=3)
-    assert not stopper.update(1.0)
-    assert not stopper.update(0.9)   # improvement resets
-    assert not stopper.update(0.95)
-    assert not stopper.update(0.95)
-    assert stopper.update(0.95)      # third stale epoch
-
-
-def test_early_stopping_min_delta():
-    stopper = nn.EarlyStopping(patience=1, min_delta=0.1)
-    stopper.update(1.0)
-    # 0.95 improves by < min_delta, so it counts as stale.
-    assert stopper.update(0.95)
-
-
-def test_early_stopping_validation():
-    with pytest.raises(ValueError):
-        nn.EarlyStopping(patience=0)

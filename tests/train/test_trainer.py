@@ -1,13 +1,12 @@
-"""Tests for the Trainer event loop: callbacks, snapshots, resume."""
+"""Tests for the Trainer event loop: journal, snapshots, resume."""
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
 from repro.train import (
-    EarlyStoppingCallback,
+    CheckpointManager,
     MetricJournal,
-    TrainerCallback,
     TrainingInterrupted,
     TrainRun,
     deterministic_entries,
@@ -64,7 +63,7 @@ def test_inert_run_matches_checkpointed_run_bitwise(tmp_path):
         np.testing.assert_array_equal(value, _weights(model_b)[key])
 
 
-def test_step_returning_none_skips_batch():
+def test_step_returning_none_skips_batch(tmp_path):
     model, optimizer, batches, step = _problem()
     stepped, skipped = [], []
 
@@ -75,45 +74,34 @@ def test_step_returning_none_skips_batch():
         stepped.append(idx[0])
         return step(idx)
 
-    batch_ends = []
-
-    class Counter(TrainerCallback):
-        def on_batch_end(self, trainer, batch_index, loss):
-            batch_ends.append(batch_index)
-
-    TrainRun().trainer("fit", model, optimizer,
-                       callbacks=[Counter()]).fit(
+    journal = tmp_path / "journal.jsonl"
+    TrainRun(journal=journal).trainer("fit", model, optimizer).fit(
         batches, picky_step, epochs=1, rng=np.random.default_rng(1))
     assert len(stepped) + len(skipped) == N // 16
-    # on_batch_end fires only for stepped batches, with dense indices.
-    assert batch_ends == list(range(len(stepped)))
-
-
-def test_early_stopping_callback_stops_and_records_epoch():
-    model, optimizer, batches, step = _problem()
-    stopper = EarlyStoppingCallback(patience=1, min_delta=10.0)
-    history = TrainRun().trainer("fit", model, optimizer,
-                                 callbacks=[stopper]).fit(
-        batches, step, epochs=50, rng=np.random.default_rng(1))
-    # min_delta=10 means no epoch ever counts as an improvement after
-    # the first, so patience=1 trips at epoch 1.
-    assert len(history) == 2
-    assert stopper.stopped_epoch == 1
+    # The journal counts only stepped batches.
+    (entry,) = deterministic_entries(journal)
+    assert entry["batches"] == len(stepped)
 
 
 def test_journal_records_epochs_and_lr(tmp_path):
     model, optimizer, batches, step = _problem()
     journal = tmp_path / "journal.jsonl"
     run = TrainRun(tmp_path / "ckpt", journal)
-    scheduler = nn.StepLR(optimizer, step_size=2, gamma=0.5)
-    run.trainer("fit", model, optimizer, scheduler=scheduler).fit(
-        batches, step, epochs=4, rng=np.random.default_rng(1))
+    epoch = iter(range(4))
+
+    def decaying_batches(rng):
+        # batches(rng) runs once per epoch: halve the lr from epoch 2.
+        if next(epoch) == 2:
+            optimizer.lr = 0.005
+        return batches(rng)
+
+    run.trainer("fit", model, optimizer).fit(
+        decaying_batches, step, epochs=4, rng=np.random.default_rng(1))
     entries = deterministic_entries(journal)
     assert [e["epoch"] for e in entries] == [0, 1, 2, 3]
     assert all(e["phase"] == "fit" for e in entries)
     assert all(e["batches"] == N // 16 for e in entries)
-    # lr is journaled before scheduler.step, so epochs 0-1 log the base
-    # lr and epochs 2-3 the decayed one.
+    # Each epoch journals the lr it trained with.
     assert [e["lr"] for e in entries] == [0.01, 0.01, 0.005, 0.005]
 
 
@@ -162,33 +150,36 @@ def test_resume_of_completed_scope_is_a_noop(tmp_path):
         np.testing.assert_array_equal(value, _weights(model_c)[key])
 
 
-def test_early_stopping_state_survives_resume(tmp_path):
-    def build():
-        model, optimizer, batches, step = _problem()
-        stopper = EarlyStoppingCallback(patience=3, min_delta=10.0)
-        return model, optimizer, batches, step, stopper
+def test_resume_ignores_retired_snapshot_keys(tmp_path):
+    """Snapshots from before the scheduler/callback options were removed
+    carry ``"scheduler": None`` and ``"callbacks": []``; they resume."""
+    model_a, opt_a, batches_a, step_a = _problem()
+    TrainRun(journal=tmp_path / "a.jsonl").trainer(
+        "fit", model_a, opt_a).fit(
+        batches_a, step_a, epochs=EPOCHS, rng=np.random.default_rng(1))
 
-    model_a, opt_a, batches_a, step_a, stop_a = build()
-    TrainRun().trainer("fit", model_a, opt_a, callbacks=[stop_a]).fit(
-        batches_a, step_a, epochs=50, rng=np.random.default_rng(1))
-
-    model_b, opt_b, batches_b, step_b, stop_b = build()
-    run = TrainRun(tmp_path / "ckpt", stop_after="fit@2")
+    model_b, opt_b, batches_b, step_b = _problem()
+    run = TrainRun(tmp_path / "ckpt", tmp_path / "b.jsonl",
+                   stop_after="fit@2")
     with pytest.raises(TrainingInterrupted):
-        run.trainer("fit", model_b, opt_b, callbacks=[stop_b]).fit(
-            batches_b, step_b, epochs=50, rng=np.random.default_rng(1))
+        run.trainer("fit", model_b, opt_b).fit(
+            batches_b, step_b, epochs=EPOCHS, rng=np.random.default_rng(1))
+    manager = CheckpointManager(tmp_path / "ckpt")
+    state = manager.load("fit")
+    assert "scheduler" not in state and "callbacks" not in state
+    state.update(scheduler=None, callbacks=[])
+    manager.save("fit", state)
 
-    model_c, opt_c, batches_c, step_c, stop_c = build()
-    resumed = TrainRun(tmp_path / "ckpt", resume=True)
-    history = resumed.trainer("fit", model_c, opt_c,
-                              callbacks=[stop_c]).fit(
-        batches_c, step_c, epochs=50, rng=np.random.default_rng(1))
-    # The resumed patience counter continues from the snapshot, so the
-    # stop fires at the same epoch the uninterrupted run stopped at.
-    assert stop_c.stopped_epoch == stop_a.stopped_epoch
-    assert len(history) == stop_a.stopped_epoch + 1
+    model_c, opt_c, batches_c, step_c = _problem()
+    resumed = TrainRun(tmp_path / "ckpt", tmp_path / "b.jsonl",
+                       resume=True)
+    history = resumed.trainer("fit", model_c, opt_c).fit(
+        batches_c, step_c, epochs=EPOCHS, rng=np.random.default_rng(1))
+    assert len(history) == EPOCHS
     for key, value in _weights(model_a).items():
         np.testing.assert_array_equal(value, _weights(model_c)[key])
+    assert (deterministic_entries(tmp_path / "b.jsonl")
+            == deterministic_entries(tmp_path / "a.jsonl"))
 
 
 def test_snapshot_every_skips_intermediate_epochs(tmp_path):
@@ -196,13 +187,13 @@ def test_snapshot_every_skips_intermediate_epochs(tmp_path):
     run = TrainRun(tmp_path / "ckpt", snapshot_every=10)
     mtimes = []
 
-    class Watch(TrainerCallback):
-        def on_epoch_end(self, trainer, epoch, logs):
-            path = run.checkpoints.path("fit")
-            mtimes.append(path.exists())
+    def watched_batches(rng):
+        # Runs once per epoch, before it: sees every earlier epoch's end.
+        mtimes.append(run.checkpoints.path("fit").exists())
+        return batches(rng)
 
-    run.trainer("fit", model, optimizer, callbacks=[Watch()]).fit(
-        batches, step, epochs=EPOCHS, rng=np.random.default_rng(1))
+    run.trainer("fit", model, optimizer).fit(
+        watched_batches, step, epochs=EPOCHS, rng=np.random.default_rng(1))
     # No snapshot lands until the final (done) epoch.
     assert mtimes == [False] * EPOCHS
     assert run.checkpoints.tags() == ["fit"]
