@@ -10,15 +10,14 @@ over the same cores.  A thread variable the operator set
 Start site                            Start  Pin
 ====================================  =====  ===========================
 ``ClusterEngine`` scoring workers     spawn  :func:`spawn_env`
-coordinator local workers             spawn  :func:`spawn_env`
-``GridExecutor`` process pools        fork   :func:`pin_forked_worker`
+``GridExecutor`` local grid workers   fork   :func:`pin_forked_worker`
 ====================================  =====  ===========================
 
 A spawned child loads BLAS fresh and reads its thread count from the
 environment, so it is started with the pins in ``os.environ``.  A forked
 child inherits the BLAS its parent already loaded, which read the
-environment long before, so the pool's initializer calls the loaded
-OpenBLAS's ``set_num_threads`` entry point through ``ctypes`` instead.
+environment long before, so the worker's first call pins the loaded
+OpenBLAS through its ``set_num_threads`` entry point (``ctypes``).
 Processes the operator starts (``repro join``) and in-process runs keep
 BLAS's default.
 """
@@ -123,7 +122,7 @@ def blas_threads() -> int | None:
 
 
 def pin_forked_worker(environ=os.environ) -> bool:
-    """Process-pool initializer: one BLAS thread in a forked worker.
+    """First call of a forked worker: one BLAS thread in that worker.
 
     A no-op, returning ``False``, when the operator set a thread
     variable in ``environ`` (the worker keeps what it inherited) or no

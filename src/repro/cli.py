@@ -56,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", type=int, default=1,
                         help="number of repeated runs per cell")
     parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for grid commands "
-                             "(1 = sequential)")
+                        help="local worker processes for grid commands "
+                             "(1 = sequential in-process; N > 1 = a "
+                             "coordinator on 127.0.0.1 with N forked "
+                             "workers)")
     parser.add_argument("--hosts", metavar="ADDR", default=None,
                         help="listen address (host:port, ':0' = ephemeral) "
                              "for multi-host sweeps: this process becomes "

@@ -19,7 +19,7 @@ generator state *after* dataset generation is captured on first build
 and restored on every reuse — the noise draw consumes the identical
 stream whether the split came from the cache or was freshly generated.
 
-The cache is per-process module state (each pool worker warms its own)
+The cache is per-process module state (each grid worker warms its own)
 and LRU-bounded so long multi-scale sweeps cannot grow memory without
 limit.
 """

@@ -151,16 +151,15 @@ def estimator_registry(settings: ExperimentSettings
 
 def _run_grid(specs: Sequence[TaskSpec], metrics: Sequence[str],
               workers: int, cache: RunCache | str | None, retries: int,
-              verbose: bool, coordinate: str | bool | None = None,
+              verbose: bool, coordinate: str | None = None,
               ) -> dict[str, list[SweepCell]]:
     """Run a spec grid through one shared executor and aggregate it.
 
     The sweep itself is fault-isolated (every cell runs, successes are
     cached); only after it completes does a remaining failure raise
     :class:`SweepError`, so a re-run resumes from the cache and only
-    recomputes the failed cells.  ``coordinate`` switches to the
-    multi-host work-stealing tier: this process becomes the leader on
-    that address and remote ``repro join`` workers can lease cells.
+    recomputes the failed cells.  ``coordinate`` is the leader's listen
+    address, so remote ``repro join`` workers can lease cells too.
     Returns ``{metric: cells}``, cells in spec order, aggregated over
     seeds from the same records the run cache holds.
     """
@@ -184,7 +183,7 @@ def run_comparison(settings: ExperimentSettings, noises: Sequence[NoiseSpec],
                    workers: int = 1,
                    cache: RunCache | str | None = None,
                    retries: int = 1,
-                   coordinate: str | bool | None = None,
+                   coordinate: str | None = None,
                    ) -> dict[str, list[SweepCell]]:
     """Grid of model x dataset x noise, aggregated over seeds.
 
@@ -230,7 +229,7 @@ def run_table3(settings: ExperimentSettings | None = None,
                workers: int = 1,
                cache: RunCache | str | None = None,
                retries: int = 1,
-               coordinate: str | bool | None = None,
+               coordinate: str | None = None,
                ) -> dict[str, list[SweepCell]]:
     """Table III: label-corrector TPR/TNR on the noisy training set.
 
@@ -264,7 +263,7 @@ def run_ablation(noise: NoiseSpec, settings: ExperimentSettings | None = None,
                  workers: int = 1,
                  cache: RunCache | str | None = None,
                  retries: int = 1,
-                 coordinate: str | bool | None = None,
+                 coordinate: str | None = None,
                  ) -> dict[str, list[SweepCell]]:
     """Shared engine for Tables IV and V.
 

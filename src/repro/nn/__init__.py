@@ -35,10 +35,8 @@ from .layers import (
 from .bilstm import AttentionPooling, BiLSTM
 from .fused import (
     fused_gru_sequence,
-    fused_gru_step,
     fused_head_loss,
     fused_lstm_sequence,
-    fused_lstm_step,
 )
 from .gru import GRU, GRUCell
 from .lstm import LSTM, LSTMCell
@@ -72,8 +70,7 @@ __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "split", "chunk", "where",
     "maximum", "minimum", "no_grad", "is_grad_enabled",
     "set_default_dtype", "get_default_dtype", "default_dtype",
-    "fused_lstm_step", "fused_lstm_sequence",
-    "fused_gru_step", "fused_gru_sequence",
+    "fused_lstm_sequence", "fused_gru_sequence",
     "fused_head_loss",
     "Profiler", "OpStats", "profile",
     "Module", "Parameter", "LoadReport",

@@ -501,42 +501,6 @@ def _build_cosine_similarity(rng, dtype, extreme, size):
 
 
 # -- fused recurrent kernels -------------------------------------------
-@_register("fused_lstm_step", covers=("fused_lstm_step",), smooth_trials=1)
-def _build_fused_lstm_step(rng, dtype, extreme, size):
-    from ...nn.fused import fused_lstm_step
-    b, d, h = 2, size + 1, size + 2
-    x = _t(rng, (b, d), dtype, extreme, max_mag=1e4)
-    h0 = _t(rng, (b, h), dtype, extreme, max_mag=1e4)
-    c0 = _t(rng, (b, h), dtype, extreme, max_mag=1e4)
-    w_x = _t(rng, (d, 4 * h), dtype, extreme, scale=0.3, max_mag=10.0)
-    w_h = _t(rng, (h, 4 * h), dtype, extreme, scale=0.3, max_mag=10.0)
-    bias = _t(rng, (4 * h,), dtype, extreme, scale=0.3, max_mag=10.0)
-
-    def fn():
-        h1, c1 = fused_lstm_step(x, h0, c0, w_x, w_h, bias)
-        return _weighted_sum(h1) + _weighted_sum(c1)
-    return fn, [x, h0, c0, w_x, w_h, bias]
-
-
-@_register("fused_gru_step", covers=("fused_gru_step",), smooth_trials=1)
-def _build_fused_gru_step(rng, dtype, extreme, size):
-    from ...nn.fused import fused_gru_step
-    b, d, h = 2, size + 1, size + 2
-    x = _t(rng, (b, d), dtype, extreme, max_mag=1e4)
-    h0 = _t(rng, (b, h), dtype, extreme, max_mag=1e4)
-    w_x = _t(rng, (d, 2 * h), dtype, extreme, scale=0.3, max_mag=10.0)
-    w_h = _t(rng, (h, 2 * h), dtype, extreme, scale=0.3, max_mag=10.0)
-    bias = _t(rng, (2 * h,), dtype, extreme, scale=0.3, max_mag=10.0)
-    w_xc = _t(rng, (d, h), dtype, extreme, scale=0.3, max_mag=10.0)
-    w_hc = _t(rng, (h, h), dtype, extreme, scale=0.3, max_mag=10.0)
-    bias_c = _t(rng, (h,), dtype, extreme, scale=0.3, max_mag=10.0)
-
-    def fn():
-        h1 = fused_gru_step(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c)
-        return _weighted_sum(h1)
-    return fn, [x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c]
-
-
 @_register("fused_lstm_sequence", covers=("fused_lstm_sequence",),
            smooth_trials=1, extreme_trials=1)
 def _build_fused_lstm_sequence(rng, dtype, extreme, size):

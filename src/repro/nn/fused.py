@@ -9,18 +9,15 @@ NumPy in one forward pass and register **one backward closure per
 output tensor**, writing parameter-gradient slices directly into the
 shared ``.grad`` buffers.
 
-Two tiers are provided:
-
-* ``fused_lstm_step`` / ``fused_gru_step`` — drop-in cell steps taking
-  the raw input ``x_t`` (used by :class:`~repro.nn.lstm.LSTMCell` and
-  :class:`~repro.nn.gru.GRUCell`, and by gradcheck).
-* ``fused_lstm_sequence`` / ``fused_gru_sequence`` — whole-layer
-  kernels: the entire time loop runs inside one forward and registers a
-  **single** backward closure that walks the sequence in reverse,
-  scatters gate pre-activation gradients into one ``(batch, time,
-  gates)`` buffer, and computes every weight gradient with one batched
-  GEMM over all timesteps instead of one small GEMM per step.  These
-  are what the ``LSTM``/``GRU`` layers use.
+``fused_lstm_sequence`` / ``fused_gru_sequence`` are whole-layer
+kernels: the entire time loop runs inside one forward and registers a
+**single** backward closure that walks the sequence in reverse,
+scatters gate pre-activation gradients into one ``(batch, time,
+gates)`` buffer, and computes every weight gradient with one batched
+GEMM over all timesteps instead of one small GEMM per step.  These are
+what the fused ``LSTM``/``GRU`` layers run; the composed-op cells
+(:class:`~repro.nn.lstm.LSTMCell`, :class:`~repro.nn.gru.GRUCell`)
+stay as their reference.
 
 ``fused_head_loss`` does the same for the two-layer classifier head
 both CLFD stages train on frozen representations: Linear → LeakyReLU →
@@ -53,17 +50,11 @@ __all__ = [
     "live_rows",
     "lstm_recurrence",
     "gru_recurrence",
-    "fused_lstm_step",
     "fused_lstm_sequence",
-    "fused_gru_step",
     "fused_gru_sequence",
     "fused_head_loss",
     "head_forward",
 ]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -90,79 +81,9 @@ def live_rows(lengths, time: int) -> tuple[int, ...]:
     return tuple(int(n) for n in (alive * rank).max(axis=1, initial=0))
 
 
-def _add_grad_slice(param: Tensor, cols: slice, grad: np.ndarray) -> None:
-    """Accumulate into a column block of a parameter's shared grad buffer."""
-    param._init_grad()
-    if param.grad.ndim == 1:
-        param.grad[cols] += grad
-    else:
-        param.grad[:, cols] += grad
-
-
 # ----------------------------------------------------------------------
 # LSTM
 # ----------------------------------------------------------------------
-def fused_lstm_step(x, h_prev, c_prev, w_x, w_h, bias):
-    """One LSTM step: returns ``(h, c)`` with a fused forward/backward.
-
-    Gate order in the fused weights is ``[input, forget, cell, output]``,
-    matching :class:`~repro.nn.lstm.LSTMCell`.
-    """
-    x, h_prev, c_prev = as_tensor(x), as_tensor(h_prev), as_tensor(c_prev)
-    gates = x.data @ w_x.data + h_prev.data @ w_h.data + bias.data
-    hs = w_h.shape[0]
-    i = _sigmoid(gates[:, 0 * hs:1 * hs])
-    f = _sigmoid(gates[:, 1 * hs:2 * hs])
-    g = np.tanh(gates[:, 2 * hs:3 * hs])
-    o = _sigmoid(gates[:, 3 * hs:4 * hs])
-    c_data = f * c_prev.data + i * g
-    t = np.tanh(c_data)
-    h_data = o * t
-    # backward_h stashes the output gate's pre-activation grad here so
-    # backward_c can route all four gates in one full-width GEMM with
-    # the contiguous weight matrices (no column-sliced copies).
-    pending_o: list[np.ndarray] = []
-
-    def backward_h():
-        dh = h_out.grad
-        if c_out.requires_grad:
-            c_out._accumulate(dh * o * (1.0 - t * t))
-        pending_o.append(dh * t * o * (1.0 - o))
-
-    def backward_c():
-        # Runs after backward_h (h_out is a consumer of c_out), so
-        # c_out.grad already includes dL/dh routed through tanh(c).
-        dc = c_out.grad
-        d_pre = np.empty_like(gates)
-        d_pre[:, 0 * hs:1 * hs] = dc * g * i * (1.0 - i)
-        d_pre[:, 1 * hs:2 * hs] = dc * c_prev.data * f * (1.0 - f)
-        d_pre[:, 2 * hs:3 * hs] = dc * i * (1.0 - g * g)
-        if pending_o:
-            d_pre[:, 3 * hs:4 * hs] = pending_o.pop()
-        else:  # h was never consumed downstream
-            d_pre[:, 3 * hs:4 * hs] = 0.0
-        if x.requires_grad:
-            x._accumulate(d_pre @ w_x.data.T)
-        if w_x.requires_grad:
-            w_x._accumulate(x.data.T @ d_pre)
-        if bias.requires_grad:
-            bias._accumulate(d_pre.sum(axis=0))
-        if h_prev.requires_grad:
-            h_prev._accumulate(d_pre @ w_h.data.T)
-        if w_h.requires_grad:
-            w_h._accumulate(h_prev.data.T @ d_pre)
-        if c_prev.requires_grad:
-            c_prev._accumulate(dc * f)
-
-    c_out = Tensor._make(c_data, (x, h_prev, c_prev, w_x, w_h, bias),
-                         backward_c)
-    # h consumes c, so reverse-topological order runs backward_h before
-    # backward_c: c_out.grad is complete when backward_c fires, and all
-    # other inputs are reachable (and ordered after h) through c_out.
-    h_out = Tensor._make(h_data, (c_out,), backward_h)
-    return h_out, c_out
-
-
 def lstm_recurrence(proj, w_h, h_all, c_all, act, tc_all, scratch, *,
                     h0_zero: bool, live=None) -> None:
     """The LSTM time loop over a precomputed input projection, in NumPy.
@@ -338,53 +259,6 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias):
 # ----------------------------------------------------------------------
 # GRU
 # ----------------------------------------------------------------------
-def fused_gru_step(x, h_prev, w_x, w_h, bias, w_xc, w_hc, bias_c):
-    """One GRU step: returns the new hidden state with a fused backward.
-
-    Gate order in the fused reset/update weights is ``[reset, update]``,
-    matching :class:`~repro.nn.gru.GRUCell`.
-    """
-    x, h_prev = as_tensor(x), as_tensor(h_prev)
-    gates = x.data @ w_x.data + h_prev.data @ w_h.data + bias.data
-    cand = x.data @ w_xc.data + bias_c.data
-    hs = w_h.shape[0]
-    r = _sigmoid(gates[:, 0 * hs:1 * hs])
-    z = _sigmoid(gates[:, 1 * hs:2 * hs])
-    rh = r * h_prev.data
-    n = np.tanh(cand + rh @ w_hc.data)
-    h_data = z * h_prev.data + (1.0 - z) * n
-
-    def backward():
-        dh = h_out.grad
-        dn = dh * (1.0 - z)
-        da = dn * (1.0 - n * n)              # candidate pre-activation
-        d_rh = da @ w_hc.data.T
-        d_pre = np.empty_like(gates)
-        d_pre[:, 0 * hs:1 * hs] = d_rh * h_prev.data * r * (1.0 - r)
-        d_pre[:, 1 * hs:2 * hs] = dh * (h_prev.data - n) * z * (1.0 - z)
-        if x.requires_grad:
-            x._accumulate(d_pre @ w_x.data.T + da @ w_xc.data.T)
-        if w_x.requires_grad:
-            w_x._accumulate(x.data.T @ d_pre)
-        if bias.requires_grad:
-            bias._accumulate(d_pre.sum(axis=0))
-        if w_xc.requires_grad:
-            w_xc._accumulate(x.data.T @ da)
-        if bias_c.requires_grad:
-            bias_c._accumulate(da.sum(axis=0))
-        if h_prev.requires_grad:
-            h_prev._accumulate(dh * z + d_rh * r + d_pre @ w_h.data.T)
-        if w_h.requires_grad:
-            w_h._accumulate(h_prev.data.T @ d_pre)
-        if w_hc.requires_grad:
-            w_hc._accumulate(rh.T @ da)
-
-    h_out = Tensor._make(h_data,
-                         (x, h_prev, w_x, w_h, bias, w_xc, w_hc, bias_c),
-                         backward)
-    return h_out
-
-
 def gru_recurrence(proj_g, proj_c, w_h, w_hc, h_all, gate_all, n_all,
                    scratch, *, live=None) -> None:
     """The GRU time loop over precomputed input projections, in NumPy.

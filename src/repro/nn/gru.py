@@ -3,9 +3,9 @@
 The paper standardises on LSTM encoders; a GRU at the same width is a
 natural ablation (fewer parameters, similar capacity).  The interface
 mirrors :class:`repro.nn.LSTM` including masked mean-pooling and the
-``fused`` flag: the fused path runs each step as a single hand-derived
-kernel (:mod:`repro.nn.fused`) and batches the gate and candidate input
-projections of a whole layer into two GEMMs outside the recurrence.
+``fused`` flag: the fused path runs each layer's recurrence inside one
+hand-derived sequence kernel (:func:`~repro.nn.fused.fused_gru_sequence`);
+the reference path composes :class:`GRUCell` steps from autograd ops.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .fused import fused_gru_sequence, fused_gru_step
+from .fused import fused_gru_sequence
 from .module import Module, Parameter
 from .tensor import Tensor, split, stack
 
@@ -29,11 +29,10 @@ class GRUCell(Module):
     """
 
     def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator, fused: bool = True):
+                 rng: np.random.Generator):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fused = fused
         self.w_x = Parameter(init.xavier_uniform((input_size, 2 * hidden_size), rng))
         self.w_h = Parameter(
             np.concatenate(
@@ -48,9 +47,6 @@ class GRUCell(Module):
 
     def forward(self, x: Tensor, h_prev: Tensor) -> Tensor:
         """One step: returns the new hidden state."""
-        if self.fused:
-            return fused_gru_step(x, h_prev, self.w_x, self.w_h, self.bias,
-                                  self.w_xc, self.w_hc, self.bias_c)
         gates = x @ self.w_x + h_prev @ self.w_h + self.bias
         gr, gz = split(gates, self.hidden_size, axis=1)
         r, z = gr.sigmoid(), gz.sigmoid()
@@ -77,7 +73,7 @@ class GRU(Module):
         self.fused = fused
         self.cells = [
             GRUCell(input_size if layer == 0 else hidden_size, hidden_size,
-                    rng, fused=fused)
+                    rng)
             for layer in range(num_layers)
         ]
 
@@ -100,8 +96,8 @@ class GRU(Module):
         return stack(layer_input, axis=1), h
 
     def _forward_fused(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Fused path: two input-projection GEMMs per layer, then the
-        whole recurrence runs inside a single sequence kernel."""
+        """Fused path: the whole recurrence of each layer runs inside a
+        single sequence kernel."""
         batch, _, _ = x.shape
         layer_input = x
         h = None

@@ -4,15 +4,15 @@ The paper's session encoders are two-layer LSTMs whose final-layer hidden
 states are averaged to produce a session representation; this module
 implements the recurrent substrate for that.
 
-Two execution paths are provided, selected by ``fused`` (default on):
+Two execution paths are provided, selected by ``LSTM(fused=)`` (default
+on):
 
-* **fused** — the whole gate block and state update run as one NumPy
-  kernel per step (:mod:`repro.nn.fused`) with a hand-derived backward,
-  and each layer batches every timestep's input projection into a single
-  ``(batch*time, 4*hidden)`` GEMM outside the recurrence.
-* **reference** — the original composed-op path (now using
-  :func:`~repro.nn.tensor.split` for the gate slices), kept as the
-  gradcheck baseline for the fused kernels.
+* **fused** — each layer's whole recurrence, forward and hand-derived
+  backward, runs inside one sequence kernel
+  (:func:`~repro.nn.fused.fused_lstm_sequence`).
+* **reference** — :class:`LSTMCell` steps composed from autograd ops
+  (using :func:`~repro.nn.tensor.split` for the gate slices), kept as
+  the oracle and speed baseline of the fused kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .fused import fused_lstm_sequence, fused_lstm_step
+from .fused import fused_lstm_sequence
 from .module import Module, Parameter
 from .tensor import Tensor, get_default_dtype, split, stack
 
@@ -36,11 +36,10 @@ class LSTMCell(Module):
     """
 
     def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator, fused: bool = True):
+                 rng: np.random.Generator):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fused = fused
         self.w_x = Parameter(init.xavier_uniform((input_size, 4 * hidden_size), rng))
         self.w_h = Parameter(
             np.concatenate(
@@ -55,9 +54,6 @@ class LSTMCell(Module):
     def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         """One step: ``x`` is (batch, input_size); returns new (h, c)."""
         h_prev, c_prev = state
-        if self.fused:
-            return fused_lstm_step(x, h_prev, c_prev,
-                                   self.w_x, self.w_h, self.bias)
         gates = x @ self.w_x + h_prev @ self.w_h + self.bias
         gi, gf, gg, go = split(gates, self.hidden_size, axis=1)
         i, f, g, o = gi.sigmoid(), gf.sigmoid(), gg.tanh(), go.sigmoid()
@@ -80,7 +76,8 @@ class LSTM(Module):
     hidden_size: size of the hidden state (same for all layers, matching
         the paper's "two hidden layers with the same dimensions").
     num_layers: number of stacked LSTM layers.
-    fused: use the fused per-step kernels plus batched input projections.
+    fused: run each layer through the fused sequence kernel instead of
+        a loop of composed :class:`LSTMCell` steps.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
@@ -95,7 +92,7 @@ class LSTM(Module):
         self.fused = fused
         self.cells = [
             LSTMCell(input_size if layer == 0 else hidden_size, hidden_size,
-                     rng, fused=fused)
+                     rng)
             for layer in range(num_layers)
         ]
 
@@ -123,10 +120,9 @@ class LSTM(Module):
         return stack(layer_input, axis=1), (h, c)
 
     def _forward_fused(self, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Fused path: one input-projection GEMM per layer, then the whole
-        recurrence (forward and backward) runs inside a single sequence
-        kernel — a handful of graph nodes per layer instead of ~15 per
-        timestep."""
+        """Fused path: the whole recurrence (forward and backward) of
+        each layer runs inside a single sequence kernel — a handful of
+        graph nodes per layer instead of ~15 per timestep."""
         batch, _, _ = x.shape
         layer_input = x
         h = c = None

@@ -38,7 +38,7 @@ def _op_name(backward_fn) -> str:
     """Derive the op name from its backward closure's qualname.
 
     ``Tensor.__add__.<locals>.backward`` -> ``__add__``;
-    ``fused_lstm_step.<locals>.backward_h`` -> ``fused_lstm_step``.
+    ``fused_lstm_sequence.<locals>.backward_seq`` -> ``fused_lstm_sequence``.
     """
     qualname = getattr(backward_fn, "__qualname__", "?")
     return qualname.split(".<locals>")[0].rsplit(".", 1)[-1]

@@ -1,4 +1,4 @@
-"""Parallel experiment execution: process pool + run cache + progress.
+"""Parallel experiment execution: grid coordinator + run cache + progress.
 
 The experiment grid (model x dataset x noise x seed) is embarrassingly
 parallel once each cell is self-describing; this package turns every

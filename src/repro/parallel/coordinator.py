@@ -14,8 +14,9 @@ to workers on any host:
   ``lease_ttl / 3``; each beat extends the deadline.  A worker that is
   SIGKILLed, partitioned, or simply loses its host stops beating.
 * **Re-queue.**  A reaper expires overdue leases and re-queues the cell
-  (same attempt — worker loss is not the cell's fault, mirroring the
-  process-pool quarantine's "don't charge the victim" rule).  A cell
+  (same attempt — worker loss is not the cell's fault, so the victim is
+  not charged).  The leader expires a local worker's leases as soon as
+  its process is seen dead (:meth:`Coordinator.expire_worker`).  A cell
   whose leases keep expiring is presumed to be crashing its workers and
   is quarantined as a structured failure after ``max_requeues``.
 * **Idempotent completion.**  Cells are deterministic, so the first
@@ -51,9 +52,8 @@ __all__ = ["Coordinator", "CoordinatorClient", "parse_address",
 
 DEFAULT_LEASE_TTL = 10.0
 # A cell whose lease expires this many times is presumed to kill its
-# workers (the multi-host analogue of the process-pool crash
-# quarantine) and becomes a structured failure instead of cycling
-# through hosts forever.
+# workers (crash quarantine) and becomes a structured failure instead of
+# cycling through workers forever.
 MAX_REQUEUES = 3
 
 
@@ -125,6 +125,17 @@ class Coordinator:
     # -- lifecycle -----------------------------------------------------
     def start(self, address: str | None = None) -> tuple[str, int]:
         """Bind, serve in the background, return the bound address."""
+        bound = self.bind(address)
+        self.serve()
+        return bound
+
+    def bind(self, address: str | None = None) -> tuple[str, int]:
+        """Bind and listen without starting a thread; returns the address.
+
+        Workers may connect at once: their requests wait in the listen
+        backlog until :meth:`serve`.  The executor forks its local
+        workers in between, before the leader's own threads start.
+        """
         host, port = parse_address(address)
         coordinator = self
 
@@ -147,20 +158,24 @@ class Coordinator:
             daemon_threads = True
 
         self._server = Server((host, port), Handler)
+        bound = self._server.server_address
+        self.address = (bound[0], bound[1])
+        return self.address
+
+    def serve(self) -> None:
+        """Start the request-serving and lease-reaper threads."""
         threading.Thread(target=self._server.serve_forever,
                          kwargs={"poll_interval": 0.05},
                          daemon=True, name="grid-coordinator").start()
         self._reaper = threading.Thread(target=self._reap_loop, daemon=True,
                                         name="grid-lease-reaper")
         self._reaper.start()
-        bound = self._server.server_address
-        self.address = (bound[0], bound[1])
-        return self.address
 
     def stop(self) -> None:
         self._stopping.set()
         if self._server is not None:
-            self._server.shutdown()
+            if self._reaper is not None:  # serve() ran
+                self._server.shutdown()
             self._server.server_close()
             self._server = None
 
@@ -201,6 +216,19 @@ class Coordinator:
                     "traceback": "", "attempts": attempt + 1}))
                 failed += 1
         return failed
+
+    def expire_worker(self, worker: str) -> None:
+        """Expire every lease ``worker`` holds, now: it is known dead.
+
+        The executor calls this when a local worker process has exited,
+        so its cell takes the lease-expiry path at once (re-queue at the
+        same attempt, or quarantine) instead of waiting out the ttl.
+        """
+        with self._lock:
+            for lease in self._leases.values():
+                if lease.worker == worker:
+                    lease.deadline = float("-inf")
+        self._reap_expired()
 
     # -- protocol ------------------------------------------------------
     def _dispatch(self, request: dict) -> dict:
@@ -315,7 +343,7 @@ class Coordinator:
                     }))
                 else:
                     # Worker loss is not the cell's fault: re-queue at
-                    # the *same* attempt, like pool-breakage victims.
+                    # the *same* attempt.
                     self._queue.append((index, lease.attempt))
 
 

@@ -1,49 +1,41 @@
-"""Fault-isolating grid executor: process pool + run cache + progress.
+"""Fault-isolating grid executor: one coordinator + run cache + progress.
 
 :class:`GridExecutor` runs a list of :class:`~repro.parallel.tasks.TaskSpec`
 cells and returns one :class:`CellResult` per spec, in input order.
 
 * ``workers=1`` (the default, and what the test suite uses) executes
-  in-process — the sequential path is the degenerate case of the same
-  code, not a separate implementation.
-* ``workers>1`` fans cells out over a ``ProcessPoolExecutor``.  Results
-  are bit-identical to sequential execution because every cell derives
-  all randomness from its own spec (see :mod:`repro.parallel.worker`).
-  Each pool worker runs one BLAS thread (:mod:`repro.blas`).
+  in-process: the sequential reference.
+* ``workers>1`` runs the sweep through the work-stealing tier: a
+  :class:`~repro.parallel.coordinator.Coordinator` leader hands out
+  content keys over TCP on an ephemeral ``127.0.0.1`` port, and
+  ``workers`` forked local workers (one BLAS thread each, see
+  :mod:`repro.blas`) lease them.  ``coordinate="host:port"`` picks the
+  listen address instead, so workers on any other host can steal cells
+  with ``repro join host:port`` (``workers=0`` serves remote workers
+  only).  Results are bit-identical to sequential execution because
+  every cell derives all randomness from its own spec (see
+  :mod:`repro.parallel.worker`).
 * A :class:`~repro.parallel.cache.RunCache` (optional) is consulted
   before any work is scheduled and updated after every success, so
   interrupted sweeps resume and repeated invocations skip straight
-  through.
+  through, on one host or many.
 * Failures never kill the sweep: a raising cell is retried up to
   ``retries`` extra times, then recorded as a structured failure
-  (type/message/traceback/attempts) in its result slot.  A worker that
-  dies outright (segfault, ``os._exit``) breaks the pool; the executor
-  rebuilds it and re-runs each in-flight "suspect" cell in an isolated
-  single-worker pool — a cell that crashes its private pool is
-  definitively the culprit and consumes its own retry budget, while
-  innocent cells that merely shared the broken pool complete unharmed.
-* ``coordinate="host:port"`` runs the sweep through the multi-host
-  work-stealing tier instead of a process pool: a
-  :class:`~repro.parallel.coordinator.Coordinator` leader hands out
-  content keys over TCP, ``workers`` local worker processes join
-  immediately, and workers on any other host can steal cells with
-  ``repro join host:port``.  Completed records land in the shared
-  :class:`RunCache`, so a multi-host sweep is bit-identical to — and
-  resumable as — a single-host one.
+  (type/message/traceback/attempts) in its result slot.  A local worker
+  that dies outright (segfault, ``os._exit``) has its lease expired at
+  once and is replaced: the cell it held re-queues uncharged, and a cell
+  that keeps killing its workers is quarantined as a ``LeaseExpired``
+  failure, while cells on the other workers complete unharmed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import queue as queue_mod
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
-from ..blas import pin_forked_worker
 from .cache import RunCache
 from .coordinator import DEFAULT_LEASE_TTL
 from .tasks import TaskSpec, task_key
@@ -123,11 +115,11 @@ def _failure_record(exc: BaseException, attempts: int) -> dict:
 class _Progress:
     """Live per-cell lines with elapsed/ETA, plus a final summary.
 
-    ``workers`` may be an ``int`` (fixed pool width) or a zero-argument
-    callable returning the *live* worker count — under multi-host
-    execution the divisor is the coordinator's current lease-holder
-    count, not the local pool width, or the ETA is off by the number of
-    remote hosts.
+    ``workers`` may be an ``int`` (a fixed worker count) or a
+    zero-argument callable returning the *live* worker count — under
+    multi-host execution the divisor is the coordinator's current
+    lease-holder count, not the local worker count, or the ETA is off by
+    the number of remote hosts.
     """
 
     def __init__(self, total: int, workers: int | Callable[[], int],
@@ -187,17 +179,6 @@ class _Progress:
         return f"  (elapsed {_hms(elapsed)}, eta {_hms(eta)})"
 
 
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool of ``workers`` forked processes, one BLAS thread each.
-
-    Fork, not spawn: a spawned worker costs a fresh interpreter and
-    NumPy import, and the pool a resource tracker process.
-    """
-    return ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=pin_forked_worker)
-
-
 def _hms(seconds: float) -> str:
     seconds = int(round(seconds))
     if seconds < 60:
@@ -215,13 +196,16 @@ class GridExecutor:
                  retries: int = 1,
                  progress: bool | Callable[[str], None] = False,
                  checkpoint_dir: str | None = None,
-                 coordinate: str | bool | None = None,
+                 coordinate: str | None = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL):
         if workers < (0 if coordinate else 1):
             raise ValueError("workers must be >= 1 (>= 0 when coordinating "
                              "— a leader may serve remote workers only)")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if coordinate is not None and not isinstance(coordinate, str):
+            raise TypeError("coordinate is a listen address ('host:port'); "
+                            "workers > 1 already runs a local coordinator")
         self.workers = workers
         self.cache = RunCache(cache) if isinstance(cache, str) else cache
         self.retries = retries
@@ -229,14 +213,11 @@ class GridExecutor:
         # resumes from its last phase/epoch snapshot under
         # <checkpoint_dir>/<task_key>/ instead of restarting at epoch 0.
         self.checkpoint_dir = checkpoint_dir
-        # Multi-host mode: a listen address ("host:port", ":port", or
-        # True for an ephemeral localhost port).  The leader hands out
-        # content keys; `workers` local processes join immediately and
-        # remote hosts join with `repro join host:port`.
+        # The leader's listen address ("host:port" or ":port"; None is
+        # an ephemeral 127.0.0.1 port).  Remote hosts join with
+        # `repro join host:port`.
         self.coordinate = coordinate
         self.lease_ttl = lease_ttl
-        self.coordinator = None  # live Coordinator while run() executes
-        self.coordinator_address: tuple[str, int] | None = None
         if progress is True:
             self._emit = lambda line: print(line, flush=True)
         elif callable(progress):
@@ -268,12 +249,10 @@ class GridExecutor:
                 todo.append(i)
 
         if todo:
-            if self.coordinate:
-                self._run_coordinated(specs, todo, results, progress)
-            elif self.workers == 1:
+            if self.workers == 1 and self.coordinate is None:
                 self._run_sequential(specs, todo, results, progress)
             else:
-                self._run_pool(specs, todo, results, progress)
+                self._run_coordinated(specs, todo, results, progress)
 
         if progress:
             progress.finish()
@@ -310,85 +289,6 @@ class GridExecutor:
                         seconds=payload["seconds"], attempts=attempt + 1))
                     break
 
-    def _run_pool(self, specs, todo, results, progress) -> None:
-        pool = _process_pool(self.workers)
-        # future -> (spec index, attempt, owning pool).  The owning pool
-        # matters on breakage: futures of an already-replaced pool still
-        # surface BrokenProcessPool later, and must not tear down the
-        # healthy replacement.
-        pending: dict = {}
-        try:
-            for i in todo:
-                pending[pool.submit(execute_task, specs[i], 0,
-                                    self.checkpoint_dir)] = (i, 0, pool)
-            while pending:
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                suspects: list[tuple[int, int]] = []
-                for future in done:
-                    i, attempt, owner = pending.pop(future)
-                    spec, key = specs[i], task_key(specs[i])
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        # A worker died outright.  The pool cannot say
-                        # which cell killed it, so every in-flight cell
-                        # becomes a suspect and is re-run in isolation
-                        # below — without being charged an attempt, so
-                        # a crashing cell never exhausts the retry
-                        # budget of innocent cells sharing its pool.
-                        if owner is pool:
-                            pool.shutdown(wait=False)
-                            pool = _process_pool(self.workers)
-                        suspects.append((i, attempt))
-                    except Exception as exc:
-                        attempt += 1
-                        if attempt > self.retries:
-                            self._finish(results, progress, i, CellResult(
-                                spec=spec, key=key,
-                                error=_failure_record(exc, attempt),
-                                attempts=attempt))
-                        else:
-                            pending[pool.submit(execute_task, spec, attempt,
-                                                self.checkpoint_dir)
-                                    ] = (i, attempt, pool)
-                    else:
-                        self._finish(results, progress, i, CellResult(
-                            spec=spec, key=key, metrics=payload["metrics"],
-                            seconds=payload["seconds"], attempts=attempt + 1))
-                for i, attempt in suspects:
-                    self._finish(results, progress, i,
-                                 self._run_isolated(specs[i], attempt))
-        finally:
-            pool.shutdown(wait=True)
-
-    def _run_isolated(self, spec: TaskSpec, attempt: int) -> CellResult:
-        """Re-run a pool-breakage suspect in its own single-worker pool.
-
-        A cell that crashes its private pool is definitively the
-        culprit: it is charged the attempt and retried (still isolated)
-        until the retry budget runs out.  Innocent victims simply
-        complete here and rejoin the results.
-        """
-        key = task_key(spec)
-        while True:
-            solo = _process_pool(1)
-            try:
-                payload = solo.submit(execute_task, spec, attempt,
-                                      self.checkpoint_dir).result()
-            except Exception as exc:
-                attempt += 1
-                if attempt > self.retries:
-                    return CellResult(spec=spec, key=key,
-                                      error=_failure_record(exc, attempt),
-                                      attempts=attempt)
-            else:
-                return CellResult(spec=spec, key=key,
-                                  metrics=payload["metrics"],
-                                  seconds=payload["seconds"],
-                                  attempts=attempt + 1)
-            finally:
-                solo.shutdown(wait=False)
-
     # ------------------------------------------------------------------
     def _run_coordinated(self, specs, todo, results, progress) -> None:
         """Drive the todo cells through the work-stealing coordinator.
@@ -396,10 +296,9 @@ class GridExecutor:
         The leader owns the (shared) RunCache: every completion event
         funnels through :meth:`_finish`, so a coordinated sweep writes
         exactly the records a sequential one writes.  Local workers
-        that die are respawned while work remains (bounded by a spawn
-        budget so a cell that crashes every host it touches cannot
-        respawn forever — the coordinator's re-queue cap quarantines it
-        first).
+        that die are replaced while work remains, within a spawn budget
+        that lets every cell kill its workers until quarantined but
+        stops a worker that dies between cells from respawning forever.
         """
         from .coordinator import Coordinator
         from .gridworker import spawn_local_workers
@@ -407,31 +306,36 @@ class GridExecutor:
         coordinator = Coordinator({i: specs[i] for i in todo},
                                   retries=self.retries,
                                   lease_ttl=self.lease_ttl)
-        host, port = coordinator.start(
-            None if self.coordinate is True else self.coordinate)
-        self.coordinator = coordinator
-        self.coordinator_address = (host, port)
-        if progress:
-            # ETA divisor = live lease holders across *all* hosts.
-            progress.workers = \
-                lambda: coordinator.active_workers() or self.workers or 1
-        if self._emit:
-            self._emit(f"coordinator listening on {host}:{port} "
-                       f"({len(todo)} cell(s), {self.workers} local "
-                       f"worker(s); join with: repro join {host}:{port})")
+        host, port = coordinator.bind(self.coordinate)
         connect = ("127.0.0.1" if host in ("0.0.0.0", "::") else host, port)
-        procs = spawn_local_workers(connect, self.workers,
-                                    self.checkpoint_dir)
-        spawned = len(procs)
-        spawn_budget = self.workers * (1 + coordinator.max_requeues)
+        spawn_budget = (self.workers
+                        + len(todo) * (coordinator.max_requeues + 1))
+        procs: list = []
         remaining = set(todo)
         try:
+            # Fork the first workers before the leader's threads start: a
+            # child forked beside a running thread can inherit a lock
+            # that thread held.
+            procs = spawn_local_workers(connect, self.workers,
+                                        self.checkpoint_dir)
+            spawned = len(procs)
+            coordinator.serve()
+            if progress:
+                # ETA divisor = live lease holders across *all* hosts.
+                progress.workers = \
+                    lambda: coordinator.active_workers() or self.workers or 1
+            if self._emit:
+                self._emit(f"coordinator listening on {host}:{port} "
+                           f"({len(todo)} cell(s), {self.workers} local "
+                           f"worker(s); join with: repro join {host}:{port})")
             while remaining:
                 try:
                     event = coordinator.events.get(timeout=0.25)
                 except queue_mod.Empty:
-                    procs, spawned = self._maintain_local_workers(
-                        coordinator, procs, spawned, spawn_budget, connect)
+                    event = None
+                procs, spawned = self._maintain_local_workers(
+                    coordinator, procs, spawned, spawn_budget, connect)
+                if event is None:
                     continue
                 kind, index = event[0], event[1]
                 spec, key = specs[index], task_key(specs[index])
@@ -448,7 +352,6 @@ class GridExecutor:
                 remaining.discard(index)
         finally:
             coordinator.stop()
-            self.coordinator = None
             for proc in procs:
                 proc.terminate()
             for proc in procs:
@@ -456,25 +359,31 @@ class GridExecutor:
 
     def _maintain_local_workers(self, coordinator, procs, spawned,
                                 spawn_budget, connect):
-        """Respawn dead local workers while cells remain outstanding."""
+        """Expire dead local workers' leases and replace the workers.
+
+        A dead worker's cell takes the lease-expiry path at once instead
+        of after ``lease_ttl``: a crashing cell is quarantined within a
+        few polls, and no other cell is charged for the crash.
+        """
         from .gridworker import spawn_local_workers
 
         alive = [p for p in procs if p.is_alive()]
-        dead = len(procs) - len(alive)
+        dead = [p for p in procs if p not in alive]
+        for proc in dead:
+            coordinator.expire_worker(proc.name)
         if dead and coordinator.outstanding() > 0 and spawned < spawn_budget:
             replacements = spawn_local_workers(
-                connect, min(dead, spawn_budget - spawned),
-                self.checkpoint_dir)
-            alive.extend(replacements)
+                connect, min(len(dead), spawn_budget - spawned),
+                self.checkpoint_dir, first=spawned)
+            alive += replacements
             spawned += len(replacements)
-            return alive, spawned
-        if (self.workers and not alive and spawned >= spawn_budget
+        elif (self.workers and not alive and spawned >= spawn_budget
                 and coordinator.active_workers() == 0):
             # Nobody left to execute: queued cells would wait forever.
             coordinator.fail_queued(
                 f"local worker spawn budget ({spawn_budget}) exhausted "
                 f"and no remote worker holds a lease")
-        return (alive if dead else procs), spawned
+        return alive, spawned
 
 
 def format_timing_summary(results: Sequence[CellResult],

@@ -1,10 +1,10 @@
 """Grid worker: lease cells from a coordinator, execute, report back.
 
 :func:`run_worker` is the whole worker lifecycle — it runs identically
-as a leader-spawned local process and as ``repro join host:port`` on a
+as a leader-forked local process and as ``repro join host:port`` on a
 different machine.  Each leased cell executes through the same
-:func:`~repro.parallel.worker.execute_task` the process pool uses, so a
-multi-host sweep computes bit-identical metrics to a single-host one.
+:func:`~repro.parallel.worker.execute_task` the sequential path runs, so
+a multi-host sweep computes bit-identical metrics to a single-host one.
 
 While a cell trains, a daemon heartbeat thread renews the lease every
 ``ttl / 3``; if the worker is SIGKILLed the beats stop and the leader
@@ -23,7 +23,7 @@ import time
 import traceback
 import uuid
 
-from ..blas import spawn_env
+from ..blas import pin_forked_worker
 from .coordinator import CoordinatorClient
 
 __all__ = ["run_worker", "spawn_local_workers"]
@@ -141,27 +141,35 @@ def run_worker(address: tuple[str, int] | str,
                     completed += 1
 
 
-def _local_worker_main(address: tuple[str, int],
+def _local_worker_main(address: tuple[str, int], worker_id: str,
                        checkpoint_dir: str | None) -> None:
-    """Spawn-process entry point (must be a top-level function)."""
-    run_worker(address, checkpoint_dir=checkpoint_dir)
+    """Forked-process entry point."""
+    pin_forked_worker()
+    run_worker(address, worker_id=worker_id, checkpoint_dir=checkpoint_dir)
 
 
 def spawn_local_workers(address: tuple[str, int], count: int,
-                        checkpoint_dir: str | None = None) -> list:
-    """Start ``count`` worker processes against ``address``.
+                        checkpoint_dir: str | None = None,
+                        first: int = 0) -> list:
+    """Fork ``count`` worker processes against ``address``.
 
-    Each runs one BLAS thread (:mod:`repro.blas`); ``repro join``, which
-    the operator starts, keeps BLAS's default.
+    Worker ``n`` leases as ``local-<n>``, counting from ``first``, and
+    the process carries that id as its ``name``, so the leader can
+    expire a dead worker's leases by name.  Fork, not spawn: a spawned
+    worker pays a fresh interpreter and NumPy import, and its resource
+    tracker another process.  Each runs one BLAS thread
+    (:mod:`repro.blas`); ``repro join``, which the operator starts,
+    keeps BLAS's default.
     """
     import multiprocessing
 
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("fork")
     procs = []
-    for _ in range(count):
-        proc = ctx.Process(target=_local_worker_main,
-                           args=(address, checkpoint_dir), daemon=True)
-        with spawn_env():
-            proc.start()
+    for n in range(first, first + count):
+        worker_id = f"local-{n}"
+        proc = ctx.Process(target=_local_worker_main, name=worker_id,
+                           args=(address, worker_id, checkpoint_dir),
+                           daemon=True)
+        proc.start()
         procs.append(proc)
     return procs

@@ -1,15 +1,15 @@
 """Per-process execution of one grid cell.
 
-:func:`execute_task` is the function the pool runs: it rebuilds the
-cell from its :class:`~repro.parallel.tasks.TaskSpec` alone (estimator
-from the registry, split from the per-process memoized
+:func:`execute_task` is the function every grid worker runs: it
+rebuilds the cell from its :class:`~repro.parallel.tasks.TaskSpec` alone
+(estimator from the registry, split from the per-process memoized
 :func:`~repro.data.split_cache.cached_splits`, noise from the spec's
-serialised parameters) and returns a plain ``dict`` payload that
-pickles cheaply back to the coordinator.
+serialised parameters) and returns a plain ``dict`` payload that travels
+cheaply back to the coordinator.
 
 Determinism: the split generator, the noise draw and the training rng
 all derive from ``spec.seed`` alone, so a cell computes bit-identical
-metrics whether it runs in-process, in a pool worker, or on a different
+metrics whether it runs in-process, in a grid worker, or on a different
 day from the run cache.
 """
 

@@ -77,19 +77,10 @@ def test_fused_float32_stays_float32(cls):
             assert p.grad.dtype == np.float32
 
 
-def test_fused_step_matches_unfused_cell_step():
-    cell_f = nn.LSTMCell(4, 3, np.random.default_rng(5), fused=True)
-    cell_r = nn.LSTMCell(4, 3, np.random.default_rng(5), fused=False)
-    x = Tensor(np.random.default_rng(6).normal(size=(2, 4)))
-    h_f, c_f = cell_f(x, cell_f.initial_state(2))
-    h_r, c_r = cell_r(x, cell_r.initial_state(2))
-    np.testing.assert_allclose(h_f.data, h_r.data, atol=1e-12)
-    np.testing.assert_allclose(c_f.data, c_r.data, atol=1e-12)
-
-
 def test_fused_sequence_final_states_match_step_loop():
+    # The oracle is a loop of composed-op cell steps.
     rng = np.random.default_rng(8)
-    cell = nn.LSTMCell(5, 6, rng, fused=True)
+    cell = nn.LSTMCell(5, 6, rng)
     xs = rng.normal(size=(3, 4, 5))
     h, c = cell.initial_state(3)
     for t in range(4):

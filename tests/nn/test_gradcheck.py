@@ -114,14 +114,25 @@ def test_embedding_gradcheck():
     check_gradients(lambda: (emb(ids) ** 2).sum(), [emb.weight])
 
 
+def _lstm_step(cell, x, fused):
+    """One LSTM cell step: the composed cell, or a one-step run of the
+    fused sequence kernel over the same weights."""
+    if not fused:
+        return cell(x, cell.initial_state(x.shape[0]))
+    _, h, c = nn.fused_lstm_sequence(
+        x.reshape(x.shape[0], 1, x.shape[1]),
+        *cell.initial_state(x.shape[0]), cell.w_x, cell.w_h, cell.bias)
+    return h, c
+
+
 @pytest.mark.parametrize("fused", [True, False])
 def test_lstm_cell_gradcheck(fused):
     rng = np.random.default_rng(19)
-    cell = nn.LSTMCell(3, 4, rng, fused=fused)
+    cell = nn.LSTMCell(3, 4, rng)
     x = Tensor(_rand((2, 3), 20), requires_grad=True)
 
     def fn():
-        h, c = cell(x, cell.initial_state(2))
+        h, c = _lstm_step(cell, x, fused)
         return (h * h).sum() + (c * c).sum()
 
     check_gradients(fn, [x, cell.w_x, cell.w_h, cell.bias], atol=1e-4)
@@ -138,11 +149,21 @@ def test_lstm_sequence_gradcheck(fused):
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_gru_cell_gradcheck(fused):
+    """One GRU cell step: the composed cell, or a one-step run of the
+    fused sequence kernel over the same weights."""
     rng = np.random.default_rng(40)
-    cell = nn.GRUCell(3, 4, rng, fused=fused)
+    cell = nn.GRUCell(3, 4, rng)
     x = Tensor(_rand((2, 3), 41), requires_grad=True)
     h0 = Tensor(_rand((2, 4), 42), requires_grad=True)
-    check_gradients(lambda: (cell(x, h0) ** 2).sum(),
+
+    def step():
+        if not fused:
+            return cell(x, h0)
+        return nn.fused_gru_sequence(
+            x.reshape(2, 1, 3), h0, cell.w_x, cell.w_h, cell.bias,
+            cell.w_xc, cell.w_hc, cell.bias_c)[1]
+
+    check_gradients(lambda: (step() ** 2).sum(),
                     [x, h0] + cell.parameters(), atol=1e-4)
 
 
@@ -194,16 +215,21 @@ def test_split_gradcheck():
 
 
 def test_fused_lstm_cell_gradcheck_float32():
-    """float32 needs a larger step and looser tolerance: the finite
+    """The fused LSTM kernel (``fused_lstm_sequence``) in float32.
+
+    float32 needs a larger step and looser tolerance: the finite
     difference itself only carries ~3 significant digits."""
     with nn.default_dtype(np.float32):
         rng = np.random.default_rng(46)
-        cell = nn.LSTMCell(3, 4, rng, fused=True)
-        x = Tensor(_rand((2, 3), 47), requires_grad=True, dtype=np.float32)
+        cell = nn.LSTMCell(3, 4, rng)
+        x = Tensor(_rand((2, 3, 3), 47), requires_grad=True,
+                   dtype=np.float32)
 
         def fn():
-            h, c = cell(x, cell.initial_state(2))
-            return ((h * h).sum() + (c * c).sum()).astype(np.float64)
+            h_seq, h_t, c_t = nn.fused_lstm_sequence(
+                x, *cell.initial_state(2), cell.w_x, cell.w_h, cell.bias)
+            return ((h_seq * h_seq).sum() + (c_t * c_t).sum()
+                    ).astype(np.float64)
 
         check_gradients(fn, [x, cell.w_x, cell.w_h, cell.bias],
                         eps=1e-2, atol=1e-1, rtol=1e-2)

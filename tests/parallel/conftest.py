@@ -39,7 +39,7 @@ def fresh_split_cache():
 def two_blas_threads(monkeypatch):
     """A parent running two BLAS threads and no operator thread variable.
 
-    Forcing two threads makes a pool worker's one thread a real change
+    Forcing two threads makes a grid worker's one thread a real change
     on any host, including a one-CPU one.
     """
     from repro.blas import _BLAS_THREAD_VARS, _set_threads, blas_threads

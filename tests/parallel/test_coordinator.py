@@ -3,18 +3,18 @@
 The protocol tests drive a live Coordinator through CoordinatorClient
 calls from the test process (a "worker" that is just the test), so
 lease/heartbeat/re-queue/idempotency semantics are exercised without
-process-spawn latency.  The drills at the bottom use real spawned
+process-start latency.  The drills at the bottom use real forked
 workers, including a SIGKILL mid-cell.
 """
 
 import math
 import os
 import signal
-import socket
 import time
 
 import pytest
 
+from repro.blas import blas_threads
 from repro.parallel import (
     Coordinator,
     CoordinatorClient,
@@ -23,7 +23,7 @@ from repro.parallel import (
     run_worker,
     spawn_local_workers,
 )
-from repro.blas import _BLAS_THREAD_VARS
+from repro.parallel import worker as worker_mod
 from repro.parallel.worker import execute_task
 
 
@@ -239,7 +239,7 @@ def test_coordinated_executor_bit_identical_and_resumable(make_spec,
                                                           tmp_path):
     specs = [make_spec(seed=s) for s in (0, 1, 2)]
     sequential = GridExecutor(workers=1).run(specs)
-    coordinated = GridExecutor(workers=2, coordinate=True,
+    coordinated = GridExecutor(workers=2,
                                cache=str(tmp_path / "cache")).run(specs)
     for a, b in zip(sequential, coordinated):
         assert a.ok and b.ok
@@ -254,7 +254,7 @@ def test_coordinated_executor_bit_identical_and_resumable(make_spec,
 
 def test_coordinated_executor_records_structured_failures(make_spec):
     specs = [make_spec(seed=0), make_spec(seed=1, failpoint="raise")]
-    results = GridExecutor(workers=2, coordinate=True, retries=0).run(specs)
+    results = GridExecutor(workers=2, retries=0).run(specs)
     assert results[0].ok
     assert not results[1].ok
     assert results[1].error["type"] == "RuntimeError"
@@ -262,48 +262,25 @@ def test_coordinated_executor_records_structured_failures(make_spec):
     assert results[1].attempts == 1
 
 
-def _wait_for_exec(pid, timeout=10.0):
-    """Block until ``pid`` has exec'd its own program.
-
-    The spawn launcher returns right after the fork; until the child
-    execs, ``/proc/<pid>/environ`` still shows the parent's original
-    environment block.  The exec replaces ``/proc/<pid>/cmdline``.
-    """
-    with open("/proc/self/cmdline", "rb") as fh:
-        parent = fh.read()
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        with open(f"/proc/{pid}/cmdline", "rb") as fh:
-            if fh.read() != parent:
-                return
-        time.sleep(0.005)
-    pytest.fail(f"worker {pid} did not exec within {timeout} s")
+def _report_blas_threads(spec, attempt, checkpoint_dir):
+    return {"metrics": {"blas_threads": blas_threads()}, "seconds": 0.0}
 
 
-def test_local_worker_start_leaves_parent_environ_unchanged(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")  # the operator's choice
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+def test_local_worker_start_leaves_parent_environ_unchanged(
+        make_spec, two_blas_threads, monkeypatch):
+    # Forked local workers inherit the patched cell function.
+    monkeypatch.setattr(worker_mod, "execute_task", _report_blas_threads)
+    specs = [make_spec(seed=s) for s in (0, 1)]
     before = dict(os.environ)
-    procs = []
-    # Bound but never listening: the worker's connects are refused, so
-    # it keeps retrying until terminated.
-    with socket.socket() as refused:
-        refused.bind(("127.0.0.1", 0))
-        try:
-            procs = spawn_local_workers(refused.getsockname(), 1)
-            assert dict(os.environ) == before
-            _wait_for_exec(procs[0].pid)
-            with open(f"/proc/{procs[0].pid}/environ", "rb") as fh:
-                worker_env = dict(entry.decode().split("=", 1)
-                                  for entry in fh.read().split(b"\0")
-                                  if entry)
-        finally:
-            for proc in procs:
-                proc.terminate()
-                proc.join(timeout=5)
-    assert not procs[0].is_alive()
+    pinned = GridExecutor(workers=2).run(specs)
     assert dict(os.environ) == before
-    assert {name: worker_env.get(name) for name in _BLAS_THREAD_VARS} == {
-        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
-        "MKL_NUM_THREADS": "1"}
+    assert [r.metrics for r in pinned] == [{"blas_threads": 1}] * 2
+
+    # A thread variable the operator set wins: the worker skips the pin
+    # and keeps the BLAS threads the parent started with.
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    before = dict(os.environ)
+    chosen = GridExecutor(workers=2).run(specs)
+    assert dict(os.environ) == before
+    assert [r.metrics for r in chosen] == [{"blas_threads": 2}] * 2
+    assert blas_threads() == 2  # the parent keeps its pool

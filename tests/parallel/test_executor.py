@@ -1,14 +1,22 @@
 """GridExecutor: determinism, caching, retries, fault isolation."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from repro.blas import blas_threads
-from repro.parallel import GridExecutor, RunCache, SweepError, task_key
+from repro.parallel import (
+    DEFAULT_LEASE_TTL,
+    GridExecutor,
+    RunCache,
+    SweepError,
+    task_key,
+)
 from repro.parallel import executor as executor_mod
 from repro.parallel import format_timing_summary
+from repro.parallel import worker as worker_mod
 
 
 def assert_metrics_identical(a, b):
@@ -45,8 +53,8 @@ def _report_blas_threads(spec, attempt, checkpoint_dir):
 
 def test_pool_workers_run_one_blas_thread(make_spec, two_blas_threads,
                                           monkeypatch):
-    # Forked workers inherit the patched cell function.
-    monkeypatch.setattr(executor_mod, "execute_task", _report_blas_threads)
+    # Forked local workers inherit the patched cell function.
+    monkeypatch.setattr(worker_mod, "execute_task", _report_blas_threads)
     results = GridExecutor(workers=2).run(
         [make_spec(seed=s) for s in range(4)])
     assert [r.metrics for r in results] == [{"blas_threads": 1}] * 4
@@ -59,18 +67,26 @@ def _gemm(seed):
     return blas_threads(), a @ b
 
 
-def test_one_thread_gemm_is_bit_identical_to_parent(two_blas_threads):
+def _gemm_cell(spec, attempt, checkpoint_dir):
+    threads, product = _gemm(7)
+    return {"metrics": {"blas_threads": threads,
+                        "sha256": hashlib.sha256(product.tobytes())
+                        .hexdigest()},
+            "seconds": 0.0}
+
+
+def test_one_thread_gemm_is_bit_identical_to_parent(make_spec,
+                                                    two_blas_threads,
+                                                    monkeypatch):
     # 512^3 is far past the size at which OpenBLAS splits a GEMM over
     # its threads, so the parent's product is computed by two.
     threads, parent = _gemm(7)
     assert threads == 2
-    pool = executor_mod._process_pool(1)
-    try:
-        threads, worker = pool.submit(_gemm, 7).result(timeout=60)
-    finally:
-        pool.shutdown(wait=True)
-    assert threads == 1
-    assert worker.tobytes() == parent.tobytes()
+    monkeypatch.setattr(worker_mod, "execute_task", _gemm_cell)
+    [worker] = GridExecutor(workers=2).run([make_spec()])
+    assert worker.metrics == {
+        "blas_threads": 1,
+        "sha256": hashlib.sha256(parent.tobytes()).hexdigest()}
 
 
 def test_cache_skips_recompute(make_spec, tmp_path, monkeypatch):
@@ -137,15 +153,22 @@ def test_pool_failures_recorded_without_aborting(make_spec):
 
 
 def test_crash_is_quarantined_without_charging_victims(make_spec):
-    """A worker dying outright must not burn innocent cells' retries."""
+    """A worker dying outright must not burn innocent cells' retries,
+    and its cell must not wait out a lease before it re-queues."""
     specs = [make_spec(seed=0), make_spec(seed=1, failpoint="crash"),
              make_spec(seed=2)]
-    results = GridExecutor(workers=2, retries=1).run(specs)
+    executor = GridExecutor(workers=2, retries=1)
+    results = executor.run(specs)
     crashed = results[1]
-    assert not crashed.ok and crashed.attempts == 2
-    assert crashed.error["type"] == "BrokenProcessPool"
+    assert not crashed.ok
+    assert crashed.error["type"] == "LeaseExpired"
+    assert "presumed to crash" in crashed.error["message"]
     for victim in (results[0], results[2]):
         assert victim.ok and victim.attempts == 1
+    # The crash cell kills four workers before its quarantine; waiting
+    # out even one of their leases would take the whole default ttl.
+    assert executor.lease_ttl == DEFAULT_LEASE_TTL
+    assert executor.last_wall_seconds < DEFAULT_LEASE_TTL
 
 
 def test_sweep_error_message(make_spec):
@@ -160,6 +183,8 @@ def test_executor_validates_arguments():
         GridExecutor(workers=0)
     with pytest.raises(ValueError):
         GridExecutor(retries=-1)
+    with pytest.raises(TypeError):
+        GridExecutor(workers=2, coordinate=True)
 
 
 def test_timing_summary_reports_all_outcomes(make_spec, tmp_path):

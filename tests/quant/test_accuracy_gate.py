@@ -1,6 +1,6 @@
 """The quantization accuracy gate: AUC delta vs full precision.
 
-Policy (DESIGN.md §14): a quantized archive may not move AUC-ROC on the
+Policy (DESIGN.md §13): a quantized archive may not move AUC-ROC on the
 seeded benchmark split by more than 0.002 (0.2 in this repository's
 percent convention) relative to the full-precision model it was derived
 from.  This test IS the gate — a quantization change that degrades

@@ -1,10 +1,11 @@
-"""The one BLAS thread policy: the forked-worker initializer.
+"""The one BLAS thread policy: the forked-worker pin.
 
-The spawn path (``spawn_env``) is covered where workers start:
-``tests/serve/test_cluster.py`` and ``tests/parallel/test_coordinator.py``
-read a started worker's environment; ``tests/parallel/test_executor.py``
-asks pool workers for their thread count and compares their GEMMs with
-the parent's.
+Both start paths are also covered where workers start: the spawn path
+(``spawn_env``) in ``tests/serve/test_cluster.py``, which reads a
+started worker's environment; the fork path in
+``tests/parallel/test_executor.py`` and
+``tests/parallel/test_coordinator.py``, which ask forked grid workers
+for their thread count and compare their GEMMs with the parent's.
 """
 
 import pytest
