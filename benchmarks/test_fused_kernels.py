@@ -1,8 +1,8 @@
 """Microbenchmark: fused recurrent kernels vs the composed-op reference.
 
 Times one forward+backward at the acceptance-criterion shape
-(batch=64, time=32, hidden=128) for both LSTM paths, plus the GRU and
-the embedding-cache speedup.  Marked ``smoke`` so CI can run it without
+(batch=64, time=32, hidden=128) for both LSTM paths, plus the
+embedding-cache speedup.  Marked ``smoke`` so CI can run it without
 the full table regenerations.
 
 Measured speedups are host-dependent: the fused path is ~80% BLAS GEMM,
@@ -67,20 +67,6 @@ def test_fused_lstm_speedup(report):
     assert speedup >= 1.5, (
         f"fused LSTM regressed: expected >= 1.5x over the composed-op "
         f"path (1.9-2.2x measured), got {speedup:.2f}x")
-
-
-@pytest.mark.smoke
-def test_fused_gru_speedup(report):
-    xs = np.random.default_rng(2).normal(size=(BATCH, TIME, HIDDEN))
-    t_ref, t_fused = _time_pair(
-        nn.GRU(HIDDEN, HIDDEN, np.random.default_rng(3), fused=False),
-        nn.GRU(HIDDEN, HIDDEN, np.random.default_rng(3), fused=True), xs)
-    report(f"Fused GRU  fwd+bwd (same shape):")
-    report(f"  reference {t_ref * 1e3:7.1f} ms")
-    report(f"  fused     {t_fused * 1e3:7.1f} ms  ({t_ref / t_fused:.2f}x)")
-    # GRU shares the kernel design and measures 1.9-2.0x.
-    assert t_ref / t_fused >= 1.5, (
-        f"fused GRU regressed: got {t_ref / t_fused:.2f}x")
 
 
 @pytest.mark.smoke

@@ -44,15 +44,9 @@ class CLFDConfig:
     embedding_dim: int = 50
     hidden_size: int = 50
     lstm_layers: int = 2
-    # Encoder variants beyond the paper's LSTM+mean configuration.
-    encoder_cell: str = "lstm"      # "lstm" | "gru" | "bilstm"
-    pooling: str = "mean"           # "mean" | "attention"
 
-    # Numerics: floating dtype for model parameters and activations, and
-    # whether the recurrent layers use the fused sequence kernels
-    # (``repro.nn.fused``) or the composed-op reference path.
+    # Numerics: floating dtype for model parameters and activations.
     compute_dtype: str = "float64"  # "float32" | "float64"
-    fused_rnn: bool = True
     # Debugging: run every training batch under ``nn.detect_anomaly()``,
     # so the first NaN/inf raises an AnomalyError naming the op and its
     # creation site (and lands in the journal) instead of silently
@@ -97,17 +91,14 @@ class CLFDConfig:
     # ``meta["config"]`` (:meth:`from_dict` drops them), and RunCache
     # keys hashed them (``task_key`` hashes them back in).
     RETIRED_FIELDS: ClassVar[Mapping[str, object]] = types.MappingProxyType(
-        {"compile": False})
+        {"compile": False, "encoder_cell": "lstm", "pooling": "mean",
+         "fused_rnn": True})
 
     def __post_init__(self):
         if self.word2vec is None:
             self.word2vec = Word2VecConfig(dim=self.embedding_dim)
         if self.word2vec.dim != self.embedding_dim:
             raise ValueError("word2vec.dim must equal embedding_dim")
-        if self.encoder_cell not in ("lstm", "gru", "bilstm"):
-            raise ValueError("encoder_cell must be lstm, gru or bilstm")
-        if self.pooling not in ("mean", "attention"):
-            raise ValueError("pooling must be mean or attention")
         if self.compute_dtype not in ("float32", "float64"):
             raise ValueError("compute_dtype must be float32 or float64")
         if self.classifier_loss not in _CLASSIFIER_LOSSES:
@@ -129,7 +120,18 @@ class CLFDConfig:
     @classmethod
     def from_dict(cls, data: Mapping) -> "CLFDConfig":
         """Rebuild a config from its ``dataclasses.asdict`` form (an
-        archive's ``meta["config"]``), ignoring retired fields."""
+        archive's ``meta["config"]``), ignoring retired fields.
+
+        Raises ``ValueError`` when the config names an encoder cell or
+        pooling other than the one encoder this package builds.
+        """
+        for key in ("encoder_cell", "pooling"):
+            kept = cls.RETIRED_FIELDS[key]
+            value = data.get(key, kept)
+            if value != kept:
+                raise ValueError(
+                    f"archive config has {key}={value!r}; that encoder "
+                    f"variant was removed, only {key}={kept!r} loads")
         fields = {key: value for key, value in data.items()
                   if key not in cls.RETIRED_FIELDS}
         fields["word2vec"] = Word2VecConfig(**fields["word2vec"])

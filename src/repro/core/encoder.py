@@ -3,11 +3,10 @@ the one NumPy forward every inference path scores with.
 
 :class:`SessionEncoder` and :class:`SoftmaxClassifier` are the trained
 modules.  :class:`InferenceForward` scores with their weights without
-building a Tensor: embedding lookup → recurrent stack
-(:func:`~repro.nn.fused.lstm_recurrence` /
-:func:`~repro.nn.fused.gru_recurrence`) → mean or attention pooling →
-FCNN head or centroid proximity.  The float modules and the quantized
-runtime (:mod:`repro.quant.runtime`) build the same class; only their
+building a Tensor: embedding lookup → LSTM stack
+(:func:`~repro.nn.fused.lstm_recurrence`) → mean pooling → FCNN head or
+centroid proximity.  The float modules and the quantized runtime
+(:mod:`repro.quant.runtime`) build the same class; only their
 projections differ.  Its buffers live in a :class:`Workspace` that a
 caller allocates once and reuses batch after batch (DESIGN.md §8).
 """
@@ -20,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .. import nn
-from ..nn.fused import gru_recurrence, head_forward, live_rows, lstm_recurrence
+from ..nn.fused import head_forward, live_rows, lstm_recurrence
 
 __all__ = ["SessionEncoder", "SoftmaxClassifier", "RecurrentLayer",
            "InferenceForward", "Workspace", "centroid_scores"]
@@ -30,56 +29,27 @@ class SessionEncoder(nn.Module):
     """Recurrent session encoder (§III-B1).
 
     Maps embedded sessions ``(batch, time, embedding_dim)`` to encoded
-    representations ``(batch, output_dim)``.  The paper's configuration
-    is an LSTM with mean pooling over the valid time steps; GRU and
-    bidirectional-LSTM cells and learned attention pooling are provided
-    as drop-in variants (``cell`` / ``pooling``).
+    representations ``(batch, hidden_size)``: the paper's LSTM, run
+    through the fused sequence kernel, with mean pooling over the valid
+    time steps.
     """
 
-    _CELLS = ("lstm", "gru", "bilstm")
-    _POOLINGS = ("mean", "attention")
-
     def __init__(self, embedding_dim: int, hidden_size: int,
-                 rng: np.random.Generator, num_layers: int = 2,
-                 cell: str = "lstm", pooling: str = "mean",
-                 fused: bool = True):
+                 rng: np.random.Generator, num_layers: int = 2):
         super().__init__()
-        if cell not in self._CELLS:
-            raise ValueError(f"cell must be one of {self._CELLS}")
-        if pooling not in self._POOLINGS:
-            raise ValueError(f"pooling must be one of {self._POOLINGS}")
-        self.cell = cell
-        self.pooling = pooling
         # Parameters are allocated in the default dtype active at
         # construction time; forward casts inputs to match.
         self._dtype = nn.get_default_dtype()
-        if cell == "lstm":
-            self.rnn = nn.LSTM(embedding_dim, hidden_size, rng,
-                               num_layers=num_layers, fused=fused)
-            self.output_dim = hidden_size
-        elif cell == "gru":
-            self.rnn = nn.GRU(embedding_dim, hidden_size, rng,
-                              num_layers=num_layers, fused=fused)
-            self.output_dim = hidden_size
-        else:
-            self.rnn = nn.BiLSTM(embedding_dim, hidden_size, rng,
-                                 num_layers=num_layers, fused=fused)
-            self.output_dim = 2 * hidden_size
-        self.hidden_size = hidden_size
-        self.attention = (nn.AttentionPooling(self.output_dim, rng)
-                          if pooling == "attention" else None)
+        self.rnn = nn.LSTM(embedding_dim, hidden_size, rng,
+                           num_layers=num_layers)
+        self.output_dim = hidden_size
 
     def forward(self, x, lengths: np.ndarray | None = None) -> nn.Tensor:
         if not isinstance(x, nn.Tensor):
             x = nn.Tensor(x, dtype=self._dtype)
         elif x.data.dtype != self._dtype:
             x = x.astype(self._dtype)
-        if self.attention is None:
-            return self.rnn.mean_pool(x, lengths)
-        outputs = self.rnn(x)
-        if isinstance(outputs, tuple):  # LSTM/GRU return (outputs, state)
-            outputs = outputs[0]
-        return self.attention(outputs, lengths)
+        return self.rnn.mean_pool(x, lengths)
 
     @property
     def dtype(self):
@@ -89,12 +59,8 @@ class SessionEncoder(nn.Module):
     def inference_forward(self, **kwargs) -> "InferenceForward":
         """This encoder's weights as an :class:`InferenceForward`;
         ``kwargs`` add the embedding table, head and batching."""
-        attention = None
-        if self.attention is not None:
-            proj = self.attention.proj.data
-            attention = (lambda x: x @ proj, self.attention.query.data)
-        return InferenceForward(recurrent_stacks(self.rnn), dtype=self._dtype,
-                                attention=attention, **kwargs)
+        return InferenceForward(recurrent_layers(self.rnn), dtype=self._dtype,
+                                **kwargs)
 
     def encode_numpy(self, x: np.ndarray,
                      lengths: np.ndarray | None = None) -> np.ndarray:
@@ -167,33 +133,21 @@ def _dot_affine(weight: np.ndarray, bias: np.ndarray) -> Callable:
 
 @dataclasses.dataclass(frozen=True)
 class RecurrentLayer:
-    """One recurrent layer's inference weights.
+    """One LSTM layer's inference weights.
 
     ``project(x, out=...)`` writes the input projection ``x @ W_x + b``
     of a ``(rows, features)`` array into ``out``; ``w_h`` is the recurrent
-    matrix.  A GRU layer adds its candidate projection ``project_c`` and
-    recurrent matrix ``w_hc``; an LSTM layer leaves them ``None``.
+    matrix.
     """
 
     project: Callable[[np.ndarray, np.ndarray], np.ndarray]
     w_h: np.ndarray
-    project_c: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    w_hc: np.ndarray | None = None
 
 
-def recurrent_stacks(rnn) -> list[list[RecurrentLayer]]:
-    """The float layers of an ``nn.LSTM`` / ``nn.GRU`` (one stack) or an
-    ``nn.BiLSTM`` (forward stack, then the reversed-time stack)."""
-    if isinstance(rnn, nn.BiLSTM):
-        return (recurrent_stacks(rnn.forward_lstm)
-                + recurrent_stacks(rnn.backward_lstm))
-    if isinstance(rnn, nn.GRU):
-        return [[RecurrentLayer(_dot_affine(c.w_x.data, c.bias.data),
-                                c.w_h.data,
-                                _dot_affine(c.w_xc.data, c.bias_c.data),
-                                c.w_hc.data) for c in rnn.cells]]
-    return [[RecurrentLayer(_dot_affine(c.w_x.data, c.bias.data), c.w_h.data)
-             for c in rnn.cells]]
+def recurrent_layers(lstm: nn.LSTM) -> list[RecurrentLayer]:
+    """The float layers of an ``nn.LSTM``."""
+    return [RecurrentLayer(_dot_affine(c.w_x.data, c.bias.data), c.w_h.data)
+            for c in lstm.cells]
 
 
 def centroid_scores(features: np.ndarray, centroids: np.ndarray
@@ -209,71 +163,29 @@ def centroid_scores(features: np.ndarray, centroids: np.ndarray
     return dists.argmin(axis=1), 1.0 / (1.0 + np.exp(-gap))
 
 
-class _StackBuffers:
-    """One recurrent stack's buffers over a ``(rows, time)`` grid.
-
-    Its layers share them: a layer's projection consumes the previous
-    layer's states before its own recurrence overwrites them.  Slot 0 of
-    the state buffers is the all-zero initial state and is never written.
-    """
-
-    def __init__(self, layers: list[RecurrentLayer], rows: int, time: int,
-                 dtype):
-        hidden = layers[0].w_h.shape[0]
-        self.gru = layers[0].w_hc is not None
-        width = (2 if self.gru else 4) * hidden
-        self.proj2d = np.empty((time * rows, width), dtype)
-        self.proj = self.proj2d.reshape(time, rows, width)
-        self.gates = np.empty((time, rows, width), dtype)
-        self.h_all = np.zeros((time + 1, rows, hidden), dtype)
-        self.scratch = np.empty((rows, hidden), dtype)
-        if self.gru:
-            self.cand2d = np.empty((time * rows, hidden), dtype)
-            self.cand = np.empty((time, rows, hidden), dtype)
-        else:
-            self.c_all = np.zeros((time + 1, rows, hidden), dtype)
-            self.tanh_c = np.empty((time, rows, hidden), dtype)
-
-    def run(self, layers: list[RecurrentLayer], x2d: np.ndarray,
-            live) -> np.ndarray:
-        """Run the stack over ``x2d`` (time-major rows); returns the top
-        layer's ``(time, rows, hidden)`` states."""
-        time = self.gates.shape[0]
-        for layer in layers:
-            layer.project(x2d, out=self.proj2d)
-            if self.gru:
-                layer.project_c(x2d, out=self.cand2d)
-                gru_recurrence(self.proj,
-                               self.cand2d.reshape(self.cand.shape),
-                               layer.w_h, layer.w_hc, self.h_all,
-                               self.gates, self.cand, self.scratch,
-                               live=live)
-            else:
-                lstm_recurrence(self.proj, layer.w_h, self.h_all,
-                                self.c_all, self.gates, self.tanh_c,
-                                self.scratch, h0_zero=True, live=live)
-            x2d = self.h_all[1:].reshape(time * self.h_all.shape[1], -1)
-        return self.h_all[1:]
-
-
 class _Grid:
-    """Every buffer one encoder forward over ``rows`` sessions writes."""
+    """Every buffer one encoder forward over ``rows`` sessions writes.
+
+    The stack's layers share the state buffers: a layer's projection
+    consumes the previous layer's states before its own recurrence
+    overwrites them.  Slot 0 of the state buffers is the all-zero
+    initial state and is never written.
+    """
 
     def __init__(self, forward: "InferenceForward", rows: int, time: int,
                  input_dim: int):
-        dtype = forward.dtype
+        dtype, hidden = forward.dtype, forward.output_dim
         self.emb = np.empty((time, rows, input_dim), dtype)
-        self.stacks = [_StackBuffers(layers, rows, time, dtype)
-                       for layers in forward.stacks]
-        if forward.bidirectional:
-            self.emb_rev = np.empty_like(self.emb)
-        if forward.attention is None:
-            self.mask = np.empty((time, rows), dtype)
-            self.masked = np.empty((time, rows, forward.output_dim), dtype)
-            self.pooled = np.empty((rows, forward.output_dim), dtype)
-        else:
-            # Batch-major, the layout AttentionPooling reads.
-            self.outputs = np.empty((rows, time, forward.output_dim), dtype)
+        self.proj2d = np.empty((time * rows, 4 * hidden), dtype)
+        self.proj = self.proj2d.reshape(time, rows, 4 * hidden)
+        self.gates = np.empty((time, rows, 4 * hidden), dtype)
+        self.h_all = np.zeros((time + 1, rows, hidden), dtype)
+        self.c_all = np.zeros((time + 1, rows, hidden), dtype)
+        self.tanh_c = np.empty((time, rows, hidden), dtype)
+        self.scratch = np.empty((rows, hidden), dtype)
+        self.mask = np.empty((time, rows), dtype)
+        self.masked = np.empty((time, rows, hidden), dtype)
+        self.pooled = np.empty((rows, hidden), dtype)
 
 
 class Workspace:
@@ -315,48 +227,33 @@ class Workspace:
 class InferenceForward:
     """The Tensor-free inference forward of an encoder and its head.
 
-    ``stacks`` are the recurrent layers (two stacks for a BiLSTM: the
-    forward one, then the one over reversed time), ``attention`` an
-    optional ``(project, query)`` pair for attention pooling (mean
-    pooling otherwise), ``head`` an optional ``(fc1, fc2, dtype)``
-    triple for :func:`~repro.nn.fused.head_forward`; ``centroid=True``
-    classifies by proximity to ``centroids`` instead.  ``table`` (the
-    embedding rows in the compute dtype), ``max_len`` and
-    ``batch_size`` are what scoring activity ids needs.
+    ``layers`` are the LSTM stack's :class:`RecurrentLayer` list,
+    ``head`` an optional ``(fc1, fc2, dtype)`` triple for
+    :func:`~repro.nn.fused.head_forward`; ``centroid=True`` classifies
+    by proximity to ``centroids`` instead.  ``table`` (the embedding
+    rows in the compute dtype), ``max_len`` and ``batch_size`` are what
+    scoring activity ids needs.
 
     Every expression repeats the Tensor forward's (DESIGN.md §7): mean
-    pooling multiplies by ``max(length, 1) ** -1``, attention adds its
-    float64 ``-1e9`` padding bias and divides by multiplying with the
-    power ``-1``, so the scores are bit-identical to ``SessionEncoder``
-    / ``SoftmaxClassifier`` at float32 and float64.  LSTM and GRU stacks
-    under mean pooling skip dead cells; a BiLSTM's reversed pass reads
-    padding first and attention sees every step, so those run the full
-    grid.
+    pooling multiplies by ``max(length, 1) ** -1``, so the scores are
+    bit-identical to ``SessionEncoder`` / ``SoftmaxClassifier`` at
+    float32 and float64.  Given lengths, the stack skips dead cells.
     """
 
-    def __init__(self, stacks: list[list[RecurrentLayer]], *, dtype,
-                 attention: tuple | None = None, head: tuple | None = None,
+    def __init__(self, layers: list[RecurrentLayer], *, dtype,
+                 head: tuple | None = None,
                  centroids: np.ndarray | None = None, centroid: bool = False,
                  table: np.ndarray | None = None, max_len: int | None = None,
                  batch_size: int | None = None):
-        self.stacks = stacks
+        self.layers = layers
         self.dtype = np.dtype(dtype)
-        self.attention = attention
         self.head = head
         self.centroid = centroid
         self.centroids = centroids
         self.table = table
         self.max_len = max_len
         self.batch_size = batch_size
-        self.bidirectional = len(stacks) == 2
-        self.output_dim = len(stacks) * stacks[0][0].w_h.shape[0]
-
-    @property
-    def feature_dtype(self) -> np.dtype:
-        """Encoded sessions' dtype: attention's padding bias is float64."""
-        if self.attention is None:
-            return self.dtype
-        return np.result_type(self.dtype, np.float64)
+        self.output_dim = layers[0].w_h.shape[0]
 
     def workspace(self, rows: int, pad_id: int = 0) -> Workspace:
         """Buffers for scoring ``rows`` id sequences at a time."""
@@ -376,7 +273,7 @@ class InferenceForward:
         if out is None and 0 < rows <= self.batch_size:
             return self._encode_rows(ws, 0, rows)
         if out is None:
-            out = np.empty((rows, self.output_dim), self.feature_dtype)
+            out = np.empty((rows, self.output_dim), self.dtype)
         for start in range(0, rows, self.batch_size):
             stop = min(start + self.batch_size, rows)
             out[start:stop] = self._encode_rows(ws, start, stop)
@@ -408,26 +305,28 @@ class InferenceForward:
         ws = self.workspace(len(dataset), dataset.vocab.pad_id)
         ws.load(session.activities for session in dataset)
         return self.encode(ws, np.empty((len(dataset), self.output_dim),
-                                        self.feature_dtype))
+                                        self.dtype))
 
     def _encode_grid(self, grid: _Grid, lengths) -> np.ndarray:
-        time, rows, features = grid.emb.shape
         live = None
-        if lengths is not None and not (self.bidirectional
-                                        or self.attention is not None):
-            live = live_rows(lengths, time)
-        outputs = [grid.stacks[0].run(
-            self.stacks[0], grid.emb.reshape(time * rows, features), live)]
-        if self.bidirectional:
-            np.copyto(grid.emb_rev, grid.emb[::-1])
-            outputs.append(grid.stacks[1].run(
-                self.stacks[1], grid.emb_rev.reshape(time * rows, features),
-                None)[::-1])
-        if self.attention is None:
-            return self._mean_pool(grid, outputs, lengths)
-        return self._attention_pool(grid, outputs, lengths)
+        if lengths is not None:
+            live = live_rows(lengths, grid.emb.shape[0])
+        return self._mean_pool(grid, self._states(grid, live), lengths)
 
-    def _mean_pool(self, grid: _Grid, outputs, lengths) -> np.ndarray:
+    def _states(self, grid: _Grid, live) -> np.ndarray:
+        """Run the stack over ``grid.emb``; returns the top layer's
+        ``(time, rows, hidden)`` states."""
+        time, rows, features = grid.emb.shape
+        x2d = grid.emb.reshape(time * rows, features)
+        for layer in self.layers:
+            layer.project(x2d, out=grid.proj2d)
+            lstm_recurrence(grid.proj, layer.w_h, grid.h_all, grid.c_all,
+                            grid.gates, grid.tanh_c, grid.scratch,
+                            h0_zero=True, live=live)
+            x2d = grid.h_all[1:].reshape(time * rows, -1)
+        return grid.h_all[1:]
+
+    def _mean_pool(self, grid: _Grid, states, lengths) -> np.ndarray:
         """Masked mean over time (``LSTM.mean_pool``), time-major."""
         time = grid.mask.shape[0]
         if lengths is None:
@@ -436,37 +335,13 @@ class InferenceForward:
             lengths = np.asarray(lengths, dtype=self.dtype)
             np.less(np.arange(time)[:, None], lengths[None, :],
                     out=grid.mask)
-        col = 0
-        for states in outputs:
-            width = states.shape[2]
-            np.multiply(states, grid.mask[:, :, None],
-                        out=grid.masked[:, :, col:col + width])
-            col += width
+        np.multiply(states, grid.mask[:, :, None], out=grid.masked)
         pooled = np.add.reduce(grid.masked, axis=0, out=grid.pooled)
         if lengths is None:
             pooled *= 1.0 / time
         else:
             pooled *= np.maximum(lengths, 1.0)[:, None] ** -1.0
         return pooled
-
-    def _attention_pool(self, grid: _Grid, outputs, lengths) -> np.ndarray:
-        """Additive attention pooling (``AttentionPooling.forward``)."""
-        seq = grid.outputs
-        batch, time, _ = seq.shape
-        col = 0
-        for states in outputs:
-            width = states.shape[2]
-            np.copyto(seq[:, :, col:col + width], states.transpose(1, 0, 2))
-            col += width
-        project, query = self.attention
-        scores = np.tanh(project(seq)) @ query
-        if lengths is not None:
-            scores = scores + np.where(
-                np.arange(time)[None, :] < lengths[:, None], 0.0, -1e9)
-        shifted = scores + scores.max(axis=1, keepdims=True) * -1.0
-        weights = np.exp(shifted)
-        weights = weights * weights.sum(axis=1, keepdims=True) ** -1.0
-        return (seq * weights.reshape(batch, time, 1)).sum(axis=1)
 
     # ------------------------------------------------------------------
     # Classification

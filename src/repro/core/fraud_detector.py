@@ -39,10 +39,7 @@ class FraudDetector:
         with nn.default_dtype(config.compute_dtype):
             self.encoder = SessionEncoder(config.embedding_dim,
                                           config.hidden_size,
-                                          rng, num_layers=config.lstm_layers,
-                                          cell=config.encoder_cell,
-                                          pooling=config.pooling,
-                                          fused=config.fused_rnn)
+                                          rng, num_layers=config.lstm_layers)
             self.classifier = SoftmaxClassifier(self.encoder.output_dim, rng)
         self.supcon_loss_history: list[float] = []
         self.classifier_loss_history: list[float] = []

@@ -32,13 +32,7 @@ from .layers import (
     Sequential,
     Tanh,
 )
-from .bilstm import AttentionPooling, BiLSTM
-from .fused import (
-    fused_gru_sequence,
-    fused_head_loss,
-    fused_lstm_sequence,
-)
-from .gru import GRU, GRUCell
+from .fused import fused_head_loss, fused_lstm_sequence
 from .lstm import LSTM, LSTMCell
 from .module import LoadReport, Module, Parameter
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
@@ -70,13 +64,12 @@ __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "split", "chunk", "where",
     "maximum", "minimum", "no_grad", "is_grad_enabled",
     "set_default_dtype", "get_default_dtype", "default_dtype",
-    "fused_lstm_sequence", "fused_gru_sequence",
-    "fused_head_loss",
+    "fused_lstm_sequence", "fused_head_loss",
     "Profiler", "OpStats", "profile",
     "Module", "Parameter", "LoadReport",
     "Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",
     "LeakyReLU", "Tanh", "GELU",
-    "LSTM", "LSTMCell", "GRU", "GRUCell", "BiLSTM", "AttentionPooling",
+    "LSTM", "LSTMCell",
     "MultiHeadAttention", "TransformerEncoder", "TransformerEncoderLayer",
     "sinusoidal_positions",
     "softmax", "log_softmax", "cross_entropy", "nll_loss", "one_hot",

@@ -14,7 +14,7 @@ value counts, input statistics, and the creation traceback — so a NaN
 that would otherwise surface as a garbage loss three layers later is
 pinned to the exact op call that produced it.
 
-The fused LSTM/GRU kernels and every function in ``functional.py`` are
+The fused LSTM kernel and every function in ``functional.py`` are
 covered automatically: they all create nodes through ``Tensor._make``.
 
 Overhead when disabled is a single ``is not None`` check per node (the

@@ -521,27 +521,6 @@ def _build_fused_lstm_sequence(rng, dtype, extreme, size):
     return fn, [x, h0, c0, w_x, w_h, bias]
 
 
-@_register("fused_gru_sequence", covers=("fused_gru_sequence",),
-           smooth_trials=1, extreme_trials=1)
-def _build_fused_gru_sequence(rng, dtype, extreme, size):
-    from ...nn.fused import fused_gru_sequence
-    b, t, d, h = 2, size + 1, 2, 3
-    x = _t(rng, (b, t, d), dtype, extreme, max_mag=1e4)
-    h0 = _t(rng, (b, h), dtype, extreme, max_mag=1e4)
-    w_x = _t(rng, (d, 2 * h), dtype, extreme, scale=0.3, max_mag=10.0)
-    w_h = _t(rng, (h, 2 * h), dtype, extreme, scale=0.3, max_mag=10.0)
-    bias = _t(rng, (2 * h,), dtype, extreme, scale=0.3, max_mag=10.0)
-    w_xc = _t(rng, (d, h), dtype, extreme, scale=0.3, max_mag=10.0)
-    w_hc = _t(rng, (h, h), dtype, extreme, scale=0.3, max_mag=10.0)
-    bias_c = _t(rng, (h,), dtype, extreme, scale=0.3, max_mag=10.0)
-
-    def fn():
-        h_seq, h_t = fused_gru_sequence(x, h0, w_x, w_h, bias,
-                                        w_xc, w_hc, bias_c)
-        return _weighted_sum(h_seq) + _weighted_sum(h_t)
-    return fn, [x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c]
-
-
 def _build_fused_head(loss):
     """Trial builder for :func:`fused_head_loss` with ``loss``: frozen
     features (no grad), the four head parameters, and mixup-style soft

@@ -9,15 +9,14 @@ NumPy in one forward pass and register **one backward closure per
 output tensor**, writing parameter-gradient slices directly into the
 shared ``.grad`` buffers.
 
-``fused_lstm_sequence`` / ``fused_gru_sequence`` are whole-layer
-kernels: the entire time loop runs inside one forward and registers a
-**single** backward closure that walks the sequence in reverse,
-scatters gate pre-activation gradients into one ``(batch, time,
-gates)`` buffer, and computes every weight gradient with one batched
-GEMM over all timesteps instead of one small GEMM per step.  These are
-what the fused ``LSTM``/``GRU`` layers run; the composed-op cells
-(:class:`~repro.nn.lstm.LSTMCell`, :class:`~repro.nn.gru.GRUCell`)
-stay as their reference.
+``fused_lstm_sequence`` is a whole-layer kernel: the entire time loop
+runs inside one forward and registers a **single** backward closure
+that walks the sequence in reverse, scatters gate pre-activation
+gradients into one ``(batch, time, gates)`` buffer, and computes every
+weight gradient with one batched GEMM over all timesteps instead of one
+small GEMM per step.  It is what the fused ``LSTM`` layer runs; the
+composed-op cell (:class:`~repro.nn.lstm.LSTMCell`) stays as its
+reference.
 
 ``fused_head_loss`` does the same for the two-layer classifier head
 both CLFD stages train on frozen representations: Linear → LeakyReLU →
@@ -25,11 +24,11 @@ Linear → softmax → GCE or CCE in one node, whose NumPy expressions
 repeat the composed graph's operation for operation, so its loss and
 gradients are bit-identical to it (DESIGN.md §7).
 
-The sequence kernels' time loops are the plain-NumPy functions
-:func:`lstm_recurrence` and :func:`gru_recurrence`: they take the
-time-major input projection and write into buffers the caller owns.
-Training runs them with every row live; the inference forward
-(:class:`repro.core.encoder.InferenceForward`) runs them over a padded
+The sequence kernel's time loop is the plain-NumPy function
+:func:`lstm_recurrence`: it takes the time-major input projection and
+writes into buffers the caller owns.  Training runs it with every row
+live; the inference forward
+(:class:`repro.core.encoder.InferenceForward`) runs it over a padded
 batch with ``live`` (from :func:`live_rows`), stopping at the longest
 row and confining each step's elementwise work to the row prefix that
 still holds a live row.  Every GEMM keeps its full shape, so live cells
@@ -49,9 +48,7 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "live_rows",
     "lstm_recurrence",
-    "gru_recurrence",
     "fused_lstm_sequence",
-    "fused_gru_sequence",
     "fused_head_loss",
     "head_forward",
 ]
@@ -254,164 +251,6 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias):
 
     c_final = Tensor._make(c_all[-1].copy(), (h_seq,), backward_c_final)
     return h_seq, h_seq[:, -1, :], c_final
-
-
-# ----------------------------------------------------------------------
-# GRU
-# ----------------------------------------------------------------------
-def gru_recurrence(proj_g, proj_c, w_h, w_hc, h_all, gate_all, n_all,
-                   scratch, *, live=None) -> None:
-    """The GRU time loop over precomputed input projections, in NumPy.
-
-    ``proj_g`` is the time-major ``(T, B, 2*hidden)`` gate projection
-    ``x @ W_x + b`` and ``proj_c`` the ``(T, B, hidden)`` candidate
-    projection ``x @ W_xc + b_c``.  The caller owns every output
-    buffer: ``h_all`` is ``(T + 1, B, hidden)`` with the initial state
-    in slot 0, ``gate_all`` ``(T, B, 2*hidden)`` receives the reset and
-    update gates, ``n_all`` ``(T, B, hidden)`` the candidates, and
-    ``scratch`` is a ``(B, hidden)`` temporary.  ``live`` skips dead
-    cells exactly as in :func:`lstm_recurrence`.
-    """
-    batch, hs = scratch.shape
-    steps = len(proj_g) if live is None else len(live)
-    if live is not None:
-        h_all[1:] = 0.0
-    # Zeroed: the candidate GEMM reads every row, dead ones included.
-    scratch[...] = 0.0
-    h = h_all[0]
-    for t in range(steps):
-        rows = batch if live is None else live[t]
-        np.dot(h, w_h, out=gate_all[t])
-        gates = gate_all[t, :rows]
-        gates += proj_g[t, :rows]
-        _sigmoid_inplace(gates)                  # reset + update
-        r = gates[:, 0 * hs:1 * hs]
-        z = gates[:, 1 * hs:2 * hs]
-        s = scratch[:rows]
-        np.multiply(r, h[:rows], out=s)
-        np.dot(scratch, w_hc, out=n_all[t])
-        n, h_new = n_all[t, :rows], h_all[t + 1, :rows]
-        n += proj_c[t, :rows]
-        np.tanh(n, out=n)
-        np.multiply(z, h[:rows], out=h_new)
-        np.subtract(1.0, z, out=s)
-        np.multiply(s, n, out=s)
-        h_new += s
-        h = h_all[t + 1]
-
-
-def fused_gru_sequence(x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c):
-    """Run a whole GRU layer over time as one graph node.
-
-    ``x`` is the layer input ``(batch, time, features)``.  Both input
-    projections (``x @ W_x + b`` for the gates and ``x @ W_xc + b_c``
-    for the candidate) are computed as single GEMMs inside the kernel.
-    Returns ``(h_seq, h_T)``.  Like :func:`fused_lstm_sequence`, the
-    single backward closure fills per-sequence gradient buffers and
-    computes every weight gradient with batched GEMMs over all
-    timesteps.  The time loop is :func:`gru_recurrence`.
-    """
-    x, h0 = as_tensor(x), as_tensor(h0)
-    batch, time, feat = x.data.shape
-    hs = w_h.shape[0]
-    two_hs = 2 * hs
-    dtype = x.data.dtype
-    # Time-major (T, B, .) layout, as in fused_lstm_sequence: per-step
-    # slices are contiguous for the in-loop GEMMs and in-place ufuncs.
-    x_tb = np.empty((time, batch, feat), dtype=dtype)
-    flat = x_tb.reshape(time * batch, feat)
-    proj_g2d = np.empty((time * batch, two_hs), dtype=dtype)
-    proj_g = proj_g2d.reshape(time, batch, two_hs)
-    proj_c2d = np.empty((time * batch, hs), dtype=dtype)
-    proj_c = proj_c2d.reshape(time, batch, hs)
-    gate_all = np.empty((time, batch, two_hs), dtype=dtype)
-    n_all = np.empty((time, batch, hs), dtype=dtype)
-    # Extra leading slot holds h0 so backward reads h_prev as a slice.
-    h_all = np.empty((time + 1, batch, hs), dtype=dtype)
-    scratch = np.empty((batch, hs), dtype=dtype)
-
-    def forward_pass():
-        np.copyto(x_tb, x.data.transpose(1, 0, 2))
-        np.dot(flat, w_x.data, out=proj_g2d)
-        np.add(proj_g2d, bias.data, out=proj_g2d)
-        np.dot(flat, w_xc.data, out=proj_c2d)
-        np.add(proj_c2d, bias_c.data, out=proj_c2d)
-        h_all[0] = h0.data
-        gru_recurrence(proj_g, proj_c, w_h.data, w_hc.data, h_all, gate_all,
-                       n_all, scratch)
-
-    forward_pass()
-
-    def backward_seq():
-        # Same zero-allocation reverse loop as fused_lstm_sequence.
-        d_h_tb = np.ascontiguousarray(h_seq.grad.transpose(1, 0, 2))
-        carry = np.zeros((batch, hs), dtype=dtype)
-        dh = np.empty((batch, hs), dtype=dtype)
-        s = np.empty((batch, hs), dtype=dtype)
-        d_rh = np.empty((batch, hs), dtype=dtype)
-        d_pre = np.empty((time, batch, two_hs), dtype=dtype)
-        da_all = np.empty((time, batch, hs), dtype=dtype)
-        w_h_t = np.ascontiguousarray(w_h.data.T)
-        w_hc_t = np.ascontiguousarray(w_hc.data.T)
-        for t in range(time - 1, -1, -1):
-            np.add(d_h_tb[t], carry, out=dh)
-            h_prev = h_all[t]
-            gates = gate_all[t]
-            r = gates[:, 0 * hs:1 * hs]
-            z = gates[:, 1 * hs:2 * hs]
-            n = n_all[t]
-            da = da_all[t]
-            np.multiply(n, n, out=s)         # da = dh * (1-z) * (1 - n^2)
-            np.subtract(1.0, s, out=s)
-            np.subtract(1.0, z, out=da)
-            da *= s
-            da *= dh
-            np.dot(da, w_hc_t, out=d_rh)
-            step = d_pre[t]
-            np.subtract(1.0, r, out=s)       # d_gate_r = d_rh*h_prev*r*(1-r)
-            s *= r
-            s *= h_prev
-            np.multiply(s, d_rh, out=step[:, 0 * hs:1 * hs])
-            np.subtract(1.0, z, out=s)       # d_gate_z = dh*(h_prev-n)*z*(1-z)
-            s *= z
-            np.multiply(s, dh, out=s)
-            np.subtract(h_prev, n, out=carry)
-            np.multiply(s, carry, out=step[:, 1 * hs:2 * hs])
-            np.multiply(dh, z, out=carry)    # dh_prev = dh*z + d_rh*r + gates
-            d_rh *= r
-            carry += d_rh
-            np.dot(step, w_h_t, out=s)
-            carry += s
-        d_pre_flat = d_pre.reshape(time * batch, two_hs)
-        da_flat = da_all.reshape(time * batch, hs)
-        if x.requires_grad:
-            x._accumulate(
-                (d_pre_flat @ w_x.data.T + da_flat @ w_xc.data.T)
-                .reshape(time, batch, feat).transpose(1, 0, 2))
-        if w_x.requires_grad:
-            w_x._accumulate(flat.T @ d_pre_flat)
-        if bias.requires_grad:
-            bias._accumulate(d_pre_flat.sum(axis=0))
-        if w_xc.requires_grad:
-            w_xc._accumulate(flat.T @ da_flat)
-        if bias_c.requires_grad:
-            bias_c._accumulate(da_flat.sum(axis=0))
-        if w_h.requires_grad or w_hc.requires_grad:
-            h_prev_seq = h_all[:-1]
-            if w_h.requires_grad:
-                w_h._accumulate(
-                    h_prev_seq.reshape(time * batch, hs).T @ d_pre_flat)
-            if w_hc.requires_grad:
-                w_hc._accumulate(
-                    (gate_all[:, :, 0 * hs:1 * hs] * h_prev_seq)
-                    .reshape(time * batch, hs).T @ da_flat)
-        if h0.requires_grad:
-            h0._accumulate(carry)
-
-    h_seq = Tensor._make(np.ascontiguousarray(h_all[1:].transpose(1, 0, 2)),
-                         (x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c),
-                         backward_seq)
-    return h_seq, h_seq[:, -1, :]
 
 
 # ----------------------------------------------------------------------

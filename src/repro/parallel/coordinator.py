@@ -162,6 +162,11 @@ class Coordinator:
         self.address = (bound[0], bound[1])
         return self.address
 
+    @property
+    def listener(self) -> socket.socket | None:
+        """The listening socket while bound; forked children close it."""
+        return None if self._server is None else self._server.socket
+
     def serve(self) -> None:
         """Start the request-serving and lease-reaper threads."""
         threading.Thread(target=self._server.serve_forever,

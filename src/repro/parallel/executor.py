@@ -317,7 +317,8 @@ class GridExecutor:
             # child forked beside a running thread can inherit a lock
             # that thread held.
             procs = spawn_local_workers(connect, self.workers,
-                                        self.checkpoint_dir)
+                                        self.checkpoint_dir,
+                                        listener=coordinator.listener)
             spawned = len(procs)
             coordinator.serve()
             if progress:
@@ -374,7 +375,8 @@ class GridExecutor:
         if dead and coordinator.outstanding() > 0 and spawned < spawn_budget:
             replacements = spawn_local_workers(
                 connect, min(len(dead), spawn_budget - spawned),
-                self.checkpoint_dir, first=spawned)
+                self.checkpoint_dir, first=spawned,
+                listener=coordinator.listener)
             alive += replacements
             spawned += len(replacements)
         elif (self.workers and not alive and spawned >= spawn_budget

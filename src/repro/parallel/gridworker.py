@@ -142,15 +142,21 @@ def run_worker(address: tuple[str, int] | str,
 
 
 def _local_worker_main(address: tuple[str, int], worker_id: str,
-                       checkpoint_dir: str | None) -> None:
+                       checkpoint_dir: str | None,
+                       listener: socket.socket | None) -> None:
     """Forked-process entry point."""
+    if listener is not None:
+        # The child's copy of the leader's listening socket would keep
+        # the port accepting connections after the leader closes it.
+        listener.close()
     pin_forked_worker()
     run_worker(address, worker_id=worker_id, checkpoint_dir=checkpoint_dir)
 
 
 def spawn_local_workers(address: tuple[str, int], count: int,
                         checkpoint_dir: str | None = None,
-                        first: int = 0) -> list:
+                        first: int = 0,
+                        listener: socket.socket | None = None) -> list:
     """Fork ``count`` worker processes against ``address``.
 
     Worker ``n`` leases as ``local-<n>``, counting from ``first``, and
@@ -159,7 +165,10 @@ def spawn_local_workers(address: tuple[str, int], count: int,
     worker pays a fresh interpreter and NumPy import, and its resource
     tracker another process.  Each runs one BLAS thread
     (:mod:`repro.blas`); ``repro join``, which the operator starts,
-    keeps BLAS's default.
+    keeps BLAS's default.  ``listener``, the leader's listening socket
+    (``Coordinator.listener``), is closed first thing in each child, so
+    a port the leader has closed refuses connections while its workers
+    live.
     """
     import multiprocessing
 
@@ -168,7 +177,8 @@ def spawn_local_workers(address: tuple[str, int], count: int,
     for n in range(first, first + count):
         worker_id = f"local-{n}"
         proc = ctx.Process(target=_local_worker_main, name=worker_id,
-                           args=(address, worker_id, checkpoint_dir),
+                           args=(address, worker_id, checkpoint_dir,
+                                 listener),
                            daemon=True)
         proc.start()
         procs.append(proc)

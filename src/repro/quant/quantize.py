@@ -8,14 +8,14 @@
 * ``word2vec/vectors`` → row-scaled float16 (``fp16_rows``): rows are
   normalised to unit magnitude, stored as float16, with one float32
   scale per vocabulary row under ``word2vec/vectors/scale``.
-* Every 2-D detector weight (gate/candidate projections, recurrent
-  matrices, FCNN layers, attention projection) → per-output-channel
-  symmetric int8 (``int8``, payload + ``<key>/scale``) at
-  ``precision="int8"``; plain float16 (``fp16``) at ``"float16"``;
-  float32 (``raw``) at ``"float32"``.
-* Biases, the attention query and ``detector/centroids`` stay float32
-  (``raw``) — 1-D arrays are a rounding error of the payload and the
-  centroid gap feeds a sigmoid directly.
+* Every 2-D detector weight (LSTM gate projections, recurrent
+  matrices, FCNN layers) → per-output-channel symmetric int8
+  (``int8``, payload + ``<key>/scale``) at ``precision="int8"``; plain
+  float16 (``fp16``) at ``"float16"``; float32 (``raw``) at
+  ``"float32"``.
+* Biases and ``detector/centroids`` stay float32 (``raw``) — 1-D
+  arrays are a rounding error of the payload and the centroid gap
+  feeds a sigmoid directly.
 
 The corrector is **dropped**: a quantized archive serves, it does not
 train, and the label corrector only exists for training.  Conversely an

@@ -10,13 +10,13 @@ scales, row-scaled float16 embedding tables — and computes in float32.
 It has no forward pass of its own.  It assembles the one inference
 forward, :class:`~repro.core.encoder.InferenceForward`, that the float
 model runs (DESIGN.md §13), and only supplies the projections: input
-projections (LSTM/GRU gates, the FCNN layers, the attention projection)
-go through the fused dequantize-on-the-fly GEMM
-:func:`repro.nn.quant.quant_matmul_np`, so the float expansion of an
-int8 weight is never materialised on the hot path.  Recurrent matrices
-are the exception: a reset-gated product does not commute with
-per-column scales, so each :class:`QuantWeight` dequantizes its
-recurrent matrix once (cached) and the timestep loop reuses it.
+projections (the LSTM gates and the FCNN layers) go through the fused
+dequantize-on-the-fly GEMM :func:`repro.nn.quant.quant_matmul_np`, so
+the float expansion of an int8 weight is never materialised on the hot
+path.  Recurrent matrices are the exception: each
+:class:`QuantWeight` dequantizes its recurrent matrix once (cached) and
+the timestep loop reuses it, so the per-step GEMM runs on a plain float
+matrix.
 
 Every operation is deterministic NumPy with fixed shapes (the serving
 engine pads batches to ``max_batch`` rows), which is what makes
@@ -138,20 +138,12 @@ def _affine(arrays: dict, kinds: dict, weight: str, bias: str):
                              bias=_bias(arrays, bias))
 
 
-def _layers(arrays: dict, kinds: dict, prefix: str, num_layers: int,
-            gru: bool) -> list[RecurrentLayer]:
-    layers = []
-    for i in range(num_layers):
-        key = f"{prefix}.cells.{i}."
-        extra = {}
-        if gru:
-            extra = dict(
-                project_c=_affine(arrays, kinds, key + "w_xc", key + "bias_c"),
-                w_hc=_weight(arrays, kinds, key + "w_hc").dense())
-        layers.append(RecurrentLayer(
-            _affine(arrays, kinds, key + "w_x", key + "bias"),
-            _weight(arrays, kinds, key + "w_h").dense(), **extra))
-    return layers
+def _layers(arrays: dict, kinds: dict, prefix: str,
+            num_layers: int) -> list[RecurrentLayer]:
+    keys = [f"{prefix}.cells.{i}." for i in range(num_layers)]
+    return [RecurrentLayer(_affine(arrays, kinds, key + "w_x", key + "bias"),
+                           _weight(arrays, kinds, key + "w_h").dense())
+            for key in keys]
 
 
 class QuantizedCLFD:
@@ -189,19 +181,7 @@ class QuantizedCLFD:
                                             max_len=int(meta["max_len"]),
                                             vocab=vocab)
 
-        enc = "detector/encoder/"
         config = self.config
-        layers, gru = config.lstm_layers, config.encoder_cell == "gru"
-        if config.encoder_cell == "bilstm":
-            stacks = [_layers(arrays, kinds, enc + f"rnn.{direction}_lstm",
-                              layers, gru)
-                      for direction in ("forward", "backward")]
-        else:
-            stacks = [_layers(arrays, kinds, enc + "rnn", layers, gru)]
-        attention = None
-        if config.pooling == "attention":
-            proj = _weight(arrays, kinds, enc + "attention.proj")
-            attention = (proj.project, _bias(arrays, enc + "attention.query"))
         # The FCNN head's storage-form weights, ``classifier.fc1`` /
         # ``classifier.fc2``; the forward reads them at every call.
         head = "detector/classifier/"
@@ -215,8 +195,8 @@ class QuantizedCLFD:
                                      dtype=_F32)
                           if "detector/centroids" in arrays else None)
         self._forward = InferenceForward(
-            stacks, dtype=_F32, attention=attention,
-            head=(fc1, fc2, _F32),
+            _layers(arrays, kinds, "detector/encoder/rnn", config.lstm_layers),
+            dtype=_F32, head=(fc1, fc2, _F32),
             centroid=config.inference == "centroid",
             centroids=self.centroids,
             table=self.vectorizer.embedding_table(_F32),

@@ -392,8 +392,8 @@ class InferenceEngine(_EngineFront):
         differently-coalesced engines (cluster shards vs a single
         process) bit-identical.
 
-        Padding costs little beyond the GEMM rows: LSTM and GRU
-        encoders with mean pooling skip dead cells (DESIGN.md §7), so a
+        Padding costs little beyond the GEMM rows: the LSTM encoder
+        skips dead cells (DESIGN.md §7), so a
         tail pad row of length 1 is computed at step 0 only and no step
         runs past the longest real session.  The ids go straight into
         the runtime's workspace, and the forward allocates no grid-sized

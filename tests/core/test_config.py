@@ -59,7 +59,5 @@ def test_invalid_configs_rejected(kwargs):
 def test_numerics_defaults_and_overrides():
     cfg = CLFDConfig()
     assert cfg.compute_dtype == "float64"
-    assert cfg.fused_rnn is True
-    cfg32 = CLFDConfig.fast(compute_dtype="float32", fused_rnn=False)
+    cfg32 = CLFDConfig.fast(compute_dtype="float32")
     assert cfg32.compute_dtype == "float32"
-    assert cfg32.fused_rnn is False

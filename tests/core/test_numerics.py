@@ -1,12 +1,11 @@
-"""compute_dtype / fused_rnn propagation from CLFDConfig into the models."""
+"""compute_dtype propagation from CLFDConfig into the models."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core import CLFDConfig, FraudDetector, LabelCorrector
-from repro.core.encoder import SessionEncoder
+from repro.core import FraudDetector, LabelCorrector
 
 
 @pytest.fixture()
@@ -31,24 +30,3 @@ def test_float32_encoder_accepts_float64_input(tiny32_config,
     assert x.dtype == np.float64  # embeddings stay float64 on disk
     z = lc.encoder(x, lengths)
     assert z.data.dtype == np.float32
-
-
-def test_fused_rnn_flag_selects_reference_path(tiny_config, tiny_vectorizer):
-    cfg = dataclasses.replace(tiny_config, fused_rnn=False)
-    fd = FraudDetector(cfg, tiny_vectorizer, np.random.default_rng(0))
-    assert fd.encoder.rnn.fused is False
-    fd_fused = FraudDetector(tiny_config, tiny_vectorizer,
-                             np.random.default_rng(0))
-    assert fd_fused.encoder.rnn.fused is True
-
-
-def test_fused_and_reference_encoders_agree(tiny_config, tiny_vectorizer,
-                                            tiny_data):
-    train, _ = tiny_data
-    x, lengths = tiny_vectorizer.transform(train, indices=np.arange(6))
-    enc_f = SessionEncoder(tiny_config.embedding_dim, tiny_config.hidden_size,
-                           np.random.default_rng(1), fused=True)
-    enc_r = SessionEncoder(tiny_config.embedding_dim, tiny_config.hidden_size,
-                           np.random.default_rng(1), fused=False)
-    np.testing.assert_allclose(enc_f.encode_numpy(x, lengths),
-                               enc_r.encode_numpy(x, lengths), atol=1e-10)

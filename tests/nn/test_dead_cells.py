@@ -1,9 +1,9 @@
 """Inference skips dead cells of a padded batch without changing a bit.
 
-Given ``lengths``, the NumPy inference forward's LSTM/GRU stacks
-(``InferenceForward``, over ``nn.fused.lstm_recurrence`` /
-``gru_recurrence``) stop at the longest row and run each step's
-elementwise work on the live-row prefix only (``nn.fused.live_rows``).
+Given ``lengths``, the NumPy inference forward's LSTM stack
+(``InferenceForward``, over ``nn.fused.lstm_recurrence``) stops at the
+longest row and runs each step's elementwise work on the live-row prefix
+only (``nn.fused.live_rows``).
 Every cell they do compute must carry the full-grid bits of the Tensor
 kernels, every cell they skip must be exactly zero, and the masked
 mean-pool must not move.
@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.encoder import (InferenceForward, SessionEncoder, _Grid,
-                                recurrent_stacks)
+from repro.core.encoder import InferenceForward, _Grid, recurrent_layers
 from repro.nn import Tensor
 from repro.nn.fused import live_rows
 
@@ -34,12 +33,9 @@ def test_live_rows_is_the_prefix_up_to_the_last_live_row():
     assert live_rows([], time=4) == ()
 
 
-def _model(cell, layers, dtype, hidden):
-    rng = np.random.default_rng(3)
+def _model(layers, dtype, hidden):
     with nn.default_dtype(dtype):
-        if cell == "lstm":
-            return nn.LSTM(6, hidden, rng, num_layers=layers)
-        return nn.GRU(6, hidden, rng, num_layers=layers)
+        return nn.LSTM(6, hidden, np.random.default_rng(3), num_layers=layers)
 
 
 def _input(batch, dtype):
@@ -54,13 +50,11 @@ def _inference_states(forward, x, lengths=None):
     grid = _Grid(forward, batch, time, feat)
     np.copyto(grid.emb, x.transpose(1, 0, 2))
     live = None if lengths is None else live_rows(lengths, time)
-    states = grid.stacks[0].run(forward.stacks[0],
-                                grid.emb.reshape(time * batch, feat), live)
-    return states.transpose(1, 0, 2)
+    return forward._states(grid, live).transpose(1, 0, 2)
 
 
 def _inference_forward(model):
-    return InferenceForward(recurrent_stacks(model),
+    return InferenceForward(recurrent_layers(model),
                             dtype=model.cells[0].w_h.data.dtype)
 
 
@@ -69,10 +63,10 @@ def _inference_forward(model):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                          ids=["float32", "float64"])
 @pytest.mark.parametrize("layers", [1, 2])
-@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("cell", ["lstm"])
 def test_length_aware_forward_matches_full_grid(cell, layers, dtype, hidden,
                                                 lengths):
-    model = _model(cell, layers, dtype, hidden)
+    model = _model(layers, dtype, hidden)
     x = _input(len(lengths), dtype)
     forward = _inference_forward(model)
     with nn.no_grad():
@@ -89,27 +83,12 @@ def test_length_aware_forward_matches_full_grid(cell, layers, dtype, hidden,
     assert pooled.tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("cell", ["lstm"])
 def test_lengths_are_ignored_while_grad_is_on(cell):
     """Training (grad on) runs the Tensor kernels over the full grid;
     without lengths the NumPy stack runs that same grid, bit for bit."""
-    model = _model(cell, 2, np.float64, 5)
+    model = _model(2, np.float64, 5)
     x = _input(len(MIXED), np.float64)
     full = model(x)[0].data
     aware = _inference_states(_inference_forward(model), x.data)
     assert aware.tobytes() == full.tobytes()
-
-
-@pytest.mark.parametrize("cell,pooling", [("bilstm", "mean"),
-                                          ("lstm", "attention"),
-                                          ("bilstm", "attention")])
-def test_bilstm_and_attention_encoders_keep_the_full_grid(cell, pooling):
-    """The reverse pass reads padding first and attention pooling sees
-    every step, so these encoders score at inference exactly as the
-    full-grid training forward does."""
-    encoder = SessionEncoder(6, 5, np.random.default_rng(5), cell=cell,
-                             pooling=pooling)
-    x = np.random.default_rng(6).normal(size=(len(MIXED), TIME, 6))
-    inference = encoder.encode_numpy(x, MIXED)
-    training = encoder(x, MIXED).data
-    assert inference.tobytes() == training.tobytes()

@@ -45,7 +45,7 @@ def test_matmul_gradcheck_both_sides():
 
 
 def test_matmul_batched_by_vector_gradcheck():
-    """(B, T, D) @ (D,) — the attention-pooling score pattern."""
+    """(B, T, D) @ (D,): a batched matrix times a vector."""
     a = Tensor(_rand((2, 3, 4), 30), requires_grad=True)
     v = Tensor(_rand((4,), 31), requires_grad=True)
     check_gradients(lambda: ((a @ v) ** 2).sum(), [a, v])
@@ -147,26 +147,6 @@ def test_lstm_sequence_gradcheck(fused):
     check_gradients(lambda: (lstm.mean_pool(x) ** 2).sum(), params, atol=1e-4)
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_gru_cell_gradcheck(fused):
-    """One GRU cell step: the composed cell, or a one-step run of the
-    fused sequence kernel over the same weights."""
-    rng = np.random.default_rng(40)
-    cell = nn.GRUCell(3, 4, rng)
-    x = Tensor(_rand((2, 3), 41), requires_grad=True)
-    h0 = Tensor(_rand((2, 4), 42), requires_grad=True)
-
-    def step():
-        if not fused:
-            return cell(x, h0)
-        return nn.fused_gru_sequence(
-            x.reshape(2, 1, 3), h0, cell.w_x, cell.w_h, cell.bias,
-            cell.w_xc, cell.w_hc, cell.bias_c)[1]
-
-    check_gradients(lambda: (step() ** 2).sum(),
-                    [x, h0] + cell.parameters(), atol=1e-4)
-
-
 def test_fused_lstm_sequence_kernel_gradcheck():
     """The whole-layer kernel against finite differences, including the
     final-state outputs (which exercise the two-output backward wiring)."""
@@ -183,25 +163,6 @@ def test_fused_lstm_sequence_kernel_gradcheck():
         return (h_seq * h_seq).sum() + (h_t * 0.5).sum() + (c_t * 1.7).sum()
 
     check_gradients(fn, [x, h0, c0, w_x, w_h, bias], atol=1e-4)
-
-
-def test_fused_gru_sequence_kernel_gradcheck():
-    rng = np.random.default_rng(44)
-    x = Tensor(rng.normal(scale=0.5, size=(2, 4, 3)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    w_x = Tensor(rng.normal(scale=0.3, size=(3, 8)), requires_grad=True)
-    w_h = Tensor(rng.normal(scale=0.3, size=(4, 8)), requires_grad=True)
-    bias = Tensor(rng.normal(scale=0.3, size=(8,)), requires_grad=True)
-    w_xc = Tensor(rng.normal(scale=0.3, size=(3, 4)), requires_grad=True)
-    w_hc = Tensor(rng.normal(scale=0.3, size=(4, 4)), requires_grad=True)
-    bias_c = Tensor(rng.normal(scale=0.3, size=(4,)), requires_grad=True)
-
-    def fn():
-        h_seq, h_t = nn.fused_gru_sequence(x, h0, w_x, w_h, bias,
-                                           w_xc, w_hc, bias_c)
-        return (h_seq * h_seq).sum() + (h_t * 0.5).sum()
-
-    check_gradients(fn, [x, h0, w_x, w_h, bias, w_xc, w_hc, bias_c], atol=1e-4)
 
 
 def test_split_gradcheck():

@@ -10,6 +10,7 @@ workers, including a SIGKILL mid-cell.
 import math
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -228,6 +229,31 @@ def test_sigkill_worker_mid_cell_recovers_bit_identical(make_spec):
         assert coordinator.requeue_counts[0] == 1  # re-queued exactly once
         assert_metrics_identical(payload["metrics"],
                                  execute_task(spec)["metrics"])
+    finally:
+        coordinator.stop()
+        for proc in procs:
+            proc.terminate()
+            proc.join(timeout=5)
+
+
+def test_stopped_leader_refuses_connections_while_a_worker_lives(make_spec):
+    """A forked worker closes its copy of the leader's listening socket,
+    so once the leader stops, connects to its port are refused instead
+    of queued in a backlog nobody serves."""
+    coordinator = Coordinator({0: make_spec(seed=0)})
+    address = coordinator.bind(None)
+    listener = coordinator.listener
+    procs = []
+    try:
+        procs = spawn_local_workers(address, 1, listener=listener)
+        # The worker closes its copy before its first lease request.
+        listener.settimeout(30)
+        request, _ = listener.accept()
+        request.close()
+        coordinator.stop()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=1).close()
+        assert procs[0].is_alive()
     finally:
         coordinator.stop()
         for proc in procs:

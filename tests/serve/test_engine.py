@@ -261,9 +261,6 @@ def _buffers(workspace):
     arrays = [workspace.ids, workspace.lengths]
     for grid in workspace.grids.values():
         arrays += [a for a in vars(grid).values() if isinstance(a, np.ndarray)]
-        for stack in grid.stacks:
-            arrays += [a for a in vars(stack).values()
-                       if isinstance(a, np.ndarray)]
     return arrays
 
 
