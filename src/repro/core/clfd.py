@@ -83,10 +83,6 @@ class CLFD:
         rng = rng or np.random.default_rng(0)
         run = run or TrainRun()
         config = self.config
-        if config.detect_anomaly:
-            # Config-level opt-in: every Trainer this run hands out wraps
-            # its batches in nn.detect_anomaly().
-            run.detect_anomaly = True
 
         state = run.load_phase("vectorizer")
         if state is not None:

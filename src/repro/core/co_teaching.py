@@ -127,8 +127,6 @@ class CoTeachingCLFD:
             run: TrainRun | None = None) -> "CoTeachingCLFD":
         rng = rng or np.random.default_rng(0)
         run = run or TrainRun()
-        if self.config.detect_anomaly:
-            run.detect_anomaly = True
 
         state = run.load_phase("vectorizer")
         if state is not None:

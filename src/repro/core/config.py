@@ -47,11 +47,6 @@ class CLFDConfig:
 
     # Numerics: floating dtype for model parameters and activations.
     compute_dtype: str = "float64"  # "float32" | "float64"
-    # Debugging: run every training batch under ``nn.detect_anomaly()``,
-    # so the first NaN/inf raises an AnomalyError naming the op and its
-    # creation site (and lands in the journal) instead of silently
-    # corrupting the run.  Costs an np.isfinite scan per graph node.
-    detect_anomaly: bool = False
 
     # Batching: R sessions per batch, M auxiliary malicious sessions.
     batch_size: int = 100
@@ -92,7 +87,7 @@ class CLFDConfig:
     # keys hashed them (``task_key`` hashes them back in).
     RETIRED_FIELDS: ClassVar[Mapping[str, object]] = types.MappingProxyType(
         {"compile": False, "encoder_cell": "lstm", "pooling": "mean",
-         "fused_rnn": True})
+         "fused_rnn": True, "detect_anomaly": False})
 
     def __post_init__(self):
         if self.word2vec is None:

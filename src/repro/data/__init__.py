@@ -14,7 +14,6 @@ from .noise import (
     apply_class_dependent_noise,
     apply_uniform_noise,
     empirical_noise_rates,
-    invert_noisy_labels,
 )
 from .pipeline import SessionVectorizer
 from .sessions import MALICIOUS, NORMAL, Session, SessionDataset, iter_batches
@@ -30,7 +29,7 @@ __all__ = [
     "DATASET_GENERATORS", "make_dataset",
     "cached_splits", "clear_split_cache", "split_cache_info",
     "apply_uniform_noise", "apply_class_dependent_noise",
-    "invert_noisy_labels", "empirical_noise_rates",
+    "empirical_noise_rates",
     "Word2VecConfig", "SkipGramModel", "train_word2vec",
     "SessionVectorizer",
 ]

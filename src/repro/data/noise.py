@@ -25,7 +25,6 @@ from .sessions import MALICIOUS, NORMAL, SessionDataset
 __all__ = [
     "apply_uniform_noise",
     "apply_class_dependent_noise",
-    "invert_noisy_labels",
     "empirical_noise_rates",
     "NOISE_PROCESSES",
     "noise_label",
@@ -43,9 +42,8 @@ def apply_uniform_noise(dataset: SessionDataset, eta: float,
     """Flip each ground-truth label with probability ``eta``.
 
     Returns a boolean mask of the sessions that were flipped.
-    The paper constrains η < 0.5 in experiments (§IV-A2) but the function
-    accepts the full range so that :func:`invert_noisy_labels` can be
-    exercised for η > 0.5.
+    The paper constrains η < 0.5 in experiments (§IV-A2); the function
+    accepts the full range [0, 1].
     """
     _validate_rate(eta, "eta")
     flips = rng.random(len(dataset)) < eta
@@ -68,15 +66,6 @@ def apply_class_dependent_noise(dataset: SessionDataset, eta_10: float,
     noisy[flips] = 1 - noisy[flips]
     dataset.set_noisy_labels(noisy)
     return flips
-
-
-def invert_noisy_labels(dataset: SessionDataset) -> None:
-    """Invert every noisy label.
-
-    §IV-A2: when the estimated noise rate exceeds 0.5, inverting the
-    labels brings the effective rate back under 0.5.
-    """
-    dataset.set_noisy_labels(1 - dataset.noisy_labels())
 
 
 def empirical_noise_rates(dataset: SessionDataset) -> dict[str, float]:

@@ -131,26 +131,6 @@ class SessionDataset:
         return ids, lengths
 
     # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-    def subsample(self, n: int, rng: np.random.Generator,
-                  label: int | None = None, noisy: bool = False) -> "SessionDataset":
-        """Random subset of ``n`` sessions, optionally from one class."""
-        if label is None:
-            pool = np.arange(len(self.sessions))
-        else:
-            labels = self.noisy_labels() if noisy else self.labels()
-            pool = np.flatnonzero(labels == label)
-        if n > pool.size:
-            raise ValueError(f"requested {n} sessions but only {pool.size} available")
-        chosen = rng.choice(pool, size=n, replace=False)
-        return self[np.sort(chosen)]
-
-    def shuffled(self, rng: np.random.Generator) -> "SessionDataset":
-        order = rng.permutation(len(self.sessions))
-        return self[order]
-
-    # ------------------------------------------------------------------
     # Copying
     # ------------------------------------------------------------------
     def copy(self) -> "SessionDataset":

@@ -55,15 +55,6 @@ class SkipGramModel:
         """Lookup: ids of any shape -> embeddings with a trailing dim axis."""
         return self.vectors[np.asarray(ids, dtype=np.int64)]
 
-    def most_similar(self, token_id: int, top_k: int = 5) -> list[tuple[int, float]]:
-        """Nearest activities by cosine similarity (excluding the query)."""
-        norms = np.linalg.norm(self.vectors, axis=1) + 1e-12
-        sims = (self.vectors @ self.vectors[token_id]) / (
-            norms * norms[token_id]
-        )
-        order = np.argsort(-sims)
-        return [(int(i), float(sims[i])) for i in order if i != token_id][:top_k]
-
 
 def _skipgram_pairs(dataset: SessionDataset, window: int) -> np.ndarray:
     """All (center, context) id pairs within the window, across sessions."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..nn import Tensor, as_tensor
 
-__all__ = ["gce_loss", "cce_loss", "mae_loss"]
+__all__ = ["gce_loss", "cce_loss"]
 
 _EPS = 1e-12
 
@@ -37,18 +37,7 @@ def _check_inputs(probs: Tensor, targets: np.ndarray) -> np.ndarray:
     return targets
 
 
-def _reduce(per_sample: Tensor, reduction: str) -> Tensor:
-    if reduction == "mean":
-        return per_sample.mean()
-    if reduction == "sum":
-        return per_sample.sum()
-    if reduction == "none":
-        return per_sample
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def gce_loss(probs: Tensor, targets, q: float = 0.7,
-             reduction: str = "mean") -> Tensor:
+def gce_loss(probs: Tensor, targets, q: float = 0.7) -> Tensor:
     """Generalized cross-entropy (Eq. 1 / Eq. 2 with mixed targets).
 
     ``l = Σ_k (t_k / q) · (1 - p_k^q)`` with ``q ∈ (0, 1]``.
@@ -60,10 +49,10 @@ def gce_loss(probs: Tensor, targets, q: float = 0.7,
     targets = _check_inputs(probs, targets)
     probs = as_tensor(probs).clip(_PROB_FLOOR, 1.0)
     per_sample = (Tensor(targets) * (1.0 - probs ** q) * (1.0 / q)).sum(axis=-1)
-    return _reduce(per_sample, reduction)
+    return per_sample.mean()
 
 
-def cce_loss(probs: Tensor, targets, reduction: str = "mean") -> Tensor:
+def cce_loss(probs: Tensor, targets) -> Tensor:
     """Categorical cross-entropy over probabilities with soft targets.
 
     ``l = -Σ_k t_k log p_k`` — the noise-*sensitive* loss the paper uses
@@ -72,15 +61,4 @@ def cce_loss(probs: Tensor, targets, reduction: str = "mean") -> Tensor:
     targets = _check_inputs(probs, targets)
     probs = as_tensor(probs).clip(_EPS, 1.0)
     per_sample = -(Tensor(targets) * probs.log()).sum(axis=-1)
-    return _reduce(per_sample, reduction)
-
-
-def mae_loss(probs: Tensor, targets, reduction: str = "mean") -> Tensor:
-    """Unhinged / mean-absolute-error loss: ``Σ_k t_k (1 - p_k)``.
-
-    Noise-robust but slow to optimise (§III-A1); equals GCE at q=1.
-    """
-    targets = _check_inputs(probs, targets)
-    probs = as_tensor(probs)
-    per_sample = (Tensor(targets) * (1.0 - probs)).sum(axis=-1)
-    return _reduce(per_sample, reduction)
+    return per_sample.mean()

@@ -22,37 +22,23 @@ from .functional import (
     one_hot,
     softmax,
 )
-from .layers import (
-    GELU,
-    Dropout,
-    Embedding,
-    LayerNorm,
-    LeakyReLU,
-    Linear,
-    Sequential,
-    Tanh,
-)
+from .layers import Embedding, LayerNorm, Linear
 from .fused import fused_head_loss, fused_lstm_sequence
 from .lstm import LSTM, LSTMCell
-from .module import LoadReport, Module, Parameter
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
+from .module import Module, Parameter
+from .optim import Adam, clip_grad_norm
 from .profiler import OpStats, Profiler, profile
-from .serialize import load_module, save_module
 from .tensor import (
     Tensor,
     as_tensor,
-    chunk,
     concat,
     default_dtype,
     get_default_dtype,
     is_grad_enabled,
-    maximum,
-    minimum,
     no_grad,
     set_default_dtype,
     split,
     stack,
-    where,
 )
 
 # Imported last: debug pulls in losses/augment lazily and leans on the
@@ -61,21 +47,19 @@ from . import debug
 from .debug import AnomalyError, detect_anomaly, is_anomaly_enabled
 
 __all__ = [
-    "Tensor", "as_tensor", "concat", "stack", "split", "chunk", "where",
-    "maximum", "minimum", "no_grad", "is_grad_enabled",
+    "Tensor", "as_tensor", "concat", "stack", "split",
+    "no_grad", "is_grad_enabled",
     "set_default_dtype", "get_default_dtype", "default_dtype",
     "fused_lstm_sequence", "fused_head_loss",
     "Profiler", "OpStats", "profile",
-    "Module", "Parameter", "LoadReport",
-    "Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",
-    "LeakyReLU", "Tanh", "GELU",
+    "Module", "Parameter",
+    "Linear", "Embedding", "LayerNorm",
     "LSTM", "LSTMCell",
     "MultiHeadAttention", "TransformerEncoder", "TransformerEncoderLayer",
     "sinusoidal_positions",
     "softmax", "log_softmax", "cross_entropy", "nll_loss", "one_hot",
     "l2_normalize", "cosine_similarity_matrix",
-    "Optimizer", "SGD", "Adam", "clip_grad_norm",
-    "save_module", "load_module",
+    "Adam", "clip_grad_norm",
     "check_gradients", "numeric_gradient", "GradcheckFailure",
     "debug", "detect_anomaly", "AnomalyError", "is_anomaly_enabled",
 ]

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .functional import softmax
-from .layers import Dropout, LayerNorm, Linear
-from .module import Module, Parameter
+from .layers import LayerNorm, Linear
+from .module import Module
 from .tensor import Tensor
 
 __all__ = [
@@ -75,35 +75,27 @@ class TransformerEncoderLayer(Module):
     """Pre-norm transformer block: attention + GELU feed-forward."""
 
     def __init__(self, dim: int, num_heads: int, ff_dim: int,
-                 rng: np.random.Generator, dropout: float = 0.0):
+                 rng: np.random.Generator):
         super().__init__()
         self.attn = MultiHeadAttention(dim, num_heads, rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.ff1 = Linear(dim, ff_dim, rng)
         self.ff2 = Linear(ff_dim, dim, rng)
-        self.dropout = Dropout(dropout, rng) if dropout > 0 else None
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        attn_out = self.attn(self.norm1(x), mask=mask)
-        if self.dropout is not None:
-            attn_out = self.dropout(attn_out)
-        x = x + attn_out
-        ff_out = self.ff2(self.ff1(self.norm2(x)).gelu())
-        if self.dropout is not None:
-            ff_out = self.dropout(ff_out)
-        return x + ff_out
+        x = x + self.attn(self.norm1(x), mask=mask)
+        return x + self.ff2(self.ff1(self.norm2(x)).gelu())
 
 
 class TransformerEncoder(Module):
     """Stack of encoder layers with fixed sinusoidal positions."""
 
     def __init__(self, dim: int, num_heads: int, ff_dim: int, num_layers: int,
-                 rng: np.random.Generator, max_len: int = 512,
-                 dropout: float = 0.0):
+                 rng: np.random.Generator, max_len: int = 512):
         super().__init__()
         self.layers = [
-            TransformerEncoderLayer(dim, num_heads, ff_dim, rng, dropout=dropout)
+            TransformerEncoderLayer(dim, num_heads, ff_dim, rng)
             for _ in range(num_layers)
         ]
         self.positions = sinusoidal_positions(max_len, dim)

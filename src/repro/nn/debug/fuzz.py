@@ -61,7 +61,7 @@ def _values(rng: np.random.Generator, shape, dtype, extreme: bool, *,
     """Random payload for one input.
 
     ``spacing > 0`` draws tie-free values from an evenly spaced grid
-    (kink-avoidance for max/relu/abs/clip in smooth trials); ``low``
+    (kink-avoidance for max/relu/clip in smooth trials); ``low``
     bounds magnitudes away from zero (domain restriction for log/div);
     ``positive`` folds everything positive; extreme trials sprinkle the
     adversarial pool over half the entries and plant one exact tie.
@@ -309,37 +309,11 @@ def _build_clip(rng, dtype, extreme, size):
     return lambda: _weighted_sum(x.clip(-0.8, 0.8)), [x]
 
 
-@_register("abs", covers=("abs", "sum"))
-def _build_abs(rng, dtype, extreme, size):
-    x = _t(rng, (size + 1, size + 2), dtype, extreme, spacing=0.2)
-    return lambda: _weighted_sum(x.abs()), [x]
-
-
 @_register("max", covers=("max", "sum", "__mul__"))
 def _build_max(rng, dtype, extreme, size):
     x = _t(rng, (size + 1, size + 2), dtype, extreme, spacing=0.2)
     axis = int(rng.integers(2))
     return (lambda: _weighted_sum(x.max(axis=axis)), [x])
-
-
-@_register("maximum_minimum", covers=("where", "sum"))
-def _build_maximum(rng, dtype, extreme, size):
-    from ... import nn
-    shape = (size + 1, size + 2)
-    a = _t(rng, shape, dtype, extreme, spacing=0.2)
-    b = _t(rng, shape, dtype, extreme, spacing=0.3)
-    return (lambda: _weighted_sum(nn.maximum(a, b))
-            + _weighted_sum(nn.minimum(a, b)), [a, b])
-
-
-@_register("where", covers=("where", "sum"))
-def _build_where(rng, dtype, extreme, size):
-    from ...nn.tensor import where
-    shape = (size + 1, size + 2)
-    a = _t(rng, shape, dtype, extreme)
-    b = _t(rng, shape, dtype, extreme)
-    cond = rng.random(shape) > 0.5
-    return lambda: _weighted_sum(where(cond, a, b)), [a, b]
 
 
 # -- reductions and shape ops ------------------------------------------
@@ -438,18 +412,6 @@ def _build_split(rng, dtype, extreme, size):
     def fn():
         a, b = split(x, 2, axis=1)
         return _weighted_sum(a) + _weighted_sum(b.tanh())
-    return fn, [x]
-
-
-@_register("chunk", covers=("_split_piece", "sum"))
-def _build_chunk(rng, dtype, extreme, size):
-    from ...nn.tensor import chunk
-    x = _t(rng, (size + 1, 6), dtype, extreme)
-
-    def fn():
-        parts = chunk(x, 3, axis=1)
-        return sum((_weighted_sum(p) for p in parts[1:]),
-                   _weighted_sum(parts[0]))
     return fn, [x]
 
 
@@ -590,13 +552,6 @@ def _build_cce(rng, dtype, extreme, size):
     from ...losses.robust import cce_loss
     logits, probs, targets = _probs_and_targets(rng, dtype, extreme, size)
     return lambda: cce_loss(probs(), targets), [logits]
-
-
-@_register("mae_loss", covers=("__mul__", "__add__", "sum", "exp"))
-def _build_mae(rng, dtype, extreme, size):
-    from ...losses.robust import mae_loss
-    logits, probs, targets = _probs_and_targets(rng, dtype, extreme, size)
-    return lambda: mae_loss(probs(), targets), [logits]
 
 
 @_register("mixup_gce", covers=("clip", "__pow__", "__mul__", "__add__",

@@ -13,7 +13,7 @@ checks over the captured nodes:
   of its floating inputs without an explicit ``astype`` — the signature
   of a silent float32→float64 upcast (or a precision-losing downcast).
 * **overlapping-views** (error) / **shared-buffer** (warning): sibling
-  views of one buffer, as produced by ``split``/``chunk``/basic
+  views of one buffer, as produced by ``split``/basic
   indexing.  Overlapping siblings double-route gradients through the
   same memory; non-overlapping fan-out is legal but flagged as a
   mutation hazard.
@@ -22,9 +22,9 @@ checks over the captured nodes:
   with fuzz coverage (ISSUE 5 acceptance criterion).
 
 ``python -m repro lint-graph`` builds a representative CLFD training
-step (fused-LSTM encoder → projection → supervised-contrastive loss +
-fused GCE classifier head on the frozen encoding) and lints it,
-exiting 2 if any error-severity issue is found.
+step (CLFD's session encoder — fused LSTM stack, mean pooling →
+supervised-contrastive loss + fused GCE classifier head on the frozen
+encoding) and lints it, exiting 2 if any error-severity issue is found.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _check_dtype_mixing(nodes: Sequence[Tensor]) -> list[LintIssue]:
 
 def _check_shared_buffers(nodes: Sequence[Tensor]) -> list[LintIssue]:
     # Sibling views: nodes whose data is a view into their single
-    # parent's buffer (split/chunk pieces, basic-index slices).
+    # parent's buffer (split pieces, basic-index slices).
     views_by_parent: dict[int, list[Tensor]] = {}
     for node in nodes:
         if len(node._prev) != 1 or node.data.base is None:
@@ -170,7 +170,7 @@ def _check_shared_buffers(nodes: Sequence[Tensor]) -> list[LintIssue]:
             issues.append(LintIssue(
                 "shared-buffer", "warning",
                 f"{len(siblings)} views share one parent buffer "
-                f"(split/chunk fan-out) — in-place writes to any one "
+                f"(split fan-out) — in-place writes to any one "
                 f"of them would corrupt the others",
                 op=_node_op(siblings[0])))
     return issues
@@ -211,46 +211,46 @@ def lint_graph(root, parameters: Iterable[Tensor] = ()) -> list[LintIssue]:
 
 
 def _demo_training_step() -> tuple[Tensor, list[Tensor]]:
-    """A miniature CLFD training step: fused-LSTM encoder over a synthetic
-    session batch, L2-normalized projection into sup-con loss, plus a
-    GCE-trained classifier head on the frozen encoding — the same op
-    mix the real Trainer runs.
+    """A miniature CLFD training step built from CLFD's own modules: a
+    :class:`~repro.core.encoder.SessionEncoder` (the fused LSTM stack
+    with mean pooling over each session's valid steps) over a padded
+    synthetic batch into the confidence-weighted sup-con loss, with an
+    auxiliary malicious batch as extra candidates, plus the FCNN head
+    trained on the frozen encoding through ``fused_head_loss`` — the
+    op mix the fraud detector's Trainer runs.
     """
+    from ...core.encoder import SessionEncoder, SoftmaxClassifier
     from ...losses.contrastive import sup_con_loss
-    from ..functional import l2_normalize, one_hot
-    from ..fused import fused_head_loss, fused_lstm_sequence
+    from ..functional import one_hot
+    from ..fused import fused_head_loss
 
     rng = np.random.default_rng(0)
-    n, t, d, h = 6, 4, 5, 4
-    x = Tensor(rng.normal(size=(n, t, d)))
-    h0 = Tensor(np.zeros((n, h)))
-    c0 = Tensor(np.zeros((n, h)))
-    w_x = Tensor(rng.normal(size=(d, 4 * h)) * 0.3, requires_grad=True,
-                 name="enc.w_x")
-    w_h = Tensor(rng.normal(size=(h, 4 * h)) * 0.3, requires_grad=True,
-                 name="enc.w_h")
-    bias = Tensor(np.zeros(4 * h), requires_grad=True, name="enc.bias")
-    _, h_last, _ = fused_lstm_sequence(x, h0, c0, w_x, w_h, bias)
-
-    w_proj = Tensor(rng.normal(size=(h, 3)) * 0.3, requires_grad=True,
-                    name="proj.w")
-    z = l2_normalize(h_last.matmul(w_proj))
-    labels = rng.integers(0, 2, size=n)
+    n, aux, t, d, h = 6, 2, 4, 5, 4
+    encoder = SessionEncoder(d, h, rng)
+    classifier = SoftmaxClassifier(h, rng)
+    x = rng.normal(size=(n + aux, t, d))
+    lengths = rng.integers(1, t + 1, size=n + aux)
+    z = encoder(x, lengths)
+    labels = rng.integers(0, 2, size=n + aux)
     labels[:2] = (0, 1)
+    labels[n:] = 1
     con = sup_con_loss(z, labels, temperature=0.5,
-                       confidences=rng.uniform(0.5, 1.0, size=n))
+                       confidences=rng.uniform(0.5, 1.0, size=n + aux),
+                       num_anchors=n)
 
     # The classifier head trains on frozen representations (Algorithm 1,
     # lines 13-19), through the same fused kernel the Trainer uses.
-    head = [Tensor(rng.normal(size=shape) * 0.3, requires_grad=True,
-                   name=f"clf.{name}")
-            for name, shape in (("w1", (h, h)), ("b1", (h,)),
-                                ("w2", (h, 2)), ("b2", (2,)))]
-    gce = fused_head_loss(h_last.detach(), *head, one_hot(labels, 2),
-                          loss="gce", q=0.7)
+    head = [classifier.fc1.weight, classifier.fc1.bias,
+            classifier.fc2.weight, classifier.fc2.bias]
+    gce = fused_head_loss(z.detach().data[:n], *head,
+                          one_hot(labels[:n], 2), loss="gce", q=0.7)
 
-    loss = con + gce
-    return loss, [w_x, w_h, bias, w_proj, *head]
+    params = []
+    for prefix, module in (("enc", encoder), ("clf", classifier)):
+        for name, param in module.named_parameters():
+            param.name = f"{prefix}.{name}"
+            params.append(param)
+    return con + gce, params
 
 
 def lint_demo_graph(verbose: bool = False) -> list[LintIssue]:

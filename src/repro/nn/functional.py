@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, concat
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "softmax",
@@ -14,7 +14,6 @@ __all__ = [
     "one_hot",
     "l2_normalize",
     "cosine_similarity_matrix",
-    "dropout_mask",
 ]
 
 
@@ -79,11 +78,3 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor | None = None) -> Tensor:
     a_norm = l2_normalize(a)
     b_norm = a_norm if b is None else l2_normalize(b)
     return a_norm @ b_norm.T
-
-
-def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability ``p``, else 1/(1-p)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    keep = rng.random(shape) >= p
-    return keep.astype(np.float64) / (1.0 - p)

@@ -1,24 +1,14 @@
-"""Core feed-forward layers: Linear, Embedding, LayerNorm, Dropout, etc."""
+"""Core feed-forward layers: Linear, Embedding and LayerNorm."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import init
-from .functional import dropout_mask
 from .module import Module, Parameter
 from .tensor import Tensor, get_default_dtype
 
-__all__ = [
-    "Linear",
-    "Embedding",
-    "LayerNorm",
-    "Dropout",
-    "Sequential",
-    "LeakyReLU",
-    "Tanh",
-    "GELU",
-]
+__all__ = ["Linear", "Embedding", "LayerNorm"]
 
 
 class Linear(Module):
@@ -62,18 +52,6 @@ class Embedding(Module):
             )
         return self.weight[ids]
 
-    def load_pretrained(self, matrix: np.ndarray, freeze: bool = False) -> None:
-        """Install externally trained vectors (e.g. word2vec)."""
-        matrix = np.asarray(matrix, dtype=self.weight.data.dtype)
-        if matrix.shape != (self.num_embeddings, self.embedding_dim):
-            raise ValueError(
-                f"expected {(self.num_embeddings, self.embedding_dim)}, "
-                f"got {matrix.shape}"
-            )
-        self.weight.data = matrix.copy()
-        if freeze:
-            self.weight.requires_grad = False
-
 
 class LayerNorm(Module):
     """Layer normalisation over the last dimension."""
@@ -91,55 +69,3 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         normed = centered / ((var + self.eps) ** 0.5)
         return normed * self.gamma + self.beta
-
-
-class Dropout(Module):
-    """Inverted dropout; identity when the module is in eval mode."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        return x * Tensor(dropout_mask(x.shape, self.p, self._rng))
-
-
-class Sequential(Module):
-    """Chain modules; also accepts bare callables (e.g. Tensor methods)."""
-
-    def __init__(self, *stages):
-        super().__init__()
-        self.stages = list(stages)
-
-    def forward(self, x):
-        for stage in self.stages:
-            x = stage(x)
-        return x
-
-    def append(self, stage) -> "Sequential":
-        self.stages.append(stage)
-        return self
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.gelu()

@@ -4,8 +4,9 @@ The paper's session encoders are two-layer LSTMs whose final-layer hidden
 states are averaged to produce a session representation; this module
 implements the recurrent substrate for that.
 
-Two execution paths are provided, selected by ``LSTM(fused=)`` (default
-on):
+Two execution paths are provided, selected by ``LSTM(fused=)``.  Every
+model trains on the fused default; the reference path is set only by
+the tests and benchmarks that check the fused kernel against it:
 
 * **fused** — each layer's whole recurrence, forward and hand-derived
   backward, runs inside one sequence kernel

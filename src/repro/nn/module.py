@@ -1,27 +1,14 @@
-"""Module base class: parameter registry, train/eval mode, state dicts."""
+"""Module base class: parameter registry and state dicts."""
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterator
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Module", "Parameter", "LoadReport"]
-
-
-@dataclasses.dataclass(frozen=True)
-class LoadReport:
-    """What a non-strict :meth:`Module.load_state_dict` skipped."""
-
-    missing: list[str]
-    unexpected: list[str]
-
-    @property
-    def clean(self) -> bool:
-        return not self.missing and not self.unexpected
+__all__ = ["Module", "Parameter"]
 
 
 class Parameter(Tensor):
@@ -38,9 +25,6 @@ class Module:
     attributes; this base class discovers them for ``parameters()``,
     ``zero_grad()`` and ``state_dict()``.
     """
-
-    def __init__(self):
-        self.training = True
 
     # ------------------------------------------------------------------
     # Discovery
@@ -62,34 +46,12 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------
     # Training state
     # ------------------------------------------------------------------
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
-
-    def train(self) -> "Module":
-        self._set_mode(True)
-        return self
-
-    def eval(self) -> "Module":
-        self._set_mode(False)
-        return self
-
-    def _set_mode(self, training: bool) -> None:
-        self.training = training
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value._set_mode(training)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -98,17 +60,14 @@ class Module:
         """Copy of every parameter array, keyed by dotted path."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray],
-                        strict: bool = True, *,
-                        copy: bool = True) -> "LoadReport":
+    def load_state_dict(self, state: dict[str, np.ndarray], *,
+                        copy: bool = True) -> None:
         """Load parameter arrays saved by :meth:`state_dict`.
 
-        ``strict=True`` (the default) raises :class:`KeyError` when the
-        state dict is missing parameters or carries unexpected keys —
-        loading a mismatched archive must fail loudly, never silently
-        produce a half-initialised model.  ``strict=False`` loads the
-        intersection (shape mismatches still raise) and returns a
-        :class:`LoadReport` naming what was skipped.
+        Raises :class:`KeyError` when the state dict is missing
+        parameters or carries unexpected keys, and :class:`ValueError`
+        on a shape mismatch: loading a mismatched archive must fail
+        loudly, never silently produce a half-initialised model.
 
         ``copy=False`` *binds* the provided arrays instead of copying:
         when an array's dtype already matches the parameter's, the
@@ -121,14 +80,12 @@ class Module:
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         unexpected = sorted(set(state) - set(own))
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(
                 f"state dict mismatch: missing={missing} "
                 f"unexpected={unexpected}"
             )
         for name, param in own.items():
-            if name not in state:
-                continue
             value = np.asarray(state[name])
             if value.shape != param.shape:
                 raise ValueError(
@@ -139,7 +96,6 @@ class Module:
                 param.data = value
             else:
                 param.data = value.astype(param.data.dtype, copy=True)
-        return LoadReport(missing=missing, unexpected=unexpected)
 
     # ------------------------------------------------------------------
     # Call protocol

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers: SGD (with momentum) and Adam."""
+"""The Adam optimizer and global gradient-norm clipping."""
 
 from __future__ import annotations
 
@@ -8,7 +8,13 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
+
+# Adam's moment decays and stabilizer: Kingma & Ba's defaults, which
+# every model here trains with.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
@@ -27,39 +33,71 @@ def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     return total
 
 
-class Optimizer:
-    """Base optimizer: holds parameters, exposes step() and zero_grad().
+class Adam:
+    """Adam (Kingma & Ba, 2015) — the optimizer the paper trains with.
 
-    Optimizers are checkpointable: :meth:`state_dict` captures every
-    hyper-parameter and moment buffer (``lr`` included, since a caller
-    may change it mid-training) and :meth:`load_state_dict` restores them
-    bit for bit, so an interrupted run resumed from a snapshot takes
-    exactly the update steps the uninterrupted run would have.
+    The moment decays and the stabilizer are fixed at Kingma & Ba's
+    defaults; there is no weight decay.
+
+    Adam is checkpointable: :meth:`state_dict` captures ``lr`` (a caller
+    may change it mid-training), the step count and both moment buffers,
+    and :meth:`load_state_dict` restores them bit for bit, so an
+    interrupted run resumed from a snapshot takes exactly the update
+    steps the uninterrupted run would have.
     """
 
-    def __init__(self, parameters: Sequence[Parameter], lr: float):
+    def __init__(self, parameters: Sequence[Parameter], lr: float = 0.005):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters = list(parameters)
         self.lr = lr
+        self._step = 0
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def zero_grad(self) -> None:
         for p in self.parameters:
             p.zero_grad()
 
     def step(self) -> None:
-        raise NotImplementedError
+        self._step += 1
+        bias1 = 1.0 - _BETA1 ** self._step
+        bias2 = 1.0 - _BETA2 ** self._step
+        for p, m, v in zip(self.parameters, self._m, self._v):
+            if p.grad is None:
+                continue
+            grad = p.grad
+            m *= _BETA1
+            m += (1.0 - _BETA1) * grad
+            v *= _BETA2
+            v += (1.0 - _BETA2) * grad ** 2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Snapshot of hyper-parameters and internal buffers."""
-        return {"lr": float(self.lr)}
+        """Snapshot of ``lr``, the step count and the moment buffers."""
+        return {
+            "lr": float(self.lr),
+            "step": int(self._step),
+            "m": [m.copy() for m in self._m],
+            "v": [v.copy() for v in self._v],
+        }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
+        """Restore a snapshot taken by :meth:`state_dict`.
+
+        Snapshots from before the moment decays became constants also
+        carry ``beta1``/``beta2``/``eps``/``weight_decay``; those held
+        the constants above and zero decay, so they are ignored.
+        """
         self.lr = float(state["lr"])
+        self._step = int(state["step"])
+        self._m = self._load_buffers("m", state["m"])
+        self._v = self._load_buffers("v", state["v"])
 
     def _load_buffers(self, name: str, stored: Sequence[np.ndarray]
                       ) -> list[np.ndarray]:
@@ -78,101 +116,3 @@ class Optimizer:
                     f"{p.data.shape}, got {arr.shape}")
             buffers.append(arr)
         return buffers
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state.update(
-            momentum=float(self.momentum),
-            weight_decay=float(self.weight_decay),
-            velocity=[v.copy() for v in self._velocity],
-        )
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        self._velocity = self._load_buffers("velocity", state["velocity"])
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) — the optimizer the paper trains with."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 0.005,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
-        for p, m, v in zip(self.parameters, self._m, self._v):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state.update(
-            beta1=float(self.beta1),
-            beta2=float(self.beta2),
-            eps=float(self.eps),
-            weight_decay=float(self.weight_decay),
-            step=int(self._step),
-            m=[m.copy() for m in self._m],
-            v=[v.copy() for v in self._v],
-        )
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
-        self._step = int(state["step"])
-        self._m = self._load_buffers("m", state["m"])
-        self._v = self._load_buffers("v", state["v"])

@@ -45,30 +45,25 @@ INT8_LEVELS = 127
 # ----------------------------------------------------------------------
 # Quantizers (NumPy, deterministic)
 # ----------------------------------------------------------------------
-def quantize_symmetric(w: np.ndarray, *,
-                       channel_axis: int = 1
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def quantize_symmetric(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel symmetric int8 quantization of a weight matrix.
 
-    ``channel_axis`` names the *output-channel* axis (column axis 1 for
-    the ``(in, out)`` weights used throughout this repository); one
-    float32 scale is kept per output channel.  All-zero channels get
-    scale 1.0 so dequantization never divides by zero.  Deterministic:
-    ``np.rint`` (round-half-even) over ``w / scale``.
+    Channels are the columns of the ``(in, out)`` weights used
+    throughout this repository; one float32 scale is kept per output
+    channel.  All-zero channels get scale 1.0 so dequantization never
+    divides by zero.  Deterministic: ``np.rint`` (round-half-even) over
+    ``w / scale``.
     """
     w = np.asarray(w)
     if w.ndim != 2:
         raise ValueError(f"quantize_symmetric expects a matrix, got "
                          f"shape {w.shape}")
-    reduce_axis = 0 if channel_axis in (1, -1) else 1
-    maxabs = np.abs(w).max(axis=reduce_axis)
+    maxabs = np.abs(w).max(axis=0)
     scales = np.where(maxabs > 0.0, maxabs / INT8_LEVELS, 1.0)
     scales = scales.astype(np.float32)
     # Divide in float64 regardless of input dtype so the rounding
     # decision is identical for float32 and float64 sources.
-    ratio = w.astype(np.float64) / scales.astype(np.float64)[
-        np.newaxis, :] if channel_axis in (1, -1) else (
-        w.astype(np.float64) / scales.astype(np.float64)[:, np.newaxis])
+    ratio = w.astype(np.float64) / scales.astype(np.float64)[np.newaxis, :]
     q = np.clip(np.rint(ratio), -INT8_LEVELS, INT8_LEVELS).astype(np.int8)
     return q, scales
 

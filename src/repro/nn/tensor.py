@@ -28,10 +28,6 @@ __all__ = [
     "concat",
     "stack",
     "split",
-    "chunk",
-    "where",
-    "maximum",
-    "minimum",
     "set_default_dtype",
     "get_default_dtype",
     "default_dtype",
@@ -233,10 +229,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({self.data!r}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -545,17 +537,6 @@ class Tensor:
         out = Tensor._make(out_data, (self,), backward)
         return out
 
-    def abs(self) -> "Tensor":
-        sign = np.asarray(np.sign(self.data))
-        out_data = np.asarray(np.abs(self.data))
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * sign)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -684,9 +665,6 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         return self.matmul(other)
 
-    def dot(self, other) -> "Tensor":
-        return self.matmul(other)
-
 
 _BASIC_INDEX_TYPES = (int, np.integer, slice, type(Ellipsis), type(None))
 
@@ -784,42 +762,3 @@ def split(tensor: Tensor, size_or_sections, axis: int = -1) -> list[Tensor]:
         pieces.append(_split_piece(tensor, head + (slice(start, start + size),)))
         start += size
     return pieces
-
-
-def chunk(tensor: Tensor, chunks: int, axis: int = -1) -> list[Tensor]:
-    """Split into ``chunks`` equal parts along ``axis``."""
-    tensor = as_tensor(tensor)
-    length = tensor.shape[axis]
-    if length % chunks:
-        raise ValueError(f"axis length {length} not divisible into {chunks}")
-    return split(tensor, length // chunks, axis=axis)
-
-
-def where(condition, a, b) -> Tensor:
-    """Elementwise select: gradient flows to the chosen branch."""
-    if isinstance(condition, Tensor):
-        condition = condition.data
-    cond = np.asarray(condition, dtype=bool)
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = np.asarray(np.where(cond, a.data, b.data))
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * cond, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * ~cond, b.shape))
-
-    out = Tensor._make(out_data, (a, b), backward)
-    return out
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max of two tensors (ties send gradient to ``a``)."""
-    a, b = as_tensor(a), as_tensor(b)
-    return where(a.data >= b.data, a, b)
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise min of two tensors (ties send gradient to ``a``)."""
-    a, b = as_tensor(a), as_tensor(b)
-    return where(a.data <= b.data, a, b)

@@ -25,13 +25,7 @@ from .journal import (
     tail_journal,
 )
 from .run import TrainRun
-from .seeding import (
-    capture_rng_state,
-    generator_state,
-    restore_rng_state,
-    seed_everything,
-    set_generator_state,
-)
+from .seeding import generator_state, seed_everything, set_generator_state
 from .trainer import Trainer, TrainingInterrupted
 
 __all__ = [
@@ -39,5 +33,4 @@ __all__ = [
     "MetricJournal", "read_journal", "deterministic_entries",
     "format_entry", "tail_journal", "DETERMINISTIC_FIELDS",
     "seed_everything", "generator_state", "set_generator_state",
-    "capture_rng_state", "restore_rng_state",
 ]

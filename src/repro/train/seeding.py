@@ -8,13 +8,12 @@ Two complementary facilities:
   The returned generator is ``np.random.default_rng(seed)``, so call
   sites that previously built one ad hoc are bit-identical after
   migrating.
-* :func:`generator_state` / :func:`set_generator_state` and
-  :func:`capture_rng_state` / :func:`restore_rng_state` — exact
-  capture/restore of per-component and global RNG state.  Everything
-  returned is JSON-serialisable (Python ints are arbitrary precision,
-  which covers PCG64's 128-bit state), so RNG state rides along inside
-  checkpoint metadata and a resumed run consumes the *identical* random
-  stream an uninterrupted run would have.
+* :func:`generator_state` / :func:`set_generator_state` — exact
+  capture/restore of a ``Generator``'s state.  The snapshot is
+  JSON-serialisable (Python ints are arbitrary precision, which covers
+  PCG64's 128-bit state), so RNG state rides along inside checkpoint
+  metadata and a resumed run consumes the *identical* random stream an
+  uninterrupted run would have.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ __all__ = [
     "seed_everything",
     "generator_state",
     "set_generator_state",
-    "capture_rng_state",
-    "restore_rng_state",
 ]
 
 
@@ -54,59 +51,3 @@ def generator_state(rng: np.random.Generator) -> dict:
 def set_generator_state(rng: np.random.Generator, state: dict) -> None:
     """Restore a snapshot taken by :func:`generator_state` in place."""
     rng.bit_generator.state = state
-
-
-def capture_rng_state(*generators: np.random.Generator) -> dict:
-    """Snapshot global RNG state plus any per-component generators.
-
-    Returns a JSON-serialisable dict covering Python's ``random``,
-    NumPy's legacy global state, and each generator passed (in order).
-    """
-    legacy = np.random.get_state()
-    return {
-        "python": _encode_python_state(random.getstate()),
-        "numpy_legacy": {
-            "name": str(legacy[0]),
-            "keys": [int(k) for k in np.asarray(legacy[1]).ravel()],
-            "pos": int(legacy[2]),
-            "has_gauss": int(legacy[3]),
-            "cached_gaussian": float(legacy[4]),
-        },
-        "generators": [generator_state(rng) for rng in generators],
-    }
-
-
-def restore_rng_state(state: dict,
-                      *generators: np.random.Generator) -> None:
-    """Restore a snapshot taken by :func:`capture_rng_state`.
-
-    Pass the same generators in the same order they were captured with;
-    each is restored in place.
-    """
-    random.setstate(_decode_python_state(state["python"]))
-    legacy = state["numpy_legacy"]
-    np.random.set_state((
-        legacy["name"],
-        np.array(legacy["keys"], dtype=np.uint32),
-        int(legacy["pos"]),
-        int(legacy["has_gauss"]),
-        float(legacy["cached_gaussian"]),
-    ))
-    captured = state.get("generators", [])
-    if len(captured) != len(generators):
-        raise ValueError(
-            f"snapshot holds {len(captured)} generator states but "
-            f"{len(generators)} generators were passed")
-    for rng, gen_state in zip(generators, captured):
-        set_generator_state(rng, gen_state)
-
-
-def _encode_python_state(state) -> list:
-    """``random.getstate()`` is nested tuples; JSON wants lists."""
-    version, internal, gauss = state
-    return [version, list(internal), gauss]
-
-
-def _decode_python_state(encoded) -> tuple:
-    version, internal, gauss = encoded
-    return (version, tuple(internal), gauss)

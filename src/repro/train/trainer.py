@@ -69,7 +69,7 @@ class Trainer:
         :class:`~repro.train.TrainRun`, which wires them consistently.
     """
 
-    def __init__(self, modules, optimizer: nn.Optimizer, *,
+    def __init__(self, modules, optimizer: nn.Adam, *,
                  grad_clip: float | None = None,
                  scope: str = "train",
                  checkpoints: CheckpointManager | None = None,

@@ -1,18 +1,9 @@
-"""Edge cases for model persistence and module serialization."""
+"""Edge cases for model persistence."""
 
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import persistence
-
-
-def test_save_module_without_parameters(tmp_path):
-    class Empty(nn.Module):
-        pass
-
-    with pytest.raises(ValueError):
-        nn.save_module(Empty(), tmp_path / "empty.npz")
 
 
 def test_load_clfd_rejects_future_format(tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from repro.data import (
     apply_class_dependent_noise,
     apply_uniform_noise,
     empirical_noise_rates,
-    invert_noisy_labels,
 )
 
 
@@ -53,22 +52,6 @@ def test_class_dependent_rates():
     rates = empirical_noise_rates(ds)
     assert rates["eta_10"] == pytest.approx(0.3, abs=0.04)
     assert rates["eta_01"] == pytest.approx(0.45, abs=0.04)
-
-
-def test_invert_labels_complements():
-    ds = _dataset(50, 50)
-    apply_uniform_noise(ds, 0.8, np.random.default_rng(3))
-    before = ds.noisy_labels().copy()
-    invert_noisy_labels(ds)
-    np.testing.assert_array_equal(ds.noisy_labels(), 1 - before)
-
-
-def test_inverting_high_noise_reduces_rate():
-    """§IV-A2: for η>0.5, inverting labels brings the rate under 0.5."""
-    ds = _dataset(500, 500)
-    apply_uniform_noise(ds, 0.8, np.random.default_rng(4))
-    invert_noisy_labels(ds)
-    assert empirical_noise_rates(ds)["eta"] < 0.5
 
 
 def test_rate_validation():
@@ -112,13 +95,4 @@ def test_class_noise_only_flips_described_class(eta10, eta01, seed):
     ds2 = _dataset(30, 20)
     apply_class_dependent_noise(ds2, 0.0, eta01, np.random.default_rng(seed))
     assert empirical_noise_rates(ds2)["eta_10"] == 0.0
-
-
-def test_double_inversion_is_identity():
-    ds = _dataset(20, 20)
-    apply_uniform_noise(ds, 0.4, np.random.default_rng(5))
-    before = ds.noisy_labels().copy()
-    invert_noisy_labels(ds)
-    invert_noisy_labels(ds)
-    np.testing.assert_array_equal(ds.noisy_labels(), before)
 

@@ -111,26 +111,6 @@ def test_indexing_returns_dataset_or_session(dataset):
     assert fancy[0].session_id == "s3"
 
 
-def test_subsample_respects_class(dataset):
-    rng = np.random.default_rng(0)
-    sub = dataset.subsample(2, rng, label=MALICIOUS)
-    assert all(s.label == MALICIOUS for s in sub)
-    with pytest.raises(ValueError):
-        dataset.subsample(5, rng, label=MALICIOUS)
-
-
-def test_subsample_noisy_flag(dataset):
-    dataset.set_noisy_labels([1, 0, 1, 0])
-    rng = np.random.default_rng(0)
-    sub = dataset.subsample(2, rng, label=MALICIOUS, noisy=True)
-    assert {s.session_id for s in sub} == {"s0", "s2"}
-
-
-def test_shuffled_preserves_contents(dataset):
-    shuffled = dataset.shuffled(np.random.default_rng(1))
-    assert sorted(s.session_id for s in shuffled) == ["s0", "s1", "s2", "s3"]
-
-
 def test_iter_batches_covers_everything(dataset):
     seen = np.concatenate(list(iter_batches(dataset, 3)))
     np.testing.assert_array_equal(np.sort(seen), np.arange(4))

@@ -51,12 +51,6 @@ def test_cooccurring_tokens_are_similar(model):
     assert cos(3, 4) > cos(3, 2)
 
 
-def test_most_similar_excludes_self(model):
-    neighbours = model.most_similar(1, top_k=2)
-    assert all(idx != 1 for idx, _ in neighbours)
-    assert neighbours[0][0] == 2  # b is a's clique partner
-
-
 def test_embed_ids_shapes(model):
     out = model.embed_ids(np.zeros((3, 7), dtype=np.int64))
     assert out.shape == (3, 7, 8)

@@ -86,7 +86,7 @@ def test_trainer_journals_anomaly_event(tmp_path):
     rng = np.random.default_rng(0)
     model = nn.Linear(3, 1, rng)
     model.weight.data[0, 0] = np.inf  # corrupt a parameter pre-training
-    optimizer = nn.SGD(model.parameters(), lr=0.1)
+    optimizer = nn.Adam(model.parameters(), lr=0.1)
     x = rng.normal(size=(8, 3))
 
     journal_path = tmp_path / "journal.jsonl"
@@ -114,7 +114,7 @@ def test_trainer_without_flag_does_not_intercept():
     rng = np.random.default_rng(0)
     model = nn.Linear(3, 1, rng)
     model.weight.data[0, 0] = np.nan
-    optimizer = nn.SGD(model.parameters(), lr=0.1)
+    optimizer = nn.Adam(model.parameters(), lr=0.1)
     x = rng.normal(size=(4, 3))
     trainer = TrainRun().trainer("fit", model, optimizer)
 

@@ -4,8 +4,7 @@ Each test pins one fixed bug:
 
 1. Parameters created inside ``no_grad()`` were permanently frozen.
 2. ``np.asarray(tensor)`` produced a 0-d object array (no ``__array__``).
-3. ``where()`` rejected Tensor conditions.
-4. A second ``backward()`` through the same graph compounded interior
+3. A second ``backward()`` through the same graph compounded interior
    gradients superlinearly (observed 16x where 4x was correct).
 """
 
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import Tensor, where
+from repro.nn import Tensor
 from repro.nn.module import Parameter
 
 
@@ -105,31 +104,7 @@ def test_numpy_functions_consume_tensors_directly():
 
 
 # ----------------------------------------------------------------------
-# Bug 3: where() with a Tensor condition.
-# ----------------------------------------------------------------------
-def test_where_accepts_tensor_condition():
-    cond = Tensor([1.0, 0.0, 1.0])
-    a = Tensor([10.0, 20.0, 30.0], requires_grad=True)
-    b = Tensor([-1.0, -2.0, -3.0], requires_grad=True)
-    out = where(cond, a, b)
-    np.testing.assert_allclose(out.data, [10.0, -2.0, 30.0])
-    out.sum().backward()
-    np.testing.assert_allclose(a.grad, [1.0, 0.0, 1.0])
-    np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
-
-
-def test_where_tensor_condition_matches_ndarray_condition():
-    rng = np.random.default_rng(1)
-    cond = rng.normal(size=(4, 5)) > 0
-    a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-    np.testing.assert_array_equal(
-        where(Tensor(cond.astype(float)), Tensor(a), Tensor(b)).data,
-        where(cond, Tensor(a), Tensor(b)).data,
-    )
-
-
-# ----------------------------------------------------------------------
-# Bug 4: repeated backward through the same graph.
+# Bug 3: repeated backward through the same graph.
 # ----------------------------------------------------------------------
 def test_second_backward_raises_after_graph_freed():
     x = Tensor([2.0], requires_grad=True)

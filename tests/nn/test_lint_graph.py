@@ -17,6 +17,20 @@ def test_demo_clfd_graph_is_clean():
     assert issues == [], [str(i) for i in issues]
 
 
+def test_demo_step_is_built_from_clfds_encoder_and_head():
+    from repro.nn.debug.lint import _demo_training_step, _node_op
+
+    loss, params = _demo_training_step()
+    ops = {_node_op(n) for n in capture_graph(loss) if n._prev}
+    assert {"fused_lstm_sequence", "fused_head_loss"} <= ops
+    # Two LSTM layers (SessionEncoder's default stack) and both FCNN
+    # layers, all reachable from the loss.
+    assert {p.name for p in params} == {
+        f"enc.rnn.cells.{i}.{w}" for i in (0, 1)
+        for w in ("w_x", "w_h", "bias")} | {
+        f"clf.fc{i}.{w}" for i in (1, 2) for w in ("weight", "bias")}
+
+
 def test_capture_graph_walks_all_parents():
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)

@@ -28,26 +28,24 @@ def _data(params):
     return [p.data.copy() for p in params]
 
 
-@pytest.mark.parametrize("factory", [
-    lambda ps: nn.SGD(ps, lr=0.1),
-    lambda ps: nn.SGD(ps, lr=0.1, momentum=0.9, weight_decay=0.01),
-    lambda ps: nn.Adam(ps, lr=0.05),
-    lambda ps: nn.Adam(ps, lr=0.05, betas=(0.8, 0.99), eps=1e-6,
-                       weight_decay=0.02),
-], ids=["sgd", "sgd-momentum", "adam", "adam-tuned"])
-def test_mid_training_capture_replays_bit_identical(factory):
-    # Reference: 10 uninterrupted steps.
+def _adam(params):
+    return nn.Adam(params, lr=0.05)
+
+
+def _replay_from_snapshot(factory, amend=dict):
+    """Params after 10 uninterrupted steps, and after 4 steps, a
+    snapshot (passed through ``amend``) restored into a fresh optimizer,
+    and 6 more steps."""
     params_a, opt_a = _make(factory)
     for _ in range(10):
         _quadratic(params_a)
         opt_a.step()
 
-    # Capture after 4 steps, restore into a fresh optimizer, replay 6.
     params_b, opt_b = _make(factory)
     for _ in range(4):
         _quadratic(params_b)
         opt_b.step()
-    snapshot = opt_b.state_dict()
+    snapshot = amend(opt_b.state_dict())
     frozen = _data(params_b)
 
     params_c, opt_c = _make(factory)
@@ -57,13 +55,28 @@ def test_mid_training_capture_replays_bit_identical(factory):
     for _ in range(6):
         _quadratic(params_c)
         opt_c.step()
+    return _data(params_a), _data(params_c)
 
-    for a, c in zip(_data(params_a), _data(params_c)):
+
+@pytest.mark.parametrize("factory", [_adam], ids=["adam"])
+def test_mid_training_capture_replays_bit_identical(factory):
+    for a, c in zip(*_replay_from_snapshot(factory)):
+        np.testing.assert_array_equal(a, c)
+
+
+def test_adam_snapshot_with_retired_hyperparameters_replays_bit_identical():
+    # Snapshots written while Adam's decays, stabilizer and weight decay
+    # were settable carry them; they always held these values.
+    def legacy(state):
+        return dict(state, beta1=0.9, beta2=0.999, eps=1e-8,
+                    weight_decay=0.0)
+
+    for a, c in zip(*_replay_from_snapshot(_adam, amend=legacy)):
         np.testing.assert_array_equal(a, c)
 
 
 def test_state_dict_buffers_are_copies():
-    params, opt = _make(lambda ps: nn.Adam(ps, lr=0.05))
+    params, opt = _make(_adam)
     _quadratic(params)
     opt.step()
     snapshot = opt.state_dict()
@@ -74,35 +87,34 @@ def test_state_dict_buffers_are_copies():
 
 
 def test_adam_state_dict_contents():
-    params, opt = _make(lambda ps: nn.Adam(ps, lr=0.05, betas=(0.8, 0.99)))
+    params, opt = _make(_adam)
     for _ in range(3):
         _quadratic(params)
         opt.step()
     state = opt.state_dict()
+    assert set(state) == {"lr", "step", "m", "v"}
     assert state["step"] == 3
-    assert state["beta1"] == 0.8 and state["beta2"] == 0.99
     assert len(state["m"]) == len(state["v"]) == 2
     assert state["m"][0].shape == (4, 3)
 
 
 def test_load_state_dict_validates_buffer_count_and_shape():
-    params, opt = _make(lambda ps: nn.SGD(ps, lr=0.1, momentum=0.9))
+    params, opt = _make(_adam)
     state = opt.state_dict()
-    short = dict(state, velocity=state["velocity"][:1])
+    short = dict(state, m=state["m"][:1])
     with pytest.raises(ValueError, match="buffers"):
         opt.load_state_dict(short)
-    wrong = dict(state,
-                 velocity=[np.zeros((2, 2)), state["velocity"][1]])
+    wrong = dict(state, v=[np.zeros((2, 2)), state["v"][1]])
     with pytest.raises(ValueError, match="shape"):
         opt.load_state_dict(wrong)
 
 
 def test_lr_rides_in_optimizer_state():
-    params, opt = _make(lambda ps: nn.SGD(ps, lr=0.1))
-    opt.lr = 0.05
-    assert opt.lr == 0.05
+    params, opt = _make(_adam)
+    opt.lr = 0.01
+    assert opt.lr == 0.01
     state = opt.state_dict()
-    _, fresh = _make(lambda ps: nn.SGD(ps, lr=0.1))
+    _, fresh = _make(_adam)
     fresh.load_state_dict(state)
-    assert fresh.lr == 0.05
+    assert fresh.lr == 0.01
 

@@ -5,16 +5,12 @@ import pytest
 
 from repro.nn import (
     Tensor,
-    chunk,
     concat,
     default_dtype,
     get_default_dtype,
-    maximum,
-    minimum,
     no_grad,
     split,
     stack,
-    where,
 )
 
 
@@ -147,31 +143,10 @@ def test_stack_routes_gradients():
     np.testing.assert_allclose(b.grad, [0.0, 0.0])
 
 
-def test_where_selects_branch_gradient():
-    a = Tensor([1.0, 2.0], requires_grad=True)
-    b = Tensor([3.0, 4.0], requires_grad=True)
-    where([True, False], a, b).sum().backward()
-    np.testing.assert_allclose(a.grad, [1.0, 0.0])
-    np.testing.assert_allclose(b.grad, [0.0, 1.0])
-
-
-def test_maximum_minimum_values():
-    a = Tensor([1.0, 5.0])
-    b = Tensor([4.0, 2.0])
-    np.testing.assert_allclose(maximum(a, b).data, [4.0, 5.0])
-    np.testing.assert_allclose(minimum(a, b).data, [1.0, 2.0])
-
-
 def test_clip_gradient_masked_outside():
     x = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
     x.clip(-1.0, 1.0).sum().backward()
     np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-
-def test_abs_gradient_is_sign():
-    x = Tensor([-3.0, 4.0], requires_grad=True)
-    x.abs().sum().backward()
-    np.testing.assert_allclose(x.grad, [-1.0, 1.0])
 
 
 def test_no_grad_blocks_graph():
@@ -255,19 +230,6 @@ def test_split_rejects_mismatched_sections():
     x = Tensor(np.ones(7))
     with pytest.raises(ValueError):
         split(x, [3, 3], axis=0)
-
-
-def test_chunk_rejects_indivisible_length():
-    x = Tensor(np.ones(7))
-    with pytest.raises(ValueError):
-        chunk(x, 2, axis=0)
-
-
-def test_chunk_matches_numpy_array_split():
-    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    parts = chunk(x, 2, axis=1)
-    assert [p.shape for p in parts] == [(3, 2), (3, 2)]
-    np.testing.assert_allclose(parts[1].data, x.data[:, 2:])
 
 
 def test_default_dtype_context_and_cast():

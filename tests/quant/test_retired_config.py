@@ -1,10 +1,11 @@
 """Archives written while ``CLFDConfig`` still had a since-retired field.
 
 Every archive saved before ``compile`` left the config carries
-``"compile": false`` in ``meta["config"]``, and every archive saved
-before the encoder variants left carries ``encoder_cell``, ``pooling``
-and ``fused_rnn``; float (v2) and int8 (v3) archives alike must still
-load and score exactly as they did.  An archive of a deleted encoder
+``"compile": false`` in ``meta["config"]``; every archive saved before
+the encoder variants left carries ``encoder_cell``, ``pooling`` and
+``fused_rnn``; every archive saved before the config's anomaly switch
+left carries ``detect_anomaly``.  Float (v2) and int8 (v3) archives
+alike must still load and score exactly as they did.  An archive of a deleted encoder
 variant (a GRU or bidirectional LSTM cell, attention pooling) cannot be
 rebuilt and must be refused by name, not scored as the LSTM.
 """
@@ -18,14 +19,17 @@ from repro.core import build_clfd, load_clfd, read_archive
 
 
 # The retired fields old archives carry, as each era wrote them: before
-# ``compile`` left, before the encoder variants left, and both at once.
+# ``compile`` left, before the encoder variants left, before
+# ``detect_anomaly`` left, and all at once.
 LEGACY_CONFIGS = [
     {"compile": False},
     {"compile": True},
     {"encoder_cell": "lstm", "pooling": "mean", "fused_rnn": True},
     {"encoder_cell": "lstm", "pooling": "mean", "fused_rnn": False},
+    {"detect_anomaly": False},
+    {"detect_anomaly": True},
     {"compile": False, "encoder_cell": "lstm", "pooling": "mean",
-     "fused_rnn": True},
+     "fused_rnn": True, "detect_anomaly": False},
 ]
 
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import build_clfd, load_clfd, read_archive
-from repro.nn.serialize import load_arrays_into
+from repro.core import build_clfd, load_clfd
 from repro.serve import SharedArchive
 
 
@@ -166,25 +165,6 @@ def test_publish_archive_quantizes_before_copy_in(served_archive,
                                 shared.arrays[key])
         assert np.shares_memory(bound.vectorizer.model.table,
                                 shared.arrays["word2vec/vectors"])
-
-
-def test_load_arrays_into_fills_caller_buffers(served_archive):
-    meta, arrays = read_archive(served_archive)
-    out = {key: np.empty_like(value) for key, value in arrays.items()}
-    filled = load_arrays_into(served_archive, out)
-    assert set(filled) == set(out)
-    for key in arrays:
-        np.testing.assert_array_equal(out[key], arrays[key])
-
-
-def test_load_arrays_into_rejects_mismatches(served_archive, tmp_path):
-    meta, arrays = read_archive(served_archive)
-    key = "word2vec/vectors"
-    wrong_shape = {key: np.empty((1, 1))}
-    with pytest.raises(ValueError):
-        load_arrays_into(served_archive, wrong_shape)
-    with pytest.raises(KeyError):
-        load_arrays_into(served_archive, {"no/such/key": np.empty(1)})
 
 
 def test_load_state_dict_copy_false_binds(served_archive):

@@ -3,16 +3,9 @@
 import random
 
 import numpy as np
-import pytest
 
 from repro.data import make_dataset
-from repro.train import (
-    capture_rng_state,
-    generator_state,
-    restore_rng_state,
-    seed_everything,
-    set_generator_state,
-)
+from repro.train import generator_state, seed_everything, set_generator_state
 
 
 def test_seed_everything_matches_default_rng():
@@ -55,30 +48,6 @@ def test_generator_state_is_json_serialisable():
     set_generator_state(rng, rebuilt)
     expected = np.random.default_rng(3)
     assert np.array_equal(rng.random(8), expected.random(8))
-
-
-def test_capture_restore_covers_all_rngs():
-    import json
-
-    seed_everything(99)
-    extra = np.random.default_rng(4)
-    extra.random(3)
-    state = json.loads(json.dumps(capture_rng_state(extra)))
-    ahead = (random.random(), np.random.random(5), extra.random(5))
-
-    random.seed(0)
-    np.random.seed(0)
-    extra.random(100)
-    restore_rng_state(state, extra)
-    assert random.random() == ahead[0]
-    assert np.array_equal(np.random.random(5), ahead[1])
-    assert np.array_equal(extra.random(5), ahead[2])
-
-
-def test_restore_rng_state_rejects_generator_mismatch():
-    state = capture_rng_state(np.random.default_rng(0))
-    with pytest.raises(ValueError, match="generator"):
-        restore_rng_state(state)  # captured 1, passed 0
 
 
 def test_make_dataset_accepts_int_seed():
