@@ -298,7 +298,7 @@ def _build_relu(rng, dtype, extreme, size):
 @_register("leaky_relu", covers=("leaky_relu", "sum"))
 def _build_leaky_relu(rng, dtype, extreme, size):
     x = _t(rng, (size + 1, size + 2), dtype, extreme, spacing=0.2)
-    return lambda: _weighted_sum(x.leaky_relu(0.1)), [x]
+    return lambda: _weighted_sum(x.leaky_relu()), [x]
 
 
 @_register("clip", covers=("clip", "sum"))

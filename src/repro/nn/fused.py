@@ -256,7 +256,7 @@ def fused_lstm_sequence(x, h0, c0, w_x, w_h, bias):
 # ----------------------------------------------------------------------
 # Classifier head
 # ----------------------------------------------------------------------
-# ``Tensor.leaky_relu``'s default slope, the one ``SoftmaxClassifier`` uses.
+# ``Tensor.leaky_relu``'s slope, through which ``SoftmaxClassifier`` runs.
 _HEAD_SLOPE = 0.01
 
 

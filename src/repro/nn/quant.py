@@ -9,8 +9,9 @@ numerical definition here, shared by every caller:
   ``(x @ q) * scale (+ bias)`` over an int8 weight with
   per-output-channel float scales.  The scale is applied *after* the
   matmul (it commutes onto output columns), so the hot loop multiplies
-  against the int8 matrix cast once per call instead of materialising a
-  scaled copy per step.
+  against the unscaled matrix instead of materialising a scaled copy
+  per step.  ``q`` may be the int8 payload or its cast to ``x``'s
+  dtype, which callers keep once per model (no copy is made then).
 * :func:`dequantize_np` — expand ``(int8 q, scale)`` back to a float
   matrix (used once per forward for recurrent weights, whose
   reset-gated products do not commute with per-column scales).
@@ -85,7 +86,7 @@ def quant_matmul_np(x: np.ndarray, q: np.ndarray, scales: np.ndarray,
     ``(x @ q) * s`` and ``x @ (q * s)`` differ in ULPs and a score must
     be a function of the session alone.
     """
-    out = np.matmul(x, q.astype(x.dtype), out=out)
+    out = np.matmul(x, q.astype(x.dtype, copy=False), out=out)
     out *= np.asarray(scales, dtype=x.dtype)
     if bias is not None:
         out += np.asarray(bias, dtype=x.dtype)

@@ -492,11 +492,12 @@ class Tensor:
         out = Tensor._make(out_data, (self,), backward)
         return out
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
+    def leaky_relu(self) -> "Tensor":
+        """LeakyReLU with slope 0.01 below zero."""
         mask = np.asarray(self.data > 0)
         # np.where over two python floats yields float64; cast back so a
         # float32 graph is not silently promoted.
-        scale = np.where(mask, 1.0, negative_slope).astype(
+        scale = np.where(mask, 1.0, 0.01).astype(
             self.data.dtype, copy=False)
         out_data = np.asarray(self.data * scale)
 

@@ -12,8 +12,9 @@ forward, :class:`~repro.core.encoder.InferenceForward`, that the float
 model runs (DESIGN.md §13), and only supplies the projections: input
 projections (the LSTM gates and the FCNN layers) go through the fused
 dequantize-on-the-fly GEMM :func:`repro.nn.quant.quant_matmul_np`, so
-the float expansion of an int8 weight is never materialised on the hot
-path.  Recurrent matrices are the exception: each
+the scaled float expansion of an int8 weight is never materialised; the
+payload's unscaled float32 cast is made once per model generation, not
+per call.  Recurrent matrices are the exception: each
 :class:`QuantWeight` dequantizes its recurrent matrix once (cached) and
 the timestep loop reuses it, so the per-step GEMM runs on a plain float
 matrix.
@@ -50,12 +51,14 @@ class QuantWeight:
 
     ``kind`` is the archive storage kind (``int8`` / ``fp16`` /
     ``raw``); ``payload`` the stored matrix; ``scales`` the per-column
-    float32 scales for ``int8``.  :meth:`project` is the hot path;
+    float32 scales for ``int8``.  :meth:`project` is the hot path: it
+    casts an int8 payload to float32 once per model generation (the
+    scales stay apart, so ``(x @ q) * s`` is still the projection);
     :meth:`dense` lazily caches the float32 expansion for recurrent
     use.
     """
 
-    __slots__ = ("kind", "payload", "scales", "_dense")
+    __slots__ = ("kind", "payload", "scales", "_cast", "_dense")
 
     def __init__(self, kind: str, payload: np.ndarray,
                  scales: np.ndarray | None = None):
@@ -64,6 +67,7 @@ class QuantWeight:
         self.kind = kind
         self.payload = payload
         self.scales = scales
+        self._cast: np.ndarray | None = None
         self._dense: np.ndarray | None = None
 
     @property
@@ -75,7 +79,9 @@ class QuantWeight:
         """``x @ W (+ bias)`` without materialising a float W for int8,
         into ``out`` when given."""
         if self.kind == "int8":
-            return quant_matmul_np(x, self.payload, self.scales, bias, out)
+            if self._cast is None:
+                self._cast = self.payload.astype(_F32)
+            return quant_matmul_np(x, self._cast, self.scales, bias, out)
         out = np.matmul(x, self.dense(), out=out)
         if bias is not None:
             out += bias

@@ -33,6 +33,12 @@ batch never committed), replays the log, and produces bit-identical
 windows, scores, journal entries and alarms to an uninterrupted run —
 the streaming analogue of the trainer's kill-and-resume guarantee
 (asserted in ``tests/stream/``).
+
+A re-correction writes no snapshots of its own: its fine-tune epochs
+go to the journal only.  It runs inside the window that triggered it,
+before that window's batch commits, so a crash mid-re-correction
+leaves the head at the previous commit and the resumed run replays the
+window, re-correction included, from the head's rng state.
 """
 
 from __future__ import annotations
@@ -99,8 +105,7 @@ class StreamProcessor:
         baseline :func:`compare_with_frozen` evaluates against.
     workdir: state directory — ``checkpoint.json`` (the small head),
         ``records.jsonl`` (the append-only records log),
-        ``journal.jsonl``, ``archives/`` (re-corrected generations),
-        ``train/`` (fine-tune checkpoints).
+        ``journal.jsonl`` and ``archives/`` (re-corrected generations).
     config / serve_config: streaming and serving knobs.  The serving
         config is forced to ``include_embeddings=True`` — the centroid
         drift statistic needs the embeddings the engine already
@@ -146,7 +151,9 @@ class StreamProcessor:
         self._model_generation = 0
         self._recorrections = 0
         self._archive = self.initial_archive
-        self._recent: list[list[dict]] = []
+        # Each recent window's sessions as JSON text, encoded once when
+        # the window arrives and spliced into every head after it.
+        self._recent: list[str] = []
         self._records: list[dict] = []
         # Records-log commit point: bytes on disk, records they hold.
         self._records_bytes = 0
@@ -306,7 +313,8 @@ class StreamProcessor:
                 "model_generation": self._model_generation,
             })
         self._windows_processed += 1
-        self._recent.append([s.to_dict() for s in window.sessions])
+        self._recent.append(
+            json.dumps([s.to_dict() for s in window.sessions]))
         del self._recent[:-self.config.recorrect_windows]
 
         self.journal.log(
@@ -349,7 +357,7 @@ class StreamProcessor:
     # ------------------------------------------------------------------
     def _recorrect(self):
         sessions = [StreamSession.from_dict(s)
-                    for window in self._recent for s in window]
+                    for window in self._recent for s in json.loads(window)]
         if not sessions:
             return None
         # Re-train a fresh copy loaded from the current archive — never
@@ -363,8 +371,9 @@ class StreamProcessor:
                 reason="archive has no corrector (quantized?)")
             return None
         generation = self._model_generation + 1
-        run = TrainRun(self.workdir / "train", journal=self.journal,
-                       prefix=f"gen{generation}/")
+        # Journal only: nothing would ever load a fine-tune snapshot
+        # (a crash replays the whole window from the head).
+        run = TrainRun(journal=self.journal, prefix=f"gen{generation}/")
         result = recorrect_model(
             model, sessions, self._rng, generation=generation,
             archive_dir=self.workdir / "archives", run=run,
@@ -418,9 +427,12 @@ class StreamProcessor:
             "model_generation": self._model_generation,
             "recorrections": self._recorrections,
             "archive": str(self._archive),
-            "recent": self._recent,
         }
-        head = json.dumps(state).encode()
+        # "recent" goes last, spliced from the cached window texts: the
+        # head is the exact bytes of json.dumps(state) with "recent" in
+        # it, without re-encoding K windows of sessions per commit.
+        head = (json.dumps(state)[:-1] + ', "recent": ['
+                + ", ".join(self._recent) + "]}").encode()
         atomic_write(self._checkpoint_path, lambda fh: fh.write(head),
                      durable=False)
 
@@ -442,7 +454,7 @@ class StreamProcessor:
         self._model_generation = int(state["model_generation"])
         self._recorrections = int(state["recorrections"])
         self._archive = pathlib.Path(state["archive"])
-        self._recent = [list(window) for window in state["recent"]]
+        self._recent = [json.dumps(window) for window in state["recent"]]
 
         self._records_bytes = int(state["records_bytes"])
         truncate_to(self._records_path, self._records_bytes)

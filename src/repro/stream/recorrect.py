@@ -15,8 +15,9 @@ exactly the parts label noise can reach:
 3. the detector's classifier head is **fine-tuned** on the corrected
    labels over the frozen detector encoder, and the class centroids
    are re-fit — both through the same :func:`train_classifier_head`
-   loop batch training uses, so a :class:`~repro.train.TrainRun` gives
-   atomic checkpoints and journal entries for free;
+   loop batch training uses, so a :class:`~repro.train.TrainRun`
+   journals their epochs (the stream processor writes no fine-tune
+   snapshots: a crash replays the whole window from its head);
 4. the refreshed model is persisted as a deterministic archive
    (``model-gen{n}.npz``) ready for the serving tier's rolling reload.
 

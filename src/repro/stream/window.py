@@ -61,7 +61,20 @@ class StreamSession:
     end_offset: int
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # Field by field, in declaration order: ``dataclasses.asdict``
+        # deep-copies every value, and every field here is immutable.
+        return {
+            "session_id": self.session_id,
+            "entity": self.entity,
+            "activities": self.activities,
+            "noisy_label": self.noisy_label,
+            "label": self.label,
+            "first_time": self.first_time,
+            "last_time": self.last_time,
+            "close_time": self.close_time,
+            "start_offset": self.start_offset,
+            "end_offset": self.end_offset,
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StreamSession":

@@ -18,7 +18,7 @@ def _rand(shape, seed, scale=0.5):
     lambda x: x.tanh(),
     lambda x: x.sigmoid(),
     lambda x: x.relu(),
-    lambda x: x.leaky_relu(0.1),
+    lambda x: x.leaky_relu(),
     lambda x: x.gelu(),
     lambda x: x * x,
     lambda x: (x + 1.0) * (x - 2.0),

@@ -97,6 +97,15 @@ def test_quant_matmul_np_matches_reference_and_dtype():
                                           * s.max()))
 
 
+def test_quant_matmul_np_takes_a_cast_payload():
+    rng = np.random.default_rng(4)
+    q, s = quantize_symmetric(rng.normal(size=(8, 5)))
+    x = rng.normal(size=(4, 8)).astype(np.float32)
+    cast = q.astype(np.float32)
+    np.testing.assert_array_equal(quant_matmul_np(x, cast, s),
+                                  quant_matmul_np(x, q, s))
+
+
 def test_fp16_embed_np_lookup():
     rng = np.random.default_rng(4)
     table, scales = quantize_fp16_rows(rng.normal(size=(7, 3)))

@@ -153,6 +153,25 @@ def test_mean_pool_skips_dead_cells_bit_for_bit(cell):
         grid, full.transpose(1, 0, 2), lengths).tobytes()
 
 
+def test_int8_projection_casts_its_payload_once():
+    from repro.nn.quant import quant_matmul_np, quantize_symmetric
+    from repro.quant.runtime import QuantWeight
+
+    rng = np.random.default_rng(5)
+    q, s = quantize_symmetric(rng.normal(size=(6, 4)))
+    bias = rng.normal(size=4).astype(np.float32)
+    weight = QuantWeight("int8", q, s)
+    x = rng.normal(size=(3, 6)).astype(np.float32)
+    first = weight.project(x, bias)
+    cast = weight._cast
+    assert cast.dtype == np.float32
+    second = weight.project(x, bias)
+    assert weight._cast is cast
+    expected = quant_matmul_np(x, q, s, bias)
+    np.testing.assert_array_equal(first, expected)
+    np.testing.assert_array_equal(second, expected)
+
+
 @pytest.mark.parametrize("precision", [None, "int8"])
 def test_empty_dataset_predicts_empty_arrays(teacher_archive, quant_split,
                                              precision):

@@ -1,10 +1,11 @@
 """Session assembly and window emission, including replay determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.stream import Event, SessionWindower
+from repro.stream import Event, SessionWindower, StreamSession
 
 
 def _event(t, entity="u0", activity="a", offset=-1):
@@ -45,6 +46,17 @@ def test_sessions_keep_event_offsets():
                                  _event(0.5, offset=5)])
     (session,) = [s for w in windows for s in w.sessions]
     assert (session.start_offset, session.end_offset) == (4, 5)
+
+
+def test_session_to_dict_is_asdict_in_field_order():
+    windower = SessionWindower(window_size=10.0, session_gap=1.0)
+    windows = _stream(windower, [_event(0.0, offset=4),
+                                 _event(0.5, activity="b", offset=5)])
+    (session,) = [s for w in windows for s in w.sessions]
+    payload = session.to_dict()
+    assert payload == dataclasses.asdict(session)
+    assert list(payload) == [f.name for f in dataclasses.fields(session)]
+    assert StreamSession.from_dict(payload) == session
 
 
 def test_windows_emit_when_watermark_passes_end():
