@@ -6,6 +6,9 @@ detector's encoder + head (plus its class centroids) — along with the
 configuration needed to rebuild the module graph.  Everything is packed
 into a single ``.npz`` archive so a trained detector can be shipped to
 an inference service (see :mod:`repro.serve`) without the training data.
+Each stage's arrays are its :meth:`~repro.core.stage.Stage.state_dict`
+flattened under ``corrector/`` or ``detector/``; loading hands the same
+nesting back to ``load_state_dict``.
 
 Format notes
 ------------
@@ -53,17 +56,28 @@ _FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2, 3)
 
 
-def _flatten_state(prefix: str, state: dict[str, np.ndarray],
+def _flatten_state(prefix: str, state: dict,
                    out: dict[str, np.ndarray]) -> None:
+    """``{"encoder": {"w": a}}`` under ``p`` → ``out["p/encoder/w"] = a``."""
     for key, value in state.items():
-        out[f"{prefix}/{key}"] = value
+        if isinstance(value, dict):
+            _flatten_state(f"{prefix}/{key}", value, out)
+        else:
+            out[f"{prefix}/{key}"] = value
 
 
-def _extract_state(prefix: str,
-                   archive: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    cut = len(prefix) + 1
-    return {key[cut:]: archive[key] for key in archive
-            if key.startswith(prefix + "/")}
+def _extract_state(prefix: str, archive: dict[str, np.ndarray]) -> dict:
+    """The inverse of :func:`_flatten_state` for a stage's state: module
+    parameter names are dotted, so ``/`` splits only the nesting."""
+    state: dict = {}
+    for key, value in archive.items():
+        if key.startswith(prefix + "/"):
+            part, _, name = key[len(prefix) + 1:].partition("/")
+            if name:
+                state.setdefault(part, {})[name] = value
+            else:
+                state[part] = value
+    return state
 
 
 def _normalize_path(path: str | os.PathLike) -> pathlib.Path:
@@ -96,19 +110,10 @@ def save_clfd(model: CLFD, path: str | os.PathLike) -> pathlib.Path:
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
     payload["word2vec/vectors"] = model.vectorizer.model.vectors
-
-    if model.label_corrector is not None:
-        _flatten_state("corrector/encoder",
-                       model.label_corrector.encoder.state_dict(), payload)
-        _flatten_state("corrector/classifier",
-                       model.label_corrector.classifier.state_dict(), payload)
-    if model.fraud_detector is not None:
-        _flatten_state("detector/encoder",
-                       model.fraud_detector.encoder.state_dict(), payload)
-        _flatten_state("detector/classifier",
-                       model.fraud_detector.classifier.state_dict(), payload)
-        if model.fraud_detector.centroids is not None:
-            payload["detector/centroids"] = model.fraud_detector.centroids
+    for name, stage in (("corrector", model.label_corrector),
+                        ("detector", model.fraud_detector)):
+        if stage is not None:
+            _flatten_state(name, stage.state_dict(), payload)
 
     # Pinned zip metadata: identical models give identical bytes.
     return save_arrays(_normalize_path(path), payload)
@@ -128,22 +133,12 @@ def model_fingerprint(model: CLFD) -> str:
     arrays: dict[str, np.ndarray] = {
         "word2vec/vectors": model.vectorizer.model.vectors,
     }
-    corrector = getattr(model, "label_corrector", None) or getattr(
-        model, "corrector", None)
-    if corrector is not None:
-        parts = getattr(corrector, "correctors", [corrector])
-        for i, part in enumerate(parts):
-            _flatten_state(f"corrector{i}/encoder",
-                           part.encoder.state_dict(), arrays)
-            _flatten_state(f"corrector{i}/classifier",
-                           part.classifier.state_dict(), arrays)
+    stages = {f"corrector{i}": stage
+              for i, stage in enumerate(model.corrector_stages())}
     if model.fraud_detector is not None:
-        _flatten_state("detector/encoder",
-                       model.fraud_detector.encoder.state_dict(), arrays)
-        _flatten_state("detector/classifier",
-                       model.fraud_detector.classifier.state_dict(), arrays)
-        if model.fraud_detector.centroids is not None:
-            arrays["detector/centroids"] = model.fraud_detector.centroids
+        stages["detector"] = model.fraud_detector
+    for name, stage in stages.items():
+        _flatten_state(name, stage.state_dict(), arrays)
     digest = hashlib.sha256()
     for key in sorted(arrays):
         value = np.ascontiguousarray(arrays[key])
@@ -214,25 +209,13 @@ def build_clfd(meta: dict, arrays: dict[str, np.ndarray], *,
     rng = np.random.default_rng(0)
     copy = not bind
     if meta["has_corrector"]:
-        corrector = LabelCorrector(config, model.vectorizer, rng)
-        corrector.encoder.load_state_dict(
-            _extract_state("corrector/encoder", arrays), copy=copy)
-        corrector.classifier.load_state_dict(
-            _extract_state("corrector/classifier", arrays), copy=copy)
-        corrector._fitted = True
-        model.label_corrector = corrector
+        model.label_corrector = LabelCorrector(
+            config, model.vectorizer, rng).load_state_dict(
+                _extract_state("corrector", arrays), copy=copy)
     if meta["has_detector"]:
-        detector = FraudDetector(config, model.vectorizer, rng)
-        detector.encoder.load_state_dict(
-            _extract_state("detector/encoder", arrays), copy=copy)
-        detector.classifier.load_state_dict(
-            _extract_state("detector/classifier", arrays), copy=copy)
-        if "detector/centroids" in arrays:
-            centroids = arrays["detector/centroids"]
-            detector.centroids = centroids if bind else centroids.copy()
-        detector._fitted = True
-        model.fraud_detector = detector
-    model._fitted = True
+        model.fraud_detector = FraudDetector(
+            config, model.vectorizer, rng).load_state_dict(
+                _extract_state("detector", arrays), copy=copy)
     return model
 
 

@@ -102,14 +102,11 @@ def distill_student(teacher: CLFD, train: SessionDataset, *,
     model.vectorizer.precompute(train)
     try:
         history = trainer.fit(batches, step, epochs=epochs, rng=rng)
-        features = detector._encode_dataset(train)
+        features = detector.inference_forward().encode_dataset(train)
     finally:
         model.vectorizer.evict(train)
 
     detector.classifier_loss_history = history
-    detector._fit_centroids(features, targets.argmax(axis=1))
-    detector._fitted = True
+    detector.fit_centroids(features, targets.argmax(axis=1))
     model.fraud_detector = detector
-    model.label_corrector = None
-    model._fitted = True
     return model

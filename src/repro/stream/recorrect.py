@@ -14,10 +14,11 @@ exactly the parts label noise can reach:
    fresh corrected labels + confidences for the recent sessions;
 3. the detector's classifier head is **fine-tuned** on the corrected
    labels over the frozen detector encoder, and the class centroids
-   are re-fit — both through the same :func:`train_classifier_head`
-   loop batch training uses, so a :class:`~repro.train.TrainRun`
-   journals their epochs (the stream processor writes no fine-tune
-   snapshots: a crash replays the whole window from its head);
+   are re-fit — both through the same
+   :meth:`~repro.core.stage.Stage.fit_head` batch training uses, so a
+   :class:`~repro.train.TrainRun` journals their epochs (the stream
+   processor writes no fine-tune snapshots: a crash replays the whole
+   window from its head);
 4. the refreshed model is persisted as a deterministic archive
    (``model-gen{n}.npz``) ready for the serving tier's rolling reload.
 
@@ -38,7 +39,6 @@ import numpy as np
 
 from ..core import CLFD
 from ..core.persistence import save_clfd
-from ..core.training import train_classifier_head
 from ..data.sessions import Session, SessionDataset
 from ..train import TrainRun
 from .window import StreamSession
@@ -130,28 +130,21 @@ def recorrect_model(model: CLFD, sessions: list[StreamSession],
     if recent is None:
         raise ValueError("no stream sessions survive frozen-vocab encoding")
 
+    # Both heads train on the processor's checkpointed rng so resumed
+    # streams replay identically.
     corrector = model.label_corrector
-    # The corrector and detector share the processor's checkpointed rng
-    # for the fine-tune so resumed streams replay identically.
-    corrector._rng = rng
-    features = corrector._encode_dataset(recent)
-    corrector_history = train_classifier_head(
-        corrector.classifier, features, recent.noisy_labels(), rng,
-        loss=config.classifier_loss, q=config.q, beta=config.mixup_beta,
-        epochs=epochs, batch_size=config.batch_size, lr=config.lr,
-        grad_clip=config.grad_clip, run=run, scope="recorrect-head")
+    corrector_history = corrector.fit_head(
+        corrector.encode(recent), recent.noisy_labels(), rng=rng,
+        epochs=epochs, run=run, scope="recorrect-head")
     labels, confidences = corrector.correct(recent)
     flipped = int(np.sum(labels != recent.noisy_labels()))
 
     detector = model.fraud_detector
-    detector._rng = rng
     det_features = detector.encode(recent)
-    detector_history = train_classifier_head(
-        detector.classifier, det_features, labels, rng,
-        loss=config.classifier_loss, q=config.q, beta=config.mixup_beta,
-        epochs=epochs, batch_size=config.batch_size, lr=config.lr,
-        grad_clip=config.grad_clip, run=run, scope="recorrect-detector")
-    detector._fit_centroids(det_features, labels)
+    detector_history = detector.fit_head(
+        det_features, labels, rng=rng, epochs=epochs, run=run,
+        scope="recorrect-detector")
+    detector.fit_centroids(det_features, labels)
 
     model.corrected_labels = labels
     model.confidences = confidences

@@ -23,6 +23,7 @@ same namespace.
 
 from __future__ import annotations
 
+import copy
 import os
 
 from .checkpoint import CheckpointManager
@@ -59,6 +60,8 @@ class TrainRun:
                  *, resume: bool = False, snapshot_every: int = 1,
                  stop_after: str | None = None, profile: bool = False,
                  detect_anomaly: bool = False, prefix: str = ""):
+        if snapshot_every < 1:
+            raise ValueError("snapshot_every must be >= 1")
         self.checkpoints = (CheckpointManager(checkpoint_dir)
                             if checkpoint_dir is not None else None)
         if journal is None or isinstance(journal, MetricJournal):
@@ -75,28 +78,15 @@ class TrainRun:
     # ------------------------------------------------------------------
     def scoped(self, prefix: str) -> "TrainRun":
         """A view of this run with ``prefix`` prepended to every tag."""
-        view = TrainRun.__new__(TrainRun)
-        view.checkpoints = self.checkpoints
-        view.journal = self.journal
-        view.resume = self.resume
-        view.snapshot_every = self.snapshot_every
-        view.stop_after = self.stop_after
-        view.profile = self.profile
-        view.detect_anomaly = self.detect_anomaly
+        view = copy.copy(self)
         view.prefix = self.prefix + prefix
         return view
 
-    def trainer(self, scope: str, modules, optimizer, **kwargs) -> Trainer:
+    def trainer(self, scope: str, modules, optimizer, *,
+                grad_clip: float | None = None) -> Trainer:
         """Build a Trainer wired to this run's checkpoints and journal."""
-        kwargs.setdefault("checkpoints", self.checkpoints)
-        kwargs.setdefault("journal", self.journal)
-        kwargs.setdefault("resume", self.resume)
-        kwargs.setdefault("snapshot_every", self.snapshot_every)
-        kwargs.setdefault("stop_after", self.stop_after)
-        kwargs.setdefault("profile", self.profile)
-        kwargs.setdefault("detect_anomaly", self.detect_anomaly)
-        return Trainer(modules, optimizer, scope=self.prefix + scope,
-                       **kwargs)
+        return Trainer(self, modules, optimizer, grad_clip=grad_clip,
+                       scope=self.prefix + scope)
 
     # ------------------------------------------------------------------
     # Phase-level checkpoints (state between epoch loops: the fitted

@@ -1,16 +1,19 @@
 """Round-trip persistence: a reloaded archive predicts identically.
 
-Covers the full model plus the ablated configurations the paper's
-ablation table exercises (corrector-only, detector-only), the
-suffix-less-path round-trip fixed alongside the serving work, and the
-atomic-save guarantee.
+Covers the full model plus every ablated configuration of the paper's
+ablation table, the co-teaching variant, the suffix-less-path
+round-trip fixed alongside the serving work, and the atomic-save
+guarantee.  Every CLFD round-trip also keeps its ``model_fingerprint``.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro import CLFD, CLFDConfig
-from repro.core import load_clfd, save_clfd
+from repro.core import CoTeachingCLFD, load_clfd, model_fingerprint, save_clfd
+from repro.experiments import ABLATIONS
 
 from .conftest import TINY
 
@@ -42,17 +45,38 @@ def test_roundtrip_full_model(fitted, tiny_data, tmp_path):
     _assert_same_predictions(fitted, restored, test)
     assert restored.config == fitted.config
     assert restored.vectorizer.max_len == fitted.vectorizer.max_len
+    assert model_fingerprint(restored) == model_fingerprint(fitted)
 
 
-@pytest.mark.parametrize("overrides", [
-    {"use_label_corrector": False},
-    {"use_fraud_detector": False},
-], ids=["detector-only", "corrector-only"])
+_ABLATION_IDS = {"w/o LC": "detector-only", "w/o FD": "corrector-only"}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [ABLATIONS[variant] for variant in ABLATIONS if variant != "CLFD"],
+    ids=[_ABLATION_IDS.get(variant, variant)
+         for variant in ABLATIONS if variant != "CLFD"])
 def test_roundtrip_ablated_configs(tiny_data, tmp_path, overrides):
     _, test = tiny_data
     model = _fit(tiny_data, **overrides)
     restored = load_clfd(save_clfd(model, tmp_path / "ablated.npz"))
     _assert_same_predictions(model, restored, test)
+    assert model_fingerprint(restored) == model_fingerprint(model)
+
+
+def test_co_teaching_saves_its_detector(tiny_data, tmp_path):
+    """A co-teaching model persists as a detector archive: its two
+    correctors only produced the training labels."""
+    train, test = tiny_data
+    model = CoTeachingCLFD(CLFDConfig(**TINY)).fit(
+        train, rng=np.random.default_rng(3))
+    path = save_clfd(model, tmp_path / "coteach.npz")
+    with np.load(path) as archive:
+        meta = json.loads(bytes(archive["meta"]).decode())
+        assert not any(key.startswith("corrector") for key in archive.files)
+    assert meta["has_corrector"] is False
+    assert meta["has_detector"] is True
+    _assert_same_predictions(model, load_clfd(path), test)
 
 
 def test_roundtrip_preserves_vocab(fitted, tiny_data, tmp_path):

@@ -22,8 +22,8 @@ import types
 
 import pytest
 
-from repro.stream import (StreamProcessor, compare_with_frozen, recorrect,
-                          write_events)
+from repro.core import stage
+from repro.stream import StreamProcessor, compare_with_frozen, write_events
 
 from .conftest import SERVE_CONFIG, STREAM_CONFIG, drifting_events
 
@@ -117,14 +117,14 @@ def test_crash_before_head_replace_leaves_no_duplicates(
 def test_crash_inside_recorrection_replays_the_window(
         stream_archive, clean, tmp_path, monkeypatch):
     workdir = tmp_path / "crashed-recorrect"
-    real_train = recorrect.train_classifier_head
+    real_train = stage.train_classifier_head
 
     def failpoint(*args, scope, **kwargs):
         if scope == "recorrect-detector":
             raise RuntimeError("failpoint: died inside the detector head")
         return real_train(*args, scope=scope, **kwargs)
 
-    monkeypatch.setattr(recorrect, "train_classifier_head", failpoint)
+    monkeypatch.setattr(stage, "train_classifier_head", failpoint)
     with pytest.raises(RuntimeError, match="failpoint"):
         with _processor(stream_archive, workdir) as proc:
             proc.run_log(clean.log)
