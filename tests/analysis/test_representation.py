@@ -87,9 +87,9 @@ def test_supcon_training_improves_report():
     vec = SessionVectorizer.fit(train, config.word2vec,
                                 rng=np.random.default_rng(5))
     fd = FraudDetector(config, vec, np.random.default_rng(0))
-    before = fd._encode_dataset(train)
+    before = fd.inference_forward().encode_dataset(train)
     gap_before = cosine_separation_gap(before, train.labels())
     fd._pretrain_supcon(train, train.labels(), np.ones(len(train)))
-    after = fd._encode_dataset(train)
+    after = fd.inference_forward().encode_dataset(train)
     gap_after = cosine_separation_gap(after, train.labels())
     assert gap_after > gap_before

@@ -6,6 +6,7 @@ import pytest
 from repro import CLFD, CLFDConfig
 from repro.data import apply_uniform_noise, make_dataset
 from repro.metrics import evaluate_detector
+from repro.train import TrainingInterrupted, TrainRun
 from tests.core.conftest import TINY
 
 
@@ -22,6 +23,22 @@ def test_predict_before_fit_raises():
     model = CLFD(CLFDConfig(**TINY))
     with pytest.raises(RuntimeError):
         model.predict(None)
+
+
+@pytest.mark.parametrize("overrides,stop_after", [
+    ({}, "detector/supcon@1"),
+    ({"use_fraud_detector": False}, "corrector/head@1"),
+])
+def test_interrupted_fit_leaves_no_stage_to_score(tmp_path, tiny_data,
+                                                  overrides, stop_after):
+    model = CLFD(CLFDConfig(**{**TINY, **overrides}))
+    run = TrainRun(tmp_path / "ckpt", stop_after=stop_after)
+    with pytest.raises(TrainingInterrupted):
+        model.fit(tiny_data[0], rng=np.random.default_rng(0), run=run)
+    with pytest.raises(RuntimeError, match="CLFD.fit"):
+        model.inference_forward()
+    with pytest.raises(RuntimeError, match="CLFD.fit"):
+        model.predict(tiny_data[1])
 
 
 def test_fit_populates_components(fitted_clfd):

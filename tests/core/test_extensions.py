@@ -1,6 +1,8 @@
 """Tests for the future-work extensions: noise-rate estimation,
 co-teaching correction, and model persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,13 @@ def test_co_teaching_clfd_end_to_end(tiny_config_module, tiny_data_module):
     assert labels.shape == (len(test),)
     quality = model.correction_quality(train)
     assert 0 <= quality["tnr"] <= 100
+
+
+def test_co_teaching_clfd_refuses_without_fraud_detector(tiny_config_module):
+    # The fused corrector is no inference stage: "w/o FD" could not score.
+    config = dataclasses.replace(tiny_config_module, use_fraud_detector=False)
+    with pytest.raises(ValueError, match="use_fraud_detector"):
+        CoTeachingCLFD(config)
 
 
 def test_co_teaching_clfd_requires_fit(tiny_config_module):
