@@ -4,7 +4,7 @@ Registry :data:`BASELINES` maps the paper's model names to classes so
 the experiment harness can instantiate every row of Tables I/II.
 """
 
-from .base import BaselineConfig, BaselineModel, EncoderClassifier, Estimator
+from .base import BaselineConfig, BaselineModel, Estimator
 from .cldet import CLDetModel
 from .ctrr import CTRRModel
 from .deeplog import DeepLogModel
@@ -26,7 +26,7 @@ BASELINES: dict[str, type[BaselineModel]] = {
 }
 
 __all__ = [
-    "Estimator", "BaselineConfig", "BaselineModel", "EncoderClassifier",
+    "Estimator", "BaselineConfig", "BaselineModel",
     "DivMixModel", "ULCModel", "SelCLModel", "CTRRModel",
     "FewShotModel", "CLDetModel", "DeepLogModel", "LogBertModel",
     "BASELINES", "fit_two_component_gmm", "knn_correct_labels",

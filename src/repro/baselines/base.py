@@ -3,15 +3,20 @@
 :class:`Estimator` is the repo-wide model contract: everything the
 experiment harness, the serving layer, and the analysis tools train or
 score — :class:`repro.core.CLFD`, :class:`repro.core.CoTeachingCLFD`,
-and each baseline here — satisfies ``fit(train, rng=...)``,
+and each baseline here — satisfies ``fit(train, rng=..., run=...)``,
 ``predict(dataset) -> (labels, scores)`` and
 ``predict_proba(dataset) -> (n, 2) probabilities``.  The protocol is
 structural (:class:`typing.Protocol`): conformance is by signature, not
 inheritance, so callers never need ``isinstance`` checks.
 
 The paper adapts each baseline to sessions by replacing its image
-network with a two-hidden-layer LSTM session encoder (§IV-A3); the
-:class:`EncoderClassifier` building block below is that adaptation.
+network with CLFD's two-layer LSTM session encoder (§IV-A3), so the
+baselines build on CLFD's own parts: :meth:`BaselineConfig.stage_config`
+maps their hyper-parameters onto the :class:`~repro.core.CLFDConfig` a
+:class:`~repro.core.stage.Stage` or :class:`~repro.core.LabelCorrector`
+is built from, every model starts with CLFD's word2vec phase
+(:func:`~repro.core.clfd.fit_vectorizer`), and stage-based models score
+through the stage's :class:`~repro.core.encoder.InferenceForward`.
 """
 
 from __future__ import annotations
@@ -21,16 +26,15 @@ from typing import Protocol
 
 import numpy as np
 
-from .. import nn
-from ..core.clfd import _restore_vectorizer, _vectorizer_phase_state
-from ..core.encoder import SessionEncoder, SoftmaxClassifier
+from ..core.clfd import fit_vectorizer
+from ..core.config import CLFDConfig
+from ..core.stage import Stage
 from ..data.pipeline import SessionVectorizer
-from ..data.sessions import SessionDataset, iter_batches
+from ..data.sessions import SessionDataset
 from ..data.word2vec import Word2VecConfig
 from ..train import TrainRun
 
-__all__ = ["Estimator", "BaselineConfig", "BaselineModel",
-           "EncoderClassifier"]
+__all__ = ["Estimator", "BaselineConfig", "BaselineModel", "stage_probs"]
 
 
 class Estimator(Protocol):
@@ -45,8 +49,12 @@ class Estimator(Protocol):
     """
 
     def fit(self, train: SessionDataset,
-            rng: np.random.Generator | None = None) -> "Estimator":
-        """Train on the noisy labels of ``train``; returns ``self``."""
+            rng: np.random.Generator | None = None,
+            run: TrainRun | None = None) -> "Estimator":
+        """Train on the noisy labels of ``train``; returns ``self``.
+
+        ``run`` checkpoints and journals the training (:mod:`repro.train`).
+        """
         ...  # pragma: no cover - protocol stub
 
     def predict(self, dataset: SessionDataset
@@ -80,15 +88,21 @@ class BaselineConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
+    def stage_config(self, **fields) -> CLFDConfig:
+        """The :class:`CLFDConfig` a CLFD stage is built from: this
+        config's architecture, batching, optimiser and word2vec, plus the
+        model's own stage ``fields`` (epochs, loss, temperature, ...)."""
+        return CLFDConfig(
+            embedding_dim=self.embedding_dim, hidden_size=self.hidden_size,
+            lstm_layers=self.lstm_layers, batch_size=self.batch_size,
+            lr=self.lr, grad_clip=self.grad_clip, word2vec=self.word2vec,
+            **fields)
+
 
 class BaselineModel:
     """Abstract baseline: fit on noisy labels, predict labels + scores."""
 
     name = "baseline"
-    # fit() accepts ``run=`` — the word2vec stage is a phase checkpoint
-    # for every baseline, and the sequence-LM baselines additionally
-    # resume their epoch loops through :class:`~repro.train.Trainer`.
-    supports_train_run = True
 
     def __init__(self, config: BaselineConfig | None = None):
         self.config = config or BaselineConfig()
@@ -100,15 +114,8 @@ class BaselineModel:
             run: TrainRun | None = None) -> "BaselineModel":
         rng = rng or np.random.default_rng(0)
         run = run or TrainRun()
-        state = run.load_phase("vectorizer")
-        if state is not None:
-            self.vectorizer = _restore_vectorizer(state, rng)
-        else:
-            self.vectorizer = SessionVectorizer.fit(
-                train, config=self.config.word2vec, rng=rng
-            )
-            run.save_phase("vectorizer",
-                           _vectorizer_phase_state(self.vectorizer, rng))
+        self.vectorizer = fit_vectorizer(train, self.config.word2vec, rng,
+                                         run)
         self._fit(train, rng, run)
         self._fitted = True
         return self
@@ -124,62 +131,36 @@ class BaselineModel:
             raise RuntimeError(f"{type(self).__name__}.fit must be called first")
         return self._predict_proba(dataset)
 
-    # Subclass hooks -----------------------------------------------------
+    # Subclass hooks: ``_fit``, and at least one of ``_predict`` and
+    # ``_predict_proba`` (each defaults to a view of the other).
     def _fit(self, train: SessionDataset, rng: np.random.Generator,
              run: TrainRun) -> None:
         raise NotImplementedError
 
     def _predict(self, dataset: SessionDataset) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        """Default: the argmax label and ``p(malicious)`` of
+        :meth:`_predict_proba`, for softmax-headed models."""
+        probs = self._predict_proba(dataset)
+        return probs.argmax(axis=1), probs[:, 1]
 
     def _predict_proba(self, dataset: SessionDataset) -> np.ndarray:
         """Default: treat the malicious score as ``p(malicious)``.
 
-        Correct as-is for models whose ``_predict`` already returns a
-        probability; threshold detectors keep this derivation so the
-        Estimator protocol holds uniformly.  Softmax-headed models
-        override it with their actual distribution.
+        Threshold detectors (DeepLog, LogBert) keep this derivation so
+        the Estimator protocol holds uniformly.
         """
         _, scores = self._predict(dataset)
         scores = np.clip(np.asarray(scores, dtype=np.float64), 0.0, 1.0)
         return np.stack([1.0 - scores, scores], axis=1)
 
 
-class EncoderClassifier(nn.Module):
-    """LSTM session encoder + FCNN head trained end to end.
+def stage_probs(stage: Stage, dataset: SessionDataset) -> np.ndarray:
+    """Softmax probabilities of every session through ``stage``'s
+    inference forward.
 
-    The §IV-A3 adaptation applied to the image-domain baselines: their
-    ResNets are replaced by this sequence model.
+    Unlike :meth:`Stage.predict_proba` this reads no fitted flag: the
+    baselines train a stage's encoder and head themselves, and ULC and
+    DivMix score it between epochs.
     """
-
-    def __init__(self, config: BaselineConfig, rng: np.random.Generator):
-        super().__init__()
-        self.encoder = SessionEncoder(config.embedding_dim, config.hidden_size,
-                                      rng, num_layers=config.lstm_layers)
-        self.head = SoftmaxClassifier(config.hidden_size, rng)
-
-    def forward(self, x, lengths=None) -> nn.Tensor:
-        """Logits for a batch of embedded sessions."""
-        return self.head(self.encoder(x, lengths))
-
-    def probs(self, x, lengths=None) -> nn.Tensor:
-        return nn.softmax(self.forward(x, lengths), axis=-1)
-
-    def predict_dataset(self, dataset: SessionDataset,
-                        vectorizer: SessionVectorizer,
-                        batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-        """Label + malicious-score inference over a whole dataset."""
-        probs = self.probs_dataset(dataset, vectorizer, batch_size)
-        return probs.argmax(axis=1), probs[:, 1]
-
-    def probs_dataset(self, dataset: SessionDataset,
-                      vectorizer: SessionVectorizer,
-                      batch_size: int = 256) -> np.ndarray:
-        """Softmax probabilities for every session, through the
-        Tensor-free inference forward (the same bits as :meth:`probs`)."""
-        all_probs = []
-        for batch in iter_batches(dataset, batch_size):
-            x, lengths = vectorizer.transform(dataset, indices=batch)
-            all_probs.append(self.head.probs_numpy(
-                self.encoder.encode_numpy(x, lengths)))
-        return np.concatenate(all_probs, axis=0)
+    forward = stage.inference_forward()
+    return forward.probs(forward.encode_dataset(dataset))

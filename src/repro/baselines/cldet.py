@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.config import CLFDConfig
 from ..core.label_corrector import LabelCorrector
 from ..data.sessions import SessionDataset
 from ..train import TrainRun
@@ -37,26 +36,13 @@ class CLDetModel(BaselineModel):
 
     def _fit(self, train: SessionDataset, rng: np.random.Generator,
              run: TrainRun) -> None:
-        # Multi-stage loop; only the word2vec phase checkpoints here.
-        del run
-        config = self.config
-        clfd_config = CLFDConfig(
-            embedding_dim=config.embedding_dim,
-            hidden_size=config.hidden_size,
-            lstm_layers=config.lstm_layers,
-            batch_size=config.batch_size,
-            lr=config.lr,
-            ssl_epochs=self.ssl_epochs,
-            classifier_epochs=self.classifier_epochs,
-            grad_clip=config.grad_clip,
-            word2vec=config.word2vec,
-            classifier_loss="cce",  # CLDet's original, noise-sensitive loss
-        )
-        self._corrector = LabelCorrector(clfd_config, self.vectorizer, rng)
-        self._corrector.fit(train)
-
-    def _predict(self, dataset: SessionDataset) -> tuple[np.ndarray, np.ndarray]:
-        return self._corrector.predict(dataset)
+        self._corrector = LabelCorrector(
+            self.config.stage_config(
+                ssl_epochs=self.ssl_epochs,
+                classifier_epochs=self.classifier_epochs,
+                classifier_loss="cce"),  # CLDet's noise-sensitive loss
+            self.vectorizer, rng)
+        self._corrector.fit(train, run=run)
 
     def _predict_proba(self, dataset: SessionDataset) -> np.ndarray:
         return self._corrector.predict_proba(dataset)

@@ -14,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
+from ..core.stage import Stage
 from ..data.sessions import SessionDataset, iter_batches
 from ..losses import sup_con_loss
 from ..train import TrainRun
-from .base import BaselineConfig, BaselineModel, EncoderClassifier
+from .base import BaselineConfig, BaselineModel, stage_probs
 
 __all__ = ["CTRRModel"]
 
@@ -34,46 +35,45 @@ class CTRRModel(BaselineModel):
         self.reg_weight = reg_weight
         self.confidence = confidence
         self.temperature = temperature
-        self.net: EncoderClassifier | None = None
+        self.net: Stage | None = None
 
     def _fit(self, train: SessionDataset, rng: np.random.Generator,
              run: TrainRun) -> None:
-        # Multi-stage loop; only the word2vec phase checkpoints here.
-        del run
         config = self.config
-        self.net = EncoderClassifier(config, rng)
-        optimizer = nn.Adam(self.net.parameters(), lr=config.lr)
+        net = self.net = Stage(config.stage_config(), self.vectorizer, rng)
+        optimizer = nn.Adam(net.parameters(), lr=config.lr)
         noisy = train.noisy_labels()
-        for _ in range(config.epochs):
-            for batch in iter_batches(train, config.batch_size, rng):
-                if batch.size < 2:
-                    continue
-                x, lengths = self.vectorizer.transform(train, indices=batch)
-                z = self.net.encoder(x, lengths)
-                logits = self.net.head(z)
-                loss = nn.cross_entropy(logits, noisy[batch])
 
-                # Contrastive regularization over confident predictions:
-                # pairs predicted into the same class with confidence
-                # above the threshold are pulled together.
-                with nn.no_grad():
-                    probs = nn.softmax(logits, axis=-1).data
-                pred = probs.argmax(axis=1)
-                conf = probs.max(axis=1)
-                confident = conf > self.confidence
-                if confident.sum() >= 2 and len(np.unique(pred[confident])) >= 1:
-                    reg = sup_con_loss(
-                        z[np.flatnonzero(confident)], pred[confident],
-                        temperature=self.temperature, variant="unweighted",
-                    )
-                    loss = loss + reg * self.reg_weight
-                optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(self.net.parameters(), config.grad_clip)
-                optimizer.step()
+        def batches(batch_rng: np.random.Generator):
+            return iter_batches(train, config.batch_size, batch_rng)
 
-    def _predict(self, dataset: SessionDataset) -> tuple[np.ndarray, np.ndarray]:
-        return self.net.predict_dataset(dataset, self.vectorizer)
+        def step(batch: np.ndarray):
+            if batch.size < 2:
+                return None
+            x, lengths = self.vectorizer.transform(train, indices=batch)
+            z = net.encoder(x, lengths)
+            logits = net.classifier(z)
+            loss = nn.cross_entropy(logits, noisy[batch])
+
+            # Contrastive regularization over confident predictions:
+            # pairs predicted into the same class with confidence
+            # above the threshold are pulled together.
+            with nn.no_grad():
+                probs = nn.softmax(logits, axis=-1).data
+            pred = probs.argmax(axis=1)
+            confident = probs.max(axis=1) > self.confidence
+            if confident.sum() >= 2:
+                reg = sup_con_loss(
+                    z[np.flatnonzero(confident)], pred[confident],
+                    temperature=self.temperature, variant="unweighted",
+                )
+                loss = loss + reg * self.reg_weight
+            return loss
+
+        trainer = run.trainer(
+            "joint", {"encoder": net.encoder, "classifier": net.classifier},
+            optimizer, grad_clip=config.grad_clip)
+        trainer.fit(batches, step, epochs=config.epochs, rng=rng)
 
     def _predict_proba(self, dataset: SessionDataset) -> np.ndarray:
-        return self.net.probs_dataset(dataset, self.vectorizer)
+        return stage_probs(self.net, dataset)

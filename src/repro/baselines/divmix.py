@@ -21,9 +21,10 @@ import numpy as np
 
 from .. import nn
 from ..augment import sample_mixup
+from ..core.stage import Stage
 from ..data.sessions import SessionDataset, iter_batches
 from ..train import TrainRun
-from .base import BaselineConfig, BaselineModel, EncoderClassifier
+from .base import BaselineConfig, BaselineModel, stage_probs
 
 __all__ = ["DivMixModel", "fit_two_component_gmm"]
 
@@ -71,14 +72,17 @@ class DivMixModel(BaselineModel):
         self.warmup_epochs = warmup_epochs
         self.clean_threshold = clean_threshold
         self.mixup_beta = mixup_beta
-        self.nets: list[EncoderClassifier] = []
+        self.nets: list[Stage] = []
 
     def _fit(self, train: SessionDataset, rng: np.random.Generator,
              run: TrainRun) -> None:
-        # Multi-stage loop; only the word2vec phase checkpoints here.
+        # Only the word2vec phase checkpoints: each epoch trains on labels
+        # refined from the peer network, which a Trainer snapshot does
+        # not hold, so the epoch loop cannot resume.
         del run
         config = self.config
-        self.nets = [EncoderClassifier(config, rng) for _ in range(2)]
+        self.nets = [Stage(config.stage_config(), self.vectorizer, rng)
+                     for _ in range(2)]
         optimizers = [nn.Adam(net.parameters(), lr=config.lr)
                       for net in self.nets]
         noisy = train.noisy_labels()
@@ -99,20 +103,19 @@ class DivMixModel(BaselineModel):
                 self._train_epoch(net, opt, train, refined[i], rng,
                                   use_mixup=True)
 
-    def _per_sample_losses(self, net: EncoderClassifier,
-                           dataset: SessionDataset,
+    def _per_sample_losses(self, net: Stage, dataset: SessionDataset,
                            labels: np.ndarray) -> np.ndarray:
-        probs = net.probs_dataset(dataset, self.vectorizer)
+        probs = stage_probs(net, dataset)
         picked = probs[np.arange(len(labels)), labels]
         return -np.log(np.maximum(picked, 1e-12))
 
-    def _refine_labels(self, peer: EncoderClassifier,
-                       scorer: EncoderClassifier, train: SessionDataset,
+    def _refine_labels(self, peer: Stage, scorer: Stage,
+                       train: SessionDataset,
                        noisy: np.ndarray) -> np.ndarray:
         losses = self._per_sample_losses(scorer, train, noisy)
         clean_prob, _ = fit_two_component_gmm(losses)
         is_clean = clean_prob > self.clean_threshold
-        peer_probs = peer.probs_dataset(train, self.vectorizer)
+        peer_probs = stage_probs(peer, train)
         # Co-refinement: only overwrite labels the GMM marks noisy AND the
         # peer is confident about; uncertain samples keep their labels
         # (DivideMix's soft-refinement, hardened).
@@ -121,7 +124,7 @@ class DivMixModel(BaselineModel):
         refined = np.where(~is_clean & peer_confident, peer_label, noisy)
         return refined.astype(np.int64)
 
-    def _train_epoch(self, net: EncoderClassifier, optimizer: nn.Adam,
+    def _train_epoch(self, net: Stage, optimizer: nn.Adam,
                      train: SessionDataset, labels: np.ndarray,
                      rng: np.random.Generator, use_mixup: bool) -> None:
         config = self.config
@@ -138,20 +141,14 @@ class DivMixModel(BaselineModel):
                 targets = mixup.mixed_targets
             else:
                 targets = onehot[batch]
-            probs = nn.softmax(net.head(z), axis=-1)
+            probs = nn.softmax(net.classifier(z), axis=-1)
             loss = -(nn.Tensor(targets) * probs.clip(1e-12, 1.0).log()).sum(axis=-1).mean()
             optimizer.zero_grad()
             loss.backward()
             nn.clip_grad_norm(net.parameters(), config.grad_clip)
             optimizer.step()
 
-    def _predict(self, dataset: SessionDataset) -> tuple[np.ndarray, np.ndarray]:
-        probs = self._predict_proba(dataset)
-        return probs.argmax(axis=1), probs[:, 1]
-
     def _predict_proba(self, dataset: SessionDataset) -> np.ndarray:
         # Ensemble the two networks, as DivideMix does at test time.
-        return np.mean(
-            [net.probs_dataset(dataset, self.vectorizer) for net in self.nets],
-            axis=0,
-        )
+        return np.mean([stage_probs(net, dataset) for net in self.nets],
+                       axis=0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
+from ..core.encoder import SoftmaxClassifier
 from ..data.sessions import SessionDataset, iter_batches
 from ..train import TrainRun
 from .base import BaselineConfig, BaselineModel
@@ -32,39 +33,35 @@ class FewShotModel(BaselineModel):
         self.num_heads = num_heads
         self.num_layers = num_layers
         self.encoder: nn.TransformerEncoder | None = None
-        self.head = None
+        self.head: SoftmaxClassifier | None = None
 
     def _fit(self, train: SessionDataset, rng: np.random.Generator,
              run: TrainRun) -> None:
-        # Multi-stage loop; only the word2vec phase checkpoints here.
-        del run
         config = self.config
         self.encoder = nn.TransformerEncoder(
             dim=config.embedding_dim, num_heads=self.num_heads,
             ff_dim=2 * config.embedding_dim, num_layers=self.num_layers,
             rng=rng, max_len=max(self.vectorizer.max_len, 8),
         )
-        from ..core.encoder import SoftmaxClassifier
-
         self.head = SoftmaxClassifier(config.embedding_dim, rng)
-        params = self.encoder.parameters() + self.head.parameters()
-        optimizer = nn.Adam(params, lr=config.lr)
+        optimizer = nn.Adam(self.encoder.parameters() + self.head.parameters(),
+                            lr=config.lr)
         labels = train.noisy_labels()
-        for _ in range(config.epochs):
-            for batch in iter_batches(train, config.batch_size, rng):
-                if batch.size < 2:
-                    continue
-                x, lengths = self.vectorizer.transform(train, indices=batch)
-                pooled = self.encoder.mean_pool(nn.Tensor(x), lengths)
-                loss = nn.cross_entropy(self.head(pooled), labels[batch])
-                optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(params, config.grad_clip)
-                optimizer.step()
 
-    def _predict(self, dataset: SessionDataset) -> tuple[np.ndarray, np.ndarray]:
-        probs = self._predict_proba(dataset)
-        return probs.argmax(axis=1), probs[:, 1]
+        def batches(batch_rng: np.random.Generator):
+            return iter_batches(train, config.batch_size, batch_rng)
+
+        def step(batch: np.ndarray):
+            if batch.size < 2:
+                return None
+            x, lengths = self.vectorizer.transform(train, indices=batch)
+            pooled = self.encoder.mean_pool(nn.Tensor(x), lengths)
+            return nn.cross_entropy(self.head(pooled), labels[batch])
+
+        trainer = run.trainer(
+            "classifier", {"encoder": self.encoder, "head": self.head},
+            optimizer, grad_clip=config.grad_clip)
+        trainer.fit(batches, step, epochs=config.epochs, rng=rng)
 
     def _predict_proba(self, dataset: SessionDataset) -> np.ndarray:
         all_probs = []

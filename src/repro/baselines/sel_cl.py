@@ -3,12 +3,14 @@
 The pipeline, adapted to sessions per §IV-A3:
 
 1. **SimCLR warm-up** of an LSTM encoder with session-reordering views
-   (the paper substitutes this for Sel-CL's image augmentations);
+   (the paper substitutes this for Sel-CL's image augmentations) — the
+   pre-training of CLFD's :class:`~repro.core.LabelCorrector`, whose
+   encoder and head this model trains;
 2. **nearest-neighbour label correction** in representation space;
 3. **confident-sample selection** — sessions whose corrected label
    agrees with the given noisy label;
 4. **supervised contrastive training** restricted to confident pairs;
-5. a classifier head trained on the confident subset.
+5. a classifier head trained with cross-entropy on the confident subset.
 
 The known weakness on fraud data (and the reason it trails CLFD in
 Tables I/II): step 2 assumes same-class samples are neighbours, which
@@ -20,13 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..augment import reorder_ids
+from ..core.label_corrector import LabelCorrector
 from ..data.sessions import SessionDataset, iter_batches
-from ..losses import nt_xent_loss, sup_con_loss
+from ..losses import sup_con_loss
 from ..train import TrainRun
-from .base import BaselineConfig, BaselineModel
-from ..core.encoder import SessionEncoder, SoftmaxClassifier
-from ..core.training import train_classifier_head
+from .base import BaselineConfig, BaselineModel, stage_probs
 
 __all__ = ["SelCLModel", "knn_correct_labels"]
 
@@ -61,23 +61,25 @@ class SelCLModel(BaselineModel):
         self.knn = knn
         self.reorder_sub_len = reorder_sub_len
         self.temperature = temperature
-        self.encoder: SessionEncoder | None = None
-        self.head: SoftmaxClassifier | None = None
+        self.corrector: LabelCorrector | None = None
         self.confident_mask: np.ndarray | None = None
         self.corrected_labels: np.ndarray | None = None
 
     def _fit(self, train: SessionDataset, rng: np.random.Generator,
              run: TrainRun) -> None:
-        # Multi-stage loop; only the word2vec phase checkpoints here.
-        del run
-        config = self.config
-        self.encoder = SessionEncoder(config.embedding_dim,
-                                      config.hidden_size, rng,
-                                      num_layers=config.lstm_layers)
-        self.head = SoftmaxClassifier(config.hidden_size, rng)
-        self._simclr_warmup(train, rng)
+        # CLFD's label corrector: its SimCLR pre-training is the warm-up,
+        # and its head trains with plain cross-entropy.
+        corrector = LabelCorrector(
+            self.config.stage_config(
+                ssl_epochs=self.ssl_epochs,
+                classifier_epochs=self.classifier_epochs,
+                temperature=self.temperature,
+                reorder_sub_len=self.reorder_sub_len,
+                classifier_loss="cce"),
+            self.vectorizer, rng)
+        corrector.pretrain_ssl(train, run)
 
-        features = self._encode(train)
+        features = corrector.inference_forward().encode_dataset(train)
         noisy = train.noisy_labels()
         corrected = knn_correct_labels(features, noisy, k=self.knn)
         confident = corrected == noisy
@@ -88,74 +90,41 @@ class SelCLModel(BaselineModel):
         self.corrected_labels = corrected
         self.confident_mask = confident
 
-        self._supcon_on_confident(train, corrected, confident, rng)
-        features = self._encode(train)
-        train_classifier_head(
-            self.head, features[confident], corrected[confident], rng,
-            loss="cce", epochs=self.classifier_epochs,
-            batch_size=config.batch_size, lr=config.lr,
-            grad_clip=config.grad_clip,
-        )
+        self._supcon_on_confident(corrector, train, corrected, confident,
+                                  rng, run)
+        features = corrector.inference_forward().encode_dataset(train)
+        corrector.fit_head(features[confident], corrected[confident],
+                           run=run)
+        self.corrector = corrector
 
-    def _simclr_warmup(self, train: SessionDataset,
-                       rng: np.random.Generator) -> None:
+    def _supcon_on_confident(self, corrector: LabelCorrector,
+                             train: SessionDataset, corrected: np.ndarray,
+                             confident: np.ndarray,
+                             rng: np.random.Generator, run: TrainRun) -> None:
+        """Supervised contrastive training of the encoder on the
+        confident sessions' corrected labels, as Trainer scope
+        ``"supcon"``."""
         config = self.config
-        optimizer = nn.Adam(self.encoder.parameters(), lr=config.lr)
-        ids, lengths = self.vectorizer.transform_token_ids(train)
-        for _ in range(self.ssl_epochs):
-            for batch in iter_batches(train, config.batch_size, rng):
-                if batch.size < 2:
-                    continue
-                views = []
-                for _ in range(2):
-                    augmented = np.empty_like(ids[batch])
-                    for i, row in enumerate(batch):
-                        augmented[i] = reorder_ids(
-                            ids[row], rng, sub_len=self.reorder_sub_len,
-                            length=int(lengths[row]),
-                        )
-                    views.append(self.vectorizer.model.embed_ids(augmented))
-                z_a = self.encoder(views[0], lengths[batch])
-                z_b = self.encoder(views[1], lengths[batch])
-                loss = nt_xent_loss(z_a, z_b, temperature=self.temperature)
-                optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(self.encoder.parameters(), config.grad_clip)
-                optimizer.step()
-
-    def _supcon_on_confident(self, train: SessionDataset,
-                             corrected: np.ndarray, confident: np.ndarray,
-                             rng: np.random.Generator) -> None:
-        config = self.config
-        optimizer = nn.Adam(self.encoder.parameters(), lr=config.lr)
+        encoder = corrector.encoder
+        optimizer = nn.Adam(encoder.parameters(), lr=config.lr)
         pool = np.flatnonzero(confident)
         subset = train[pool]
-        for _ in range(self.supcon_epochs):
-            for batch in iter_batches(subset, config.batch_size, rng):
-                if batch.size < 2:
-                    continue
-                rows = pool[batch]
-                x, lengths = self.vectorizer.transform(train, indices=rows)
-                z = self.encoder(x, lengths)
-                loss = sup_con_loss(z, corrected[rows],
-                                    temperature=self.temperature,
-                                    variant="unweighted")
-                optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(self.encoder.parameters(), config.grad_clip)
-                optimizer.step()
 
-    def _encode(self, dataset: SessionDataset) -> np.ndarray:
-        outputs = []
-        for batch in iter_batches(dataset, 256):
-            x, lengths = self.vectorizer.transform(dataset, indices=batch)
-            outputs.append(self.encoder.encode_numpy(x, lengths))
-        return np.concatenate(outputs, axis=0)
+        def batches(batch_rng: np.random.Generator):
+            return iter_batches(subset, config.batch_size, batch_rng)
 
-    def _predict(self, dataset: SessionDataset) -> tuple[np.ndarray, np.ndarray]:
-        features = self._encode(dataset)
-        labels, scores = self.head.predict_numpy(features)
-        return labels, scores
+        def step(batch: np.ndarray):
+            if batch.size < 2:
+                return None
+            rows = pool[batch]
+            x, lengths = self.vectorizer.transform(train, indices=rows)
+            return sup_con_loss(encoder(x, lengths), corrected[rows],
+                                temperature=self.temperature,
+                                variant="unweighted")
+
+        trainer = run.trainer("supcon", encoder, optimizer,
+                              grad_clip=config.grad_clip)
+        trainer.fit(batches, step, epochs=self.supcon_epochs, rng=rng)
 
     def _predict_proba(self, dataset: SessionDataset) -> np.ndarray:
-        return self.head.probs_numpy(self._encode(dataset))
+        return stage_probs(self.corrector, dataset)

@@ -19,9 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
+from ..core.stage import Stage
 from ..data.sessions import SessionDataset, iter_batches
 from ..train import TrainRun
-from .base import BaselineConfig, BaselineModel, EncoderClassifier
+from .base import BaselineConfig, BaselineModel, stage_probs
 
 __all__ = ["ULCModel"]
 
@@ -38,15 +39,17 @@ class ULCModel(BaselineModel):
         self.warmup_epochs = warmup_epochs
         self.ema_decay = ema_decay
         self.correction_confidence = correction_confidence
-        self.net: EncoderClassifier | None = None
+        self.net: Stage | None = None
         self.corrected_labels: np.ndarray | None = None
 
     def _fit(self, train: SessionDataset, rng: np.random.Generator,
              run: TrainRun) -> None:
-        # Multi-stage loop; only the word2vec phase checkpoints here.
+        # Only the word2vec phase checkpoints: the EMA of predictions
+        # carried between epochs is not in a Trainer snapshot, so the
+        # epoch loop cannot resume.
         del run
         config = self.config
-        self.net = EncoderClassifier(config, rng)
+        self.net = Stage(config.stage_config(), self.vectorizer, rng)
         optimizer = nn.Adam(self.net.parameters(), lr=config.lr)
         noisy = train.noisy_labels()
         ema = np.full((len(train), 2), 0.5)
@@ -56,7 +59,7 @@ class ULCModel(BaselineModel):
             self._train_epoch(train, noisy, optimizer, rng)
             ema = (self.ema_decay * ema
                    + (1 - self.ema_decay)
-                   * self.net.probs_dataset(train, self.vectorizer))
+                   * stage_probs(self.net, train))
 
         # Uncertainty-aware correction: flip labels the EMA confidently
         # contradicts; keep everything else.
@@ -77,14 +80,12 @@ class ULCModel(BaselineModel):
             if batch.size < 2:
                 continue
             x, lengths = self.vectorizer.transform(train, indices=batch)
-            loss = nn.cross_entropy(self.net(x, lengths), labels[batch])
+            logits = self.net.classifier(self.net.encoder(x, lengths))
+            loss = nn.cross_entropy(logits, labels[batch])
             optimizer.zero_grad()
             loss.backward()
             nn.clip_grad_norm(self.net.parameters(), config.grad_clip)
             optimizer.step()
 
-    def _predict(self, dataset: SessionDataset) -> tuple[np.ndarray, np.ndarray]:
-        return self.net.predict_dataset(dataset, self.vectorizer)
-
     def _predict_proba(self, dataset: SessionDataset) -> np.ndarray:
-        return self.net.probs_dataset(dataset, self.vectorizer)
+        return stage_probs(self.net, dataset)

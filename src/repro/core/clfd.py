@@ -19,44 +19,46 @@ import numpy as np
 
 from ..data.pipeline import SessionVectorizer
 from ..data.sessions import SessionDataset
+from ..data.vocab import Vocabulary
+from ..data.word2vec import SkipGramModel, Word2VecConfig
 from ..train import TrainRun, generator_state, set_generator_state
 from .config import CLFDConfig
 from .fraud_detector import FraudDetector
 from .label_corrector import LabelCorrector
 from .stage import Stage
 
-__all__ = ["CLFD"]
+__all__ = ["CLFD", "fit_vectorizer"]
 
 
-def _vectorizer_phase_state(vectorizer: SessionVectorizer,
-                            rng: np.random.Generator) -> dict:
-    vocab = vectorizer.vocab
-    return {
-        "vectors": vectorizer.model.vectors,
-        "max_len": int(vectorizer.max_len),
-        "vocab": vocab.tokens() if vocab is not None else None,
-        "rng": generator_state(rng),
-    }
+def fit_vectorizer(train: SessionDataset, config: Word2VecConfig,
+                   rng: np.random.Generator, run: TrainRun
+                   ) -> SessionVectorizer:
+    """The "vectorizer" phase CLFD and every baseline start with.
 
-
-def _restore_vectorizer(state: dict,
-                        rng: np.random.Generator) -> SessionVectorizer:
-    from ..data.vocab import Vocabulary
-    from ..data.word2vec import SkipGramModel
-
+    Restores word2vec from ``run``'s phase checkpoint, or trains it on
+    ``train`` and saves that checkpoint: the vectors, ``max_len``, the
+    vocabulary tokens and the generator state after training.
+    """
+    state = run.load_phase("vectorizer")
+    if state is None:
+        vectorizer = SessionVectorizer.fit(train, config=config, rng=rng)
+        vocab = vectorizer.vocab
+        run.save_phase("vectorizer", {
+            "vectors": vectorizer.model.vectors,
+            "max_len": int(vectorizer.max_len),
+            "vocab": vocab.tokens() if vocab is not None else None,
+            "rng": generator_state(rng),
+        })
+        return vectorizer
     tokens = state.get("vocab")
-    vocab = Vocabulary(tokens[1:]) if tokens else None
     set_generator_state(rng, state["rng"])
     return SessionVectorizer(SkipGramModel(state["vectors"]),
-                             max_len=int(state["max_len"]), vocab=vocab)
+                             max_len=int(state["max_len"]),
+                             vocab=Vocabulary(tokens[1:]) if tokens else None)
 
 
 class CLFD:
     """Contrastive Learning based Fraud Detection (the paper's framework)."""
-
-    # Estimator capability flag: fit() accepts ``run=`` (checkpointed,
-    # resumable training) — inspected by the parallel grid worker.
-    supports_train_run = True
 
     def __init__(self, config: CLFDConfig | None = None):
         self.config = config or CLFDConfig()
@@ -86,15 +88,7 @@ class CLFD:
         run = run or TrainRun()
         config = self.config
 
-        state = run.load_phase("vectorizer")
-        if state is not None:
-            self.vectorizer = _restore_vectorizer(state, rng)
-        else:
-            self.vectorizer = SessionVectorizer.fit(
-                train, config=config.word2vec, rng=rng
-            )
-            run.save_phase("vectorizer",
-                           _vectorizer_phase_state(self.vectorizer, rng))
+        self.vectorizer = fit_vectorizer(train, config.word2vec, rng, run)
 
         if config.use_label_corrector:
             labels, confidences = self._fit_corrector(train, rng, run)
@@ -109,11 +103,6 @@ class CLFD:
 
         if config.use_fraud_detector:
             self._fit_detector(train, labels, confidences, rng, run)
-        elif not config.use_label_corrector:
-            raise ValueError(
-                "at least one of use_label_corrector/use_fraud_detector "
-                "must be enabled"
-            )
         return self
 
     def _fit_corrector(self, train: SessionDataset, rng: np.random.Generator,

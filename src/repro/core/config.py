@@ -90,6 +90,9 @@ class CLFDConfig:
          "fused_rnn": True, "detect_anomaly": False})
 
     def __post_init__(self):
+        if not (self.use_label_corrector or self.use_fraud_detector):
+            raise ValueError("at least one of use_label_corrector/"
+                             "use_fraud_detector must be enabled")
         if self.word2vec is None:
             self.word2vec = Word2VecConfig(dim=self.embedding_dim)
         if self.word2vec.dim != self.embedding_dim:

@@ -46,14 +46,15 @@ class LabelCorrector(Stage):
             run: TrainRun | None = None) -> "LabelCorrector":
         """Run both training stages on the noisy training set."""
         run = run or TrainRun()
-        self._pretrain_ssl(train, run)
+        self.pretrain_ssl(train, run)
         self.fit_head(self.inference_forward().encode_dataset(train),
                       train.noisy_labels(), run=run)
         self._fitted = True
         return self
 
-    def _pretrain_ssl(self, train: SessionDataset, run: TrainRun) -> None:
-        """SimCLR pre-training with session-reordering views."""
+    def pretrain_ssl(self, train: SessionDataset, run: TrainRun) -> None:
+        """SimCLR pre-training of the encoder with session-reordering
+        views, as Trainer scope ``"ssl"`` (Sel-CL's warm-up too)."""
         config = self.config
         optimizer = nn.Adam(self.encoder.parameters(), lr=config.lr)
         ids, lengths = self.vectorizer.transform_token_ids(train)

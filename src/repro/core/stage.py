@@ -11,7 +11,9 @@ mixup-GCE on its frozen representations (Algorithm 1, lines 13–19).
   which phase checkpoints, ``.npz`` archives and
   :func:`~repro.core.persistence.model_fingerprint` all go through;
 * :meth:`fit_head`, the one call mapping config fields onto
-  :func:`~repro.core.training.train_classifier_head`;
+  :func:`~repro.core.training.train_classifier_head`, and
+  :meth:`parameters` for the baselines that train encoder and head
+  end to end (:mod:`repro.baselines`);
 * inference: :meth:`inference_forward`, :meth:`encode`,
   :meth:`predict`, :meth:`predict_proba`.
 """
@@ -70,6 +72,11 @@ class Stage:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
+    def parameters(self) -> list[nn.Parameter]:
+        """The encoder's parameters, then the head's: what a model
+        training the stage end to end optimises."""
+        return self.encoder.parameters() + self.classifier.parameters()
+
     def fit_head(self, features: np.ndarray, labels: np.ndarray, *,
                  rng: np.random.Generator | None = None,
                  epochs: int | None = None, run: TrainRun | None = None,

@@ -2,8 +2,10 @@
 
 Both the label corrector and the fraud detector end with a classifier
 trained over *frozen* representations using the mixup-GCE loss
-(Algorithm 1, lines 13–19).  This module implements that loop once;
-Sel-CL and stream re-correction train their heads through it too.
+(Algorithm 1, lines 13–19).  This module implements that loop once,
+and :meth:`repro.core.stage.Stage.fit_head` is its one caller: Sel-CL's
+and CLDet's cross-entropy heads and stream re-correction train through
+it too.
 """
 
 from __future__ import annotations

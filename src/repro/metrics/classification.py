@@ -146,12 +146,6 @@ def roc_curve(y_true, scores) -> tuple[np.ndarray, np.ndarray]:
     return fpr, tpr
 
 
-def _finite_metrics(metrics: dict[str, float]) -> list[str]:
-    """Names of metrics in ``metrics`` whose value is not finite."""
-    return [name for name, value in metrics.items()
-            if not np.isfinite(value)]
-
-
 def auc_roc(y_true, scores) -> float:
     """Area under the ROC curve, in percent (Mann-Whitney equivalent)."""
     fpr, tpr = roc_curve(y_true, scores)

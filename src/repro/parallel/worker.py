@@ -103,11 +103,8 @@ def execute_task(spec: TaskSpec, attempt: int = 0,
     spec.apply_noise(train, rng)
     model = build_estimator(spec)
     run = _cell_run(spec, attempt, checkpoint_dir)
-    fit_kwargs = {}
-    if run is not None and getattr(model, "supports_train_run", False):
-        fit_kwargs["run"] = run
-    model.fit(train, rng=seed_everything(spec.seed), **fit_kwargs)
-    if fit_kwargs:
+    model.fit(train, rng=seed_everything(spec.seed), run=run)
+    if run is not None:
         # Success: the checkpoints served their purpose.  Drop them (the
         # run cache owns the metrics) but keep the journal for tailing.
         run.checkpoints.clear()

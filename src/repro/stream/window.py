@@ -144,10 +144,6 @@ class SessionWindower:
         return self._watermark
 
     @property
-    def open_sessions(self) -> int:
-        return len(self._open)
-
-    @property
     def events_seen(self) -> int:
         return self._events_seen
 

@@ -1,8 +1,8 @@
 """The Trainer event loop: one epoch loop for every model in the repo.
 
-Every hand-rolled ``for epoch ... for batch ...`` loop (CLFD's four
-training stages, co-teaching, the sequence-LM baselines) reduces to the
-same skeleton: draw batches from an rng, compute a loss, backprop, clip,
+Every ``for epoch ... for batch ...`` loop (CLFD's four training
+stages, co-teaching, and every baseline's but ULC's and DivMix's, whose
+state between epochs no snapshot holds) reduces to the same skeleton: draw batches from an rng, compute a loss, backprop, clip,
 step, record.  :class:`Trainer` owns that skeleton once and adds the
 two things none of the hand-rolled loops had:
 
@@ -66,7 +66,7 @@ class Trainer:
     modules: the module(s) whose parameters the snapshot covers — a
         single :class:`~repro.nn.Module` or a ``{name: Module}`` dict
         when the optimizer spans several (DeepLog trains embedding +
-        LSTM + head together).
+        LSTM + head together, CTRR a stage's encoder and classifier).
     optimizer: the optimizer driving ``modules``; snapshots capture its
         full state via ``state_dict``.
     grad_clip: global-norm clip threshold (None = record the norm but

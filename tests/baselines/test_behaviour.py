@@ -158,7 +158,7 @@ def test_divmix_trains_two_networks(noisy_split, small_config):
     # The two co-teaching networks must not be identical.
     a = model.nets[0].state_dict()
     b = model.nets[1].state_dict()
-    assert any(not np.allclose(a[k], b[k]) for k in a)
+    assert any(not np.allclose(a[m][k], b[m][k]) for m in a for k in a[m])
 
 
 def test_selcl_confident_selection(noisy_split, small_config):

@@ -13,7 +13,8 @@ SIGKILL on top.
 import numpy as np
 import pytest
 
-from repro.baselines import BaselineConfig, DeepLogModel
+from repro.baselines import (BaselineConfig, CLDetModel, CTRRModel,
+                             DeepLogModel, FewShotModel, SelCLModel)
 from repro.core import CLFD, CoTeachingCLFD, model_fingerprint
 from repro.data import Word2VecConfig
 from repro.train import TrainingInterrupted, TrainRun, deterministic_entries
@@ -119,14 +120,36 @@ def test_co_teaching_mid_corrector_resume(tiny_config, tiny_data,
     assert model_fingerprint(model) == model_fingerprint(clean)
 
 
-def test_deeplog_baseline_resume_bit_identical(tiny_data, tmp_path):
+# Every baseline loop that runs through the Trainer, one stop point per
+# scope: DeepLog's language model, CTRR's joint loss, Few-Shot's
+# classifier, Sel-CL's warm-up, sup-con and head, CLDet's corrector.
+BASELINE_STOPS = [
+    (DeepLogModel, {}, "lm@1"),
+    (CTRRModel, {}, "joint@1"),
+    (FewShotModel, {}, "classifier@1"),
+    (SelCLModel, {"ssl_epochs": 2, "supcon_epochs": 2,
+                  "classifier_epochs": 3}, "ssl@1"),
+    (SelCLModel, {"ssl_epochs": 2, "supcon_epochs": 2,
+                  "classifier_epochs": 3}, "supcon@1"),
+    (SelCLModel, {"ssl_epochs": 2, "supcon_epochs": 2,
+                  "classifier_epochs": 3}, "head@1"),
+    (CLDetModel, {"ssl_epochs": 2, "classifier_epochs": 3}, "ssl@1"),
+    (CLDetModel, {"ssl_epochs": 2, "classifier_epochs": 3}, "head@1"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,kwargs,stop_after", BASELINE_STOPS,
+    ids=[f"{cls.name}-{stop}" for cls, _, stop in BASELINE_STOPS])
+def test_baseline_resume_bit_identical(tiny_data, tmp_path, cls, kwargs,
+                                       stop_after):
     config = BaselineConfig(embedding_dim=8, hidden_size=12,
                             lstm_layers=1, epochs=3, batch_size=32,
                             word2vec=Word2VecConfig(dim=8, epochs=1))
-    factory = lambda: DeepLogModel(config)
+    factory = lambda: cls(config, **kwargs)
     clean = _fit_clean(factory, tiny_data)
     model, _ = _fit_interrupted_then_resume(
-        factory, tiny_data, tmp_path, "lm@1")
+        factory, tiny_data, tmp_path, stop_after)
     np.testing.assert_array_equal(model.predict_proba(tiny_data[1]),
                                   clean.predict_proba(tiny_data[1]))
     np.testing.assert_array_equal(model.predict(tiny_data[1]),
