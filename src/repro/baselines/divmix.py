@@ -95,27 +95,24 @@ class DivMixModel(BaselineModel):
                 continue
             # Co-divide: split by net-A losses, refine with net-B (and
             # vice versa), then train each net on its refined labels.
-            refined = [self._refine_labels(peer=self.nets[1 - i],
-                                           scorer=self.nets[i],
-                                           train=train, noisy=noisy)
+            # Each net is scored once; both refinements read the scores.
+            probs = [stage_probs(net, train) for net in self.nets]
+            refined = [self._refine_labels(probs[i], peer_probs=probs[1 - i],
+                                           noisy=noisy)
                        for i in range(2)]
             for i, (net, opt) in enumerate(zip(self.nets, optimizers)):
                 self._train_epoch(net, opt, train, refined[i], rng,
                                   use_mixup=True)
 
-    def _per_sample_losses(self, net: Stage, dataset: SessionDataset,
-                           labels: np.ndarray) -> np.ndarray:
-        probs = stage_probs(net, dataset)
-        picked = probs[np.arange(len(labels)), labels]
-        return -np.log(np.maximum(picked, 1e-12))
-
-    def _refine_labels(self, peer: Stage, scorer: Stage,
-                       train: SessionDataset,
+    def _refine_labels(self, probs: np.ndarray, peer_probs: np.ndarray,
                        noisy: np.ndarray) -> np.ndarray:
-        losses = self._per_sample_losses(scorer, train, noisy)
+        """Refine ``noisy`` from one net's class probabilities
+        (``probs``, which split clean from noisy by per-sample loss)
+        and its peer's (``peer_probs``, which relabel)."""
+        picked = probs[np.arange(len(noisy)), noisy]
+        losses = -np.log(np.maximum(picked, 1e-12))
         clean_prob, _ = fit_two_component_gmm(losses)
         is_clean = clean_prob > self.clean_threshold
-        peer_probs = stage_probs(peer, train)
         # Co-refinement: only overwrite labels the GMM marks noisy AND the
         # peer is confident about; uncertain samples keep their labels
         # (DivideMix's soft-refinement, hardened).

@@ -2,7 +2,7 @@
 
 The online tier over the batch pipeline: an append-only
 :class:`EventLog` feeds the :class:`SessionWindower` (incremental
-session assembly, tumbling/sliding windows keyed by session close),
+session assembly, tumbling windows keyed by session close),
 closed windows are scored through the serving engine, the
 :class:`DriftMonitor` raises a two-sided alarm against a frozen
 reference window, and :func:`recorrect_model` refreshes the label

@@ -19,9 +19,10 @@ cheap scalar/vector summary of what the serving tier already computes:
   changes nothing about the sessions the model scores, but it directly
   moves the observed positive rate.
 
-The first ``reference_windows`` windows freeze the reference; after
-that each window yields a :class:`DriftReading` whose ``drift_score``
-is the worst statistic normalised by its threshold (``>= 1`` ⇒ alarm).
+The first :data:`REFERENCE_WINDOWS` windows freeze the reference;
+after that each window yields a :class:`DriftReading` whose
+``drift_score`` is the worst statistic normalised by its threshold
+(``>= 1`` ⇒ alarm).  The thresholds are the module constants below.
 Page–Hinkley keeps per-direction cumulative sums so slow monotone
 shifts accumulate; KS fires on distribution-shape changes a mean test
 misses.  Everything is numpy + stdlib — no scipy — and the monitor
@@ -36,6 +37,26 @@ import dataclasses
 import numpy as np
 
 __all__ = ["ks_statistic", "DriftReading", "DriftMonitor"]
+
+# Initial windows pooled into the frozen reference (scores, centroid,
+# oov rate, annotation prevalence).
+REFERENCE_WINDOWS = 3
+# Alarm when the KS statistic vs the reference scores exceeds this.
+KS_THRESHOLD = 0.45
+# Page–Hinkley slack and alarm level for the two-sided cumulative
+# deviation of window means from the reference mean, in score units.
+PH_DELTA = 0.05
+PH_THRESHOLD = 0.5
+# Alarm on relative centroid displacement |c_w - c_ref| / (|c_ref| + eps).
+CENTROID_THRESHOLD = 0.5
+# Alarm on an absolute rise of the window OOV rate over the reference's.
+OOV_THRESHOLD = 0.10
+# Alarm when the window noisy-positive rate deviates from the reference
+# rate by this many binomial standard errors (two-sided).
+LABEL_Z_THRESHOLD = 3.0
+# Windows smaller than this are journaled but never alarm (KS on 3
+# sessions is noise).
+MIN_SESSIONS = 8
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -77,71 +98,25 @@ class DriftReading:
 class DriftMonitor:
     """Two-sided drift alarm against a frozen reference window.
 
-    Parameters
-    ----------
-    reference_windows: number of initial windows pooled into the frozen
-        reference (scores, centroid, oov rate).
-    ks_threshold: alarm when the KS statistic vs the reference scores
-        exceeds this.
-    ph_delta / ph_threshold: Page–Hinkley slack and alarm level for the
-        two-sided cumulative deviation of window means from the
-        reference mean, in score units.
-    centroid_threshold: alarm on relative centroid displacement
-        ``|c_w - c_ref| / (|c_ref| + eps)``.
-    oov_threshold: alarm on absolute increase of the window OOV rate
-        over the reference OOV rate.
-    label_z_threshold: alarm when the window noisy-positive rate
-        deviates from the reference rate by this many binomial
-        standard errors (two-sided).
-    min_sessions: windows smaller than this are journaled but never
-        alarm (KS on 3 sessions is noise).
+    The per-window reference values are the state; the pooled scores
+    and the reference mean, centroid, oov rate and prevalence are
+    derived from them when the reference freezes (and again when a
+    frozen state is loaded).
     """
 
-    def __init__(self, *, reference_windows: int = 3,
-                 ks_threshold: float = 0.45,
-                 ph_delta: float = 0.05, ph_threshold: float = 0.5,
-                 centroid_threshold: float = 0.5,
-                 oov_threshold: float = 0.10,
-                 label_z_threshold: float = 3.0,
-                 min_sessions: int = 8):
-        if reference_windows < 1:
-            raise ValueError("reference_windows must be >= 1")
-        self.reference_windows = int(reference_windows)
-        self.ks_threshold = float(ks_threshold)
-        self.ph_delta = float(ph_delta)
-        self.ph_threshold = float(ph_threshold)
-        self.centroid_threshold = float(centroid_threshold)
-        self.oov_threshold = float(oov_threshold)
-        self.label_z_threshold = float(label_z_threshold)
-        self.min_sessions = int(min_sessions)
-        self._ref_scores: list[list[float]] = []
-        self._ref_centroids: list[list[float]] = []
-        self._ref_oov: list[float] = []
-        self._ref_label: list[tuple[float, int]] = []
-        self._frozen = False
-        self._ref_score_arr: list[float] = []
-        self._ref_mean = 0.0
-        self._ref_centroid: list[float] | None = None
-        self._ref_oov_rate = 0.0
-        self._ref_label_rate = 0.0
-        self._ph_pos = 0.0
-        self._ph_neg = 0.0
-        self._windows_observed = 0
+    def __init__(self):
         self._alarms = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     @property
     def frozen(self) -> bool:
         """True once the reference window set is complete."""
-        return self._frozen
+        return len(self._ref_scores) >= REFERENCE_WINDOWS
 
     @property
     def alarms(self) -> int:
         return self._alarms
-
-    @property
-    def windows_observed(self) -> int:
-        return self._windows_observed
 
     # ------------------------------------------------------------------
     def observe(self, window_index: int, scores: np.ndarray,
@@ -162,9 +137,8 @@ class DriftMonitor:
         if embeddings is not None and len(embeddings):
             centroid = np.asarray(embeddings,
                                   dtype=np.float64).mean(axis=0)
-        self._windows_observed += 1
 
-        if not self._frozen:
+        if not self.frozen:
             self._ref_scores.append([float(s) for s in scores])
             if centroid is not None:
                 self._ref_centroids.append([float(c) for c in centroid])
@@ -172,28 +146,25 @@ class DriftMonitor:
             if noisy_rate is not None:
                 self._ref_label.append((float(noisy_rate),
                                         int(scores.size)))
-            if len(self._ref_scores) >= self.reference_windows:
+            if self.frozen:
                 self._freeze()
             return DriftReading(
                 window=window_index, n_sessions=int(scores.size),
-                reference_frozen=self._frozen, ks=0.0, ph=0.0,
+                reference_frozen=self.frozen, ks=0.0, ph=0.0,
                 centroid_dist=0.0, oov_delta=0.0, label_z=0.0,
                 drift_score=0.0, alarm=False, trigger="")
 
-        ref = np.asarray(self._ref_score_arr, dtype=np.float64)
-        ks = ks_statistic(ref, scores) if scores.size else 0.0
+        ks = ks_statistic(self._ref_pool, scores) if scores.size else 0.0
 
         if scores.size:
             deviation = float(scores.mean()) - self._ref_mean
-            self._ph_pos = max(0.0,
-                               self._ph_pos + deviation - self.ph_delta)
-            self._ph_neg = max(0.0,
-                               self._ph_neg - deviation - self.ph_delta)
+            self._ph_pos = max(0.0, self._ph_pos + deviation - PH_DELTA)
+            self._ph_neg = max(0.0, self._ph_neg - deviation - PH_DELTA)
         ph = max(self._ph_pos, self._ph_neg)
 
         centroid_dist = 0.0
         if centroid is not None and self._ref_centroid is not None:
-            ref_c = np.asarray(self._ref_centroid, dtype=np.float64)
+            ref_c = self._ref_centroid
             centroid_dist = float(np.linalg.norm(centroid - ref_c)
                                   / (np.linalg.norm(ref_c) + 1e-12))
 
@@ -206,16 +177,15 @@ class DriftMonitor:
             label_z = float(abs(float(noisy_rate) - p) / se)
 
         ratios = {
-            "ks": ks / self.ks_threshold,
-            "ph": ph / self.ph_threshold,
-            "centroid": centroid_dist / self.centroid_threshold,
-            "oov": oov_delta / self.oov_threshold,
-            "label": label_z / self.label_z_threshold,
+            "ks": ks / KS_THRESHOLD,
+            "ph": ph / PH_THRESHOLD,
+            "centroid": centroid_dist / CENTROID_THRESHOLD,
+            "oov": oov_delta / OOV_THRESHOLD,
+            "label": label_z / LABEL_Z_THRESHOLD,
         }
         trigger = max(ratios, key=lambda k: ratios[k])
         drift_score = ratios[trigger]
-        alarm = (drift_score >= 1.0
-                 and scores.size >= self.min_sessions)
+        alarm = drift_score >= 1.0 and scores.size >= MIN_SESSIONS
         if alarm:
             self._alarms += 1
         return DriftReading(
@@ -230,15 +200,15 @@ class DriftMonitor:
 
         The model just changed, so the old score reference describes a
         model that no longer serves; keeping it would re-alarm forever.
+        The alarm count carries on.
         """
-        self._ref_scores = []
-        self._ref_centroids = []
-        self._ref_oov = []
-        self._ref_label = []
-        self._frozen = False
-        self._ref_score_arr = []
+        self._ref_scores: list[list[float]] = []
+        self._ref_centroids: list[list[float]] = []
+        self._ref_oov: list[float] = []
+        self._ref_label: list[tuple[float, int]] = []
+        self._ref_pool = np.zeros(0)
         self._ref_mean = 0.0
-        self._ref_centroid = None
+        self._ref_centroid: np.ndarray | None = None
         self._ref_oov_rate = 0.0
         self._ref_label_rate = 0.0
         self._ph_pos = 0.0
@@ -246,14 +216,13 @@ class DriftMonitor:
 
     # ------------------------------------------------------------------
     def _freeze(self) -> None:
+        """Derive the pooled and summary reference values."""
         pooled = [s for window in self._ref_scores for s in window]
-        self._ref_score_arr = pooled
+        self._ref_pool = np.asarray(pooled, dtype=np.float64)
         self._ref_mean = float(np.mean(pooled)) if pooled else 0.0
         if self._ref_centroids:
-            self._ref_centroid = [
-                float(v) for v in np.mean(
-                    np.asarray(self._ref_centroids, dtype=np.float64),
-                    axis=0)]
+            self._ref_centroid = np.mean(
+                np.asarray(self._ref_centroids, dtype=np.float64), axis=0)
         self._ref_oov_rate = (float(np.mean(self._ref_oov))
                               if self._ref_oov else 0.0)
         if self._ref_label:
@@ -261,47 +230,37 @@ class DriftMonitor:
             self._ref_label_rate = (
                 sum(rate * n for rate, n in self._ref_label)
                 / max(total, 1))
-        self._frozen = True
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Complete JSON-serialisable snapshot of the monitor state."""
+        """JSON-serialisable snapshot: each reference value once.
+
+        The per-window reference values, the Page–Hinkley sums and the
+        alarm count; the pooled and derived values are rebuilt from
+        them on load.
+        """
         return {
             "ref_scores": [list(w) for w in self._ref_scores],
             "ref_centroids": [list(c) for c in self._ref_centroids],
             "ref_oov": list(self._ref_oov),
             "ref_label": [list(pair) for pair in self._ref_label],
-            "frozen": self._frozen,
-            "ref_score_arr": list(self._ref_score_arr),
-            "ref_mean": self._ref_mean,
-            "ref_centroid": (None if self._ref_centroid is None
-                             else list(self._ref_centroid)),
-            "ref_oov_rate": self._ref_oov_rate,
-            "ref_label_rate": self._ref_label_rate,
             "ph_pos": self._ph_pos,
             "ph_neg": self._ph_neg,
-            "windows_observed": self._windows_observed,
             "alarms": self._alarms,
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place."""
+        self.reset()
         self._ref_scores = [list(w) for w in state["ref_scores"]]
         self._ref_centroids = [list(c) for c in state["ref_centroids"]]
         self._ref_oov = list(state["ref_oov"])
         self._ref_label = [(float(r), int(n))
                            for r, n in state["ref_label"]]
-        self._frozen = bool(state["frozen"])
-        self._ref_score_arr = list(state["ref_score_arr"])
-        self._ref_mean = float(state["ref_mean"])
-        ref_centroid = state["ref_centroid"]
-        self._ref_centroid = (None if ref_centroid is None
-                              else list(ref_centroid))
-        self._ref_oov_rate = float(state["ref_oov_rate"])
-        self._ref_label_rate = float(state["ref_label_rate"])
+        if self.frozen:
+            self._freeze()
         self._ph_pos = float(state["ph_pos"])
         self._ph_neg = float(state["ph_neg"])
-        self._windows_observed = int(state["windows_observed"])
         self._alarms = int(state["alarms"])

@@ -13,7 +13,7 @@
   through the :class:`~repro.train.MetricJournal` with deterministic
   fields only (no wall clock), and exported as ``stream_*`` gauges on
   the engine's ``/v1/metrics``;
-* on alarm (or on a period) the last K windows go through
+* on alarm the last K windows go through
   :func:`~repro.stream.recorrect.recorrect_model`; the refreshed
   archive is hot-swapped into the engine via the rolling ``reload``
   (no dropped scores) and the monitor re-arms against the new model.
@@ -57,47 +57,40 @@ from ..serve.config import ServeConfig
 from ..serve.engine import InferenceEngine
 from ..train import MetricJournal, TrainRun
 from ..train.seeding import generator_state, set_generator_state
-from .drift import DriftMonitor, DriftReading
+from .drift import DriftMonitor
 from .events import Event
 from .recorrect import recorrect_model
 from .window import SessionWindower, StreamSession, Window
 
 __all__ = ["StreamConfig", "StreamProcessor", "compare_with_frozen"]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)
 class StreamConfig:
-    """Knobs for one streaming deployment (windowing + drift + policy)."""
+    """Knobs for one streaming deployment: windowing and re-correction.
+
+    A drift alarm triggers a re-correction on the last
+    ``recorrect_windows`` windows, at most ``max_recorrections`` times
+    (None: no cap), fine-tuning each head for ``head_epochs`` epochs
+    (None: the archive's ``classifier_epochs``).  The drift thresholds
+    are constants of :mod:`repro.stream.drift`.
+    """
 
     window_size: float = 20.0
     session_gap: float = 4.0
-    slide: float | None = None
     max_session_len: int | None = None
-    # Drift monitor
-    reference_windows: int = 3
-    ks_threshold: float = 0.45
-    ph_delta: float = 0.05
-    ph_threshold: float = 0.5
-    centroid_threshold: float = 0.5
-    oov_threshold: float = 0.10
-    label_z_threshold: float = 3.0
-    min_sessions: int = 8
-    # Re-correction policy
     recorrect_windows: int = 6
-    recorrect_on_alarm: bool = True
-    recorrect_every: int | None = None
     max_recorrections: int | None = None
     head_epochs: int | None = None
-    score_timeout_s: float = 60.0
 
     def replace(self, **changes) -> "StreamConfig":
         return dataclasses.replace(self, **changes)
 
 
 class StreamProcessor:
-    """Online scoring + drift detection + re-correction over one engine.
+    """Online scoring + drift detection + re-correction over its engine.
 
     Parameters
     ----------
@@ -109,10 +102,10 @@ class StreamProcessor:
     config / serve_config: streaming and serving knobs.  The serving
         config is forced to ``include_embeddings=True`` — the centroid
         drift statistic needs the embeddings the engine already
-        computes.
-    engine: pass an existing engine to share it with e.g. a
-        :class:`~repro.serve.ServingServer`; by default the processor
-        builds its own from the archive.
+        computes — and its ``score_timeout_s`` bounds each window's
+        scoring wait.  The processor builds :attr:`engine` from the
+        archive and closes it; share it with e.g. a
+        :class:`~repro.serve.ServingServer` through ``proc.engine``.
     seed: seed for the processor's generator (re-correction batching);
         checkpointed, so resumed runs consume the same draws.
     resume: load ``workdir/checkpoint.json``, replay the records log
@@ -123,7 +116,6 @@ class StreamProcessor:
                  workdir: str | os.PathLike, *,
                  config: StreamConfig | None = None,
                  serve_config: ServeConfig | None = None,
-                 engine: InferenceEngine | None = None,
                  seed: int = 0, resume: bool = False):
         self.config = config or StreamConfig()
         self.workdir = pathlib.Path(workdir)
@@ -135,16 +127,8 @@ class StreamProcessor:
 
         c = self.config
         self._windower = SessionWindower(
-            c.window_size, c.session_gap, slide=c.slide,
-            max_session_len=c.max_session_len)
-        self._monitor = DriftMonitor(
-            reference_windows=c.reference_windows,
-            ks_threshold=c.ks_threshold, ph_delta=c.ph_delta,
-            ph_threshold=c.ph_threshold,
-            centroid_threshold=c.centroid_threshold,
-            oov_threshold=c.oov_threshold,
-            label_z_threshold=c.label_z_threshold,
-            min_sessions=c.min_sessions)
+            c.window_size, c.session_gap, max_session_len=c.max_session_len)
+        self._monitor = DriftMonitor()
         self._rng = np.random.default_rng(seed)
         self._next_offset = 0
         self._windows_processed = 0
@@ -169,18 +153,12 @@ class StreamProcessor:
 
         self.serve_config = (serve_config or ServeConfig()).replace(
             include_embeddings=True)
-        if engine is not None:
-            self.engine = engine
-            self._owns_engine = False
-        else:
-            # Start the serving generation at the checkpointed model
-            # generation so resumed streams stamp results identically
-            # to an uninterrupted run (one rolling reload per
-            # re-correction).
-            self.engine = InferenceEngine.from_archive(
-                self._archive, self.serve_config,
-                generation=self._model_generation)
-            self._owns_engine = True
+        # Start the serving generation at the checkpointed model
+        # generation so resumed streams stamp results identically to an
+        # uninterrupted run (one rolling reload per re-correction).
+        self.engine = InferenceEngine.from_archive(
+            self._archive, self.serve_config,
+            generation=self._model_generation)
         self._export_gauges(drift_score=0.0)
 
     # ------------------------------------------------------------------
@@ -260,8 +238,7 @@ class StreamProcessor:
         return summaries
 
     def close(self) -> None:
-        if self._owns_engine:
-            self.engine.close()
+        self.engine.close()
 
     def __enter__(self) -> "StreamProcessor":
         return self
@@ -277,7 +254,7 @@ class StreamProcessor:
                      "session_id": s.session_id}
                     for s in window.sessions]
         results = (self.engine.score_many(
-            payloads, timeout=self.config.score_timeout_s)
+            payloads, timeout=self.serve_config.score_timeout_s)
             if payloads else [])
 
         scores = np.asarray([r.score for r in results], dtype=np.float64)
@@ -328,7 +305,8 @@ class StreamProcessor:
             generation=self._model_generation)
 
         recorrected = False
-        if self._should_recorrect(reading):
+        cap = self.config.max_recorrections
+        if reading.alarm and (cap is None or self._recorrections < cap):
             recorrected = self._recorrect() is not None
         self._export_gauges(drift_score=reading.drift_score)
         summary = {
@@ -341,16 +319,6 @@ class StreamProcessor:
             "generation": self._model_generation,
         }
         return summary
-
-    def _should_recorrect(self, reading: DriftReading) -> bool:
-        c = self.config
-        if (c.max_recorrections is not None
-                and self._recorrections >= c.max_recorrections):
-            return False
-        if reading.alarm and c.recorrect_on_alarm:
-            return True
-        return bool(c.recorrect_every
-                    and self._windows_processed % c.recorrect_every == 0)
 
     # ------------------------------------------------------------------
     # Re-correction + hot swap

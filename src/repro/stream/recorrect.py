@@ -1,6 +1,6 @@
 """Online label re-correction: refresh a served model from recent windows.
 
-On a drift alarm (or a fixed period) the stream processor hands the
+On a drift alarm the stream processor hands the
 last K windows of sessions — with their *noisy* stream annotations —
 to :func:`recorrect_model`, which re-runs the CLFD correction loop on
 exactly the parts label noise can reach:

@@ -8,9 +8,10 @@
   time units (close time = last event + gap), or immediately when it
   reaches ``max_session_len`` events;
 * closed sessions land in tumbling windows of ``window_size`` time
-  units keyed by *close* time (pass ``slide`` for overlapping sliding
-  windows); a window is **emitted** once the stream watermark passes
-  its end, at which point no still-open session can close into it.
+  units keyed by *close* time: window ``k`` holds the closes in
+  ``[k * window_size, (k + 1) * window_size)``; a window is
+  **emitted** once the stream watermark passes its end, at which point
+  no still-open session can close into it.
 
 Determinism contract: the emitted windows are a pure function of the
 event sequence.  Sessions inside a window are ordered by
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable
 
 from .events import Event
 
@@ -97,34 +97,26 @@ class Window:
 
 
 class SessionWindower:
-    """Gap-closed sessions over tumbling (or sliding) windows.
+    """Gap-closed sessions over tumbling windows.
 
     Parameters
     ----------
     window_size: window length in stream time units.
     session_gap: silence after which an entity's open session closes.
-    slide: window stride; defaults to ``window_size`` (tumbling).  A
-        smaller stride yields overlapping windows — one closed session
-        then belongs to every window covering its close time.
     max_session_len: hard cap on events per session; a session hitting
         it closes immediately (close time = its last event time).
     """
 
     def __init__(self, window_size: float, session_gap: float,
-                 slide: float | None = None,
                  max_session_len: int | None = None):
         if window_size <= 0:
             raise ValueError("window_size must be positive")
         if session_gap <= 0:
             raise ValueError("session_gap must be positive")
-        slide = window_size if slide is None else slide
-        if not 0 < slide <= window_size:
-            raise ValueError("slide must be in (0, window_size]")
         if max_session_len is not None and max_session_len < 1:
             raise ValueError("max_session_len must be >= 1")
         self.window_size = float(window_size)
         self.session_gap = float(session_gap)
-        self.slide = float(slide)
         self.max_session_len = max_session_len
         # Mutable stream state — everything below is captured by
         # state_dict() and must stay JSON-serialisable.
@@ -135,17 +127,6 @@ class SessionWindower:
         self._count_updates: dict[str, int] = {}
         self._watermark = -math.inf
         self._next_emit = 0
-        self._events_seen = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def watermark(self) -> float:
-        """Largest event time processed so far."""
-        return self._watermark
-
-    @property
-    def events_seen(self) -> int:
-        return self._events_seen
 
     # ------------------------------------------------------------------
     def process(self, event: Event) -> list[Window]:
@@ -179,7 +160,6 @@ class SessionWindower:
         state["activities"].append(event.activity)
         state["last_time"] = t
         state["end_offset"] = int(event.offset)
-        self._events_seen += 1
         if (self.max_session_len is not None
                 and len(state["activities"]) >= self.max_session_len):
             del self._open[event.entity]
@@ -201,12 +181,6 @@ class SessionWindower:
             self._next_emit = windows[-1].index + 1
         return windows
 
-    def run(self, events: Iterable[Event]) -> Iterable[Window]:
-        """Generator: stream events through, yielding windows in order."""
-        for event in events:
-            yield from self.process(event)
-        yield from self.flush()
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -220,22 +194,24 @@ class SessionWindower:
                          close_time=state["last_time"] + self.session_gap)
 
     def _bucket(self, state: dict, close_time: float) -> None:
-        """Assign a closed session to every window covering its close."""
+        """Assign a closed session to the window covering its close."""
         session = dict(state)
         session["close_time"] = float(close_time)
         session["activities"] = list(session["activities"])
-        k_max = math.floor(close_time / self.slide)
+        # The quotients bound the candidates; the half-open
+        # [start, start + window_size) test decides, as emission does.
+        k_max = math.floor(close_time / self.window_size)
         k_min = math.floor((close_time - self.window_size)
-                           / self.slide) + 1
+                           / self.window_size) + 1
         for index in range(max(k_min, 0), k_max + 1):
-            start = index * self.slide
+            start = index * self.window_size
             if start <= close_time < start + self.window_size:
                 self._pending.setdefault(index, []).append(session)
 
     def _emit_ready(self, t: float) -> list[Window]:
         """Emit every window whose end the watermark has passed."""
         windows = []
-        while self._next_emit * self.slide + self.window_size <= t:
+        while self._next_emit * self.window_size + self.window_size <= t:
             windows.append(self._build_window(self._next_emit))
             self._pending.pop(self._next_emit, None)
             self._next_emit += 1
@@ -246,7 +222,7 @@ class SessionWindower:
         sessions = sorted(sessions,
                           key=lambda s: (s["close_time"], s["entity"],
                                          s["session_id"]))
-        start = index * self.slide
+        start = index * self.window_size
         return Window(
             index=index, start=start, end=start + self.window_size,
             sessions=tuple(StreamSession.from_dict(s) for s in sessions),
@@ -269,7 +245,6 @@ class SessionWindower:
             "watermark": (None if math.isinf(self._watermark)
                           else self._watermark),
             "next_emit": self._next_emit,
-            "events_seen": self._events_seen,
         }
 
     def take_count_updates(self) -> dict[str, int]:
@@ -304,4 +279,3 @@ class SessionWindower:
         watermark = state["watermark"]
         self._watermark = -math.inf if watermark is None else float(watermark)
         self._next_emit = int(state["next_emit"])
-        self._events_seen = int(state["events_seen"])

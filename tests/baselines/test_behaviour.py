@@ -1,5 +1,7 @@
 """Behavioural tests for baseline-specific mechanisms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,27 @@ def test_divmix_trains_two_networks(noisy_split, small_config):
     a = model.nets[0].state_dict()
     b = model.nets[1].state_dict()
     assert any(not np.allclose(a[m][k], b[m][k]) for m in a for k in a[m])
+
+
+def test_divmix_scores_each_network_once_per_co_divide_epoch(
+        noisy_split, small_config, monkeypatch):
+    from repro.baselines import divmix
+
+    calls = []
+    real = divmix.stage_probs
+
+    def counting(stage, dataset):
+        calls.append(stage)
+        return real(stage, dataset)
+
+    monkeypatch.setattr(divmix, "stage_probs", counting)
+    train, _ = noisy_split
+    config = dataclasses.replace(small_config, epochs=3)
+    model = DivMixModel(config, warmup_epochs=1)
+    model.fit(train, rng=np.random.default_rng(0))
+    # Two co-divide epochs after the warm-up, each scoring both nets.
+    assert len(calls) == 2 * 2
+    assert [id(s) for s in calls] == [id(n) for n in model.nets] * 2
 
 
 def test_selcl_confident_selection(noisy_split, small_config):

@@ -158,7 +158,7 @@ def test_torn_tails_are_cut_on_resume(stream_archive, clean, tmp_path):
 
 def test_head_is_bounded(clean):
     head = json.loads((clean.workdir / "checkpoint.json").read_text())
-    assert head["version"] == 2
+    assert head["version"] == 3
     assert "records" not in head
     assert "session_counts" not in head
     assert "session_counts" not in head["windower"]
@@ -206,13 +206,18 @@ def test_heads_after_resume_match_the_clean_run(stream_archive, clean,
 def test_head_of_another_version_is_refused(stream_archive, clean,
                                             tmp_path):
     head = json.loads((clean.workdir / "checkpoint.json").read_text())
-    del head["version"]
-    workdir = tmp_path / "legacy"
-    workdir.mkdir()
-    (workdir / "checkpoint.json").write_text(json.dumps(head))
-    with pytest.raises(ValueError,
-                       match=r"checkpoint\.json.*restart the stream"):
-        _processor(stream_archive, workdir, resume=True)
+    unversioned = dict(head)
+    del unversioned["version"]
+    # A version-2 head also stored the monitor's pooled and derived
+    # reference values and the windower's event counter.
+    for name, legacy in [("legacy", unversioned),
+                         ("v2", dict(head, version=2))]:
+        workdir = tmp_path / name
+        workdir.mkdir()
+        (workdir / "checkpoint.json").write_text(json.dumps(legacy))
+        with pytest.raises(ValueError,
+                           match=r"checkpoint\.json.*restart the stream"):
+            _processor(stream_archive, workdir, resume=True)
 
 
 def test_compare_with_frozen_beyond_max_queue(stream_archive, clean):

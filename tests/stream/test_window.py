@@ -69,13 +69,14 @@ def test_windows_emit_when_watermark_passes_end():
     assert [s.entity for s in window.sessions] == ["u0", "u1"]
 
 
-def test_sliding_windows_duplicate_by_close_time():
-    windower = SessionWindower(window_size=10.0, session_gap=1.0,
-                               slide=5.0)
-    windows = _stream(windower, [_event(12.0)])
-    # close at t=13: covered by [5, 15) and [10, 20).
-    covering = [w.index for w in windows if w.sessions]
-    assert covering == [1, 2]
+def test_close_on_a_boundary_lands_in_the_next_window():
+    windower = SessionWindower(window_size=10.0, session_gap=1.0)
+    windows = _stream(windower, [_event(9.0, "u0"), _event(9.5, "u1"),
+                                 _event(19.0, "u2")])
+    # Windows are half-open: u0 closes at t=10 into [10, 20), u1 at
+    # 10.5 likewise, u2 at t=20 into [20, 30).
+    assert [(w.index, [s.entity for s in w.sessions]) for w in windows] \
+        == [(0, []), (1, ["u0", "u1"]), (2, ["u2"])]
 
 
 def test_out_of_order_event_rejected():
@@ -99,8 +100,6 @@ def test_constructor_validation():
         SessionWindower(window_size=0.0, session_gap=1.0)
     with pytest.raises(ValueError):
         SessionWindower(window_size=1.0, session_gap=0.0)
-    with pytest.raises(ValueError):
-        SessionWindower(window_size=1.0, session_gap=1.0, slide=2.0)
     with pytest.raises(ValueError):
         SessionWindower(window_size=1.0, session_gap=1.0,
                         max_session_len=0)
